@@ -1,17 +1,28 @@
-// Serving-layer throughput: concurrent tenants x blocks/sec through the
-// ChannelService batcher at tenant counts {1, 4, 16, 64}, the plan-cache
-// hit ratio those sweeps run at, and the cold-compile vs warm-cache
-// session-setup cost (the acceptance lever: warm setup rides one cache
-// hit + one per-seed engine build, so at N = 64 tenants per scenario the
-// amortised setup must be >= 10x cheaper than compiling per tenant).
+// Serving-layer throughput: concurrent tenants x blocks/sec (wall-clock)
+// through ChannelService::pull_blocks at tenant counts {1, 4, 16, 64} —
+// each tenant's pull rides its own stream cursor, one tenant per pool
+// task — the plan-cache hit ratio those sweeps run at, and the
+// cold-compile vs warm-cache session-setup cost (the acceptance lever:
+// warm setup rides one cache hit + one per-seed engine build, so at
+// N = 64 tenants per scenario the amortised setup must be >= 10x cheaper
+// than compiling per tenant).
+//
+// Serving parity: ServiceSessionNextBlock and StreamCursorNextBlock pull
+// the same overlap-save f64 realisation (N = 16, M = 4096, one seed,
+// serial branches) through Session::next_block and through a bare
+// FadingStream cursor.  Sessions ride their stream's cursor, so the
+// session-over-cursor cost ratio is ~1.0x; CI gates it with the cursor as
+// the reference (check_regression.py --reference StreamCursorNextBlock).
 //
 // Smoke mode for CI: --benchmark_min_time=0.05.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/service/channel_service.hpp"
 #include "rfade/service/channel_spec.hpp"
 #include "rfade/service/plan_cache.hpp"
@@ -77,7 +88,53 @@ void ServiceTenantSweep(benchmark::State& state) {
       benchmark::Counter::kIsRate);
   state.counters["cache_hit_ratio"] = stats.hit_ratio();
 }
-BENCHMARK(ServiceTenantSweep)->Arg(1)->Arg(4)->Arg(16)->Arg(64)
+BENCHMARK(ServiceTenantSweep)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The serving-parity shape: overlap-save f64 at (N, M) with serial
+/// branch fills, so both sides of the ratio do identical single-thread
+/// work.
+constexpr std::uint64_t kParitySeed = 0x5E55;
+
+ChannelSpec parity_spec(std::size_t n, std::size_t m) {
+  return ChannelSpec::Builder()
+      .rayleigh(tridiagonal_covariance(n))
+      .backend(doppler::StreamBackend::OverlapSaveFir)
+      .idft_size(m)
+      .doppler(0.05)
+      .parallel(false)
+      .build();
+}
+
+void ServiceSessionNextBlock(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ChannelService service;
+  Session session = service.open_session(
+      parity_spec(n, static_cast<std::size_t>(state.range(1))), kParitySeed);
+  for (auto _ : state) {
+    const CMatrix block = session.next_block();
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(session.block_size() * n));
+}
+BENCHMARK(ServiceSessionNextBlock)->Args({16, 4096})->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void StreamCursorNextBlock(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  core::FadingStream stream =
+      parity_spec(n, static_cast<std::size_t>(state.range(1)))
+          .compile()
+          ->make_stream(kParitySeed);
+  for (auto _ : state) {
+    const CMatrix block = stream.next_block();
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.block_size() * n));
+}
+BENCHMARK(StreamCursorNextBlock)->Args({16, 4096})->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The setup pair measures tenant arrival cost at covariance dimension

@@ -221,7 +221,9 @@ class FadingStream {
   /// The next block of the stream: block_size() x N, row l at absolute
   /// instant next_instant() + l.  Equals generate_block(seed(), b) for
   /// the b this call consumes.  On a Float32 stream this is the float
-  /// block of next_block_f32() widened to double.
+  /// block of next_block_f32() widened to double.  \throws
+  /// ContractViolation, without advancing, once the cursor is past the
+  /// last addressable block (see seek).
   [[nodiscard]] numeric::CMatrix next_block();
 
   /// Float32 cursor (\pre precision() == Precision::Float32): the next
@@ -235,7 +237,10 @@ class FadingStream {
 
   /// Jump the cursor to \p block_index (any direction).  Replays at most
   /// design().history_blocks() blocks to rebuild carried state, so a
-  /// seek costs O(one block) for every backend.
+  /// seek costs O(one block) for every backend.  \throws
+  /// ContractViolation when the block's instants do not fit in 64 bits
+  /// (the last valid index is UINT64_MAX / block_size() for a
+  /// power-of-two block size); the cursor is then left untouched.
   void seek(std::uint64_t block_index);
 
   /// Index of the block the next next_block() call will emit.
@@ -243,9 +248,11 @@ class FadingStream {
     return next_block_;
   }
 
-  /// Absolute time instant of that block's first row.
-  [[nodiscard]] std::uint64_t next_instant() const noexcept {
-    return next_block_ * block_size();
+  /// Absolute time instant of that block's first row.  \throws
+  /// ContractViolation once the cursor has passed the last addressable
+  /// block.
+  [[nodiscard]] std::uint64_t next_instant() const {
+    return first_instant(next_block_);
   }
 
   // --- keyed const path (pure function of (seed, block index)) -------------
@@ -253,7 +260,8 @@ class FadingStream {
   /// Block \p block_index of the realisation keyed by \p seed — exactly
   /// what the stateful cursor emits for that key, regenerated
   /// independently (transient sources + history replay).  Safe to call
-  /// concurrently; the backbone of multi-node fan-out.
+  /// concurrently; the backbone of multi-node fan-out.  Same index range
+  /// as seek(): \throws ContractViolation past the last addressable block.
   [[nodiscard]] numeric::CMatrix generate_block(
       std::uint64_t seed, std::uint64_t block_index) const;
 
@@ -294,6 +302,15 @@ class FadingStream {
   };
 
   [[nodiscard]] SourceList make_sources(std::uint64_t seed) const;
+
+  /// Absolute time instant of block \p block_index's first row, checked:
+  /// every row of the block, up to block_index * block_size() +
+  /// block_size() - 1, must be addressable in 64 bits.  The last valid
+  /// index is (2^64 - block_size()) / block_size(), i.e. UINT64_MAX /
+  /// block_size() for a power-of-two block size.  Every cursor and keyed
+  /// entry point goes through this check.  \throws ContractViolation on
+  /// overflow.
+  [[nodiscard]] std::uint64_t first_instant(std::uint64_t block_index) const;
 
   /// Advance + fill + normalise + color one block: the single copy of the
   /// loop RealTimeGenerator, StreamingFadingSource and the cascaded /

@@ -13,20 +13,27 @@
 ///      the keyed generate_block paths are const and thread-safe; and
 ///   2. the stateful stream walk equals the keyed walk bit-for-bit.
 ///
-/// A Session is therefore three words of tenant state (compiled-channel
-/// handle, seed, cursor) riding an immutable CompiledChannel that any
-/// number of tenants share.  next_block()/seek() give each tenant its
-/// own independent deterministic timeline; the keyed generate_block() is
-/// what the batcher fans out over the global thread pool, so a thousand
-/// tenants pulling one block each cost one parallel sweep, not a
-/// thousand sequential engine hops.
+/// A Session is tenant state (compiled-channel handle, seed, cursor)
+/// riding an immutable CompiledChannel that any number of tenants share,
+/// plus — in stream mode — the tenant's own FadingStream engine.
+/// Sequential pulls (next_block / next_envelope_block / pull_blocks) ride
+/// that engine's cursor: the batched overlap-save sweep, shifted input
+/// tapes and persistent workspaces, so a session costs what the bare
+/// stream cursor costs.  seek() only moves the session cursor; the engine
+/// re-seeks lazily on the next pull, replaying at most history_blocks().
+/// The keyed generate_block() is the random-access and fan-out API:
+/// generate_blocks fans it out over the global thread pool, so a thousand
+/// tenants' requests cost one parallel sweep, not a thousand sequential
+/// engine hops.  Contract 2 makes the two paths interchangeable.
 ///
 /// Observability (recorded only when telemetry::enabled()):
-/// rfade_session_next_block_ns latency histogram over every cursor pull,
-/// rfade_session_seeks_total / rfade_sessions_opened_total counters, and
-/// the rfade_batcher_sweep_width histogram of requests coalesced per
-/// generate_blocks sweep; next_block and the batcher also open trace
-/// spans when the Tracer is enabled.
+/// rfade_session_next_block_ns latency histogram over every cursor pull
+/// (stream-mode pulls also land in the engine's per-backend
+/// rfade_stream_block_fill_ns), rfade_session_seeks_total /
+/// rfade_sessions_opened_total counters, and the rfade_batcher_sweep_width
+/// histogram of sessions or requests per pull_blocks / generate_blocks
+/// sweep; next_block and the batcher also open trace spans when the
+/// Tracer is enabled.
 
 #include <cstdint>
 #include <memory>
@@ -47,11 +54,13 @@ namespace rfade::service {
 
 /// One tenant's deterministic timeline over a shared compiled channel.
 ///
-/// Sequential use (next_block / seek) is single-tenant stateful; the
-/// keyed generate_block / generate_envelope_block are const and
-/// thread-safe, and both walks are bit-identical: block b of seed s is
-/// the same matrix no matter which tenant, thread, or walk order
-/// produced it.
+/// Sequential use (next_block / seek) is single-tenant stateful and, in
+/// stream mode, runs on the session's own stream cursor; the keyed
+/// generate_block / generate_envelope_block are const and thread-safe
+/// (callable from any thread, even while the owner pulls), and both walks
+/// are bit-identical: block b of seed s is the same matrix no matter
+/// which tenant, thread, or walk order produced it.  Instant-mode and
+/// copula sessions have no carried state and serve every pull keyed.
 class Session {
  public:
   Session(std::shared_ptr<const CompiledChannel> channel, std::uint64_t seed);
@@ -84,12 +93,18 @@ class Session {
   [[nodiscard]] numeric::RMatrix next_envelope_block();
 
   /// Reposition the timeline: the next next_block() returns block
-  /// \p block_index.  O(1) — blocks are keyed, never replayed.  Counted
-  /// on the telemetry registry (rfade_session_seeks_total).
+  /// \p block_index.  O(1) and lazy — only the session cursor moves, so
+  /// repeated seeks cost nothing; the next pull re-seeks the stream
+  /// engine, replaying at most history_blocks() blocks.  An index past
+  /// the stream's 64-bit instant range is rejected by that pull
+  /// (ContractViolation), not here.  Counted on the telemetry registry
+  /// (rfade_session_seeks_total).
   void seek(std::uint64_t block_index) noexcept;
 
   /// Block \p block_index of this tenant's timeline, cursor untouched.
-  /// Const and thread-safe: the batcher's fan-out hook.
+  /// Const and thread-safe — safe to call while another thread pulls
+  /// from this session: the random-access API and the batcher's fan-out
+  /// hook.
   [[nodiscard]] numeric::CMatrix generate_block(
       std::uint64_t block_index) const;
 
@@ -118,12 +133,16 @@ class Session {
   }
 
  private:
+  /// Block cursor_ of the timeline: from the stream engine's cursor
+  /// (re-seeked first if it disagrees with cursor_), or keyed for
+  /// instant-mode and copula channels.  Leaves cursor_ to the caller.
+  [[nodiscard]] numeric::CMatrix pull_block();
+
   std::shared_ptr<const CompiledChannel> channel_;
   std::uint64_t seed_ = 0;
   std::uint64_t cursor_ = 0;
-  /// Per-seed stream engines (stream mode only): hosts of the const
-  /// keyed generate_block — their mutable next_block state is never
-  /// touched by the session.
+  /// Per-seed stream engines (stream mode only): their cursor serves the
+  /// sequential pulls, their const keyed generate_block random access.
   std::optional<core::FadingStream> stream_;
   std::optional<scenario::CascadedRealTimeGenerator> cascaded_;
   /// Opt-in link-level metrics over next_block() (see enable_metrics).
@@ -165,18 +184,24 @@ class ChannelService {
     return Session(std::move(channel), seed);
   }
 
-  /// Batcher: fulfil many small block requests as one thread-pool sweep.
-  /// Results are positionally aligned with \p requests and bit-identical
-  /// to calling request.session->generate_block(request.block_index)
-  /// sequentially.  Requests may mix sessions, repeat sessions, and
-  /// repeat indices freely.
+  /// Batcher over the keyed path: fulfil many small random-access block
+  /// requests as one thread-pool sweep.  Results are positionally aligned
+  /// with \p requests and bit-identical to calling
+  /// request.session->generate_block(request.block_index) sequentially.
+  /// Requests may mix sessions, repeat sessions, and repeat indices
+  /// freely; no cursor moves.
   [[nodiscard]] static std::vector<numeric::CMatrix> generate_blocks(
       const std::vector<BlockRequest>& requests);
 
-  /// Batcher over the tenants' own cursors: pulls every session's next
-  /// block concurrently, then advances each cursor by one — bit-identical
-  /// to calling next_block() on each session in order.  Each session may
-  /// appear at most once per call (cursors advance once per call).
+  /// Batcher over the tenants' own cursors: runs every session's
+  /// next_block() concurrently, one session per pool task, so each pull
+  /// rides that session's stream cursor (including any lazy re-seek
+  /// after seek()) — bit-identical to calling next_block() on each
+  /// session in order.  If a pull throws, the first exception is
+  /// rethrown after the others finish (their cursors have advanced).
+  /// \pre every pointer is non-null and each session appears at most once
+  /// (its engine is mutated by the pull); \throws ContractViolation
+  /// otherwise, before any session is touched.
   [[nodiscard]] static std::vector<numeric::CMatrix> pull_blocks(
       const std::vector<Session*>& sessions);
 

@@ -1,6 +1,7 @@
 #include "rfade/core/fading_stream.hpp"
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -226,14 +227,27 @@ void FadingStream::replay(SourceList& sources, std::uint64_t seed,
       {/*chunk_size=*/1, /*serial=*/!parallel_branches_});
 }
 
+std::uint64_t FadingStream::first_instant(std::uint64_t block_index) const {
+  const std::uint64_t m = block_size();
+  std::uint64_t first = 0;
+  const bool overflows = __builtin_mul_overflow(block_index, m, &first) ||
+                         first > std::numeric_limits<std::uint64_t>::max() -
+                                     (m - 1);
+  RFADE_EXPECTS(!overflows,
+                "block index overflows the 64-bit instant range: "
+                "block_index * block_size() + block_size() - 1 must fit");
+  return first;
+}
+
 numeric::CMatrix FadingStream::next_block() {
   if (precision_ == Precision::Float32) {
     return widen(next_block_f32());
   }
+  const std::uint64_t first = next_instant();
   const telemetry::ScopedTimer timer(block_histogram_.get());
   random::Rng rng = random::block_substream(seed_, next_block_);
-  numeric::CMatrix z = emit(sources_, rng, next_block_, next_instant(),
-                            batch_.get(), &workspace_);
+  numeric::CMatrix z = emit(sources_, rng, next_block_, first, batch_.get(),
+                            &workspace_);
   ++next_block_;
   if (metrics_tap_) metrics_tap_->observe(z);
   return z;
@@ -242,9 +256,10 @@ numeric::CMatrix FadingStream::next_block() {
 numeric::CMatrixF FadingStream::next_block_f32() {
   RFADE_EXPECTS(precision_ == Precision::Float32,
                 "next_block_f32: stream was built with Precision::Float64");
+  const std::uint64_t first = next_instant();
   const telemetry::ScopedTimer timer(block_histogram_.get());
   random::Rng rng = random::block_substream(seed_, next_block_);
-  numeric::CMatrixF z = emit_f32(sources_, rng, next_block_, next_instant(),
+  numeric::CMatrixF z = emit_f32(sources_, rng, next_block_, first,
                                  batch_.get(), &workspace_);
   ++next_block_;
   if (metrics_tap_) metrics_tap_->observe(z);
@@ -256,6 +271,9 @@ numeric::RMatrix FadingStream::next_envelope_block() {
 }
 
 void FadingStream::seek(std::uint64_t block_index) {
+  // Checked before any carried state is reset, so a rejected seek leaves
+  // the cursor where it was.
+  (void)first_instant(block_index);
   const telemetry::ScopedTimer timer(seek_histogram_.get());
   for (auto& source : sources_) {
     source->reset();
@@ -275,6 +293,7 @@ numeric::CMatrix FadingStream::generate_block(std::uint64_t seed,
   if (precision_ == Precision::Float32) {
     return widen(generate_block_f32(seed, block_index));
   }
+  const std::uint64_t first = first_instant(block_index);
   SourceList sources = make_sources(seed);
   if (design_->history_blocks() > 0 && block_index > 0) {
     replay(sources, seed, block_index - 1, /*float32=*/false);
@@ -282,8 +301,8 @@ numeric::CMatrix FadingStream::generate_block(std::uint64_t seed,
   random::Rng rng = random::block_substream(seed, block_index);
   // Always the per-branch sources: the keyed path is the bit-reference
   // the batched cursor is pinned against.
-  return emit(sources, rng, block_index, block_index * block_size(),
-              /*batch=*/nullptr, /*workspace=*/nullptr);
+  return emit(sources, rng, block_index, first, /*batch=*/nullptr,
+              /*workspace=*/nullptr);
 }
 
 numeric::CMatrixF FadingStream::generate_block_f32(
@@ -291,13 +310,14 @@ numeric::CMatrixF FadingStream::generate_block_f32(
   RFADE_EXPECTS(precision_ == Precision::Float32,
                 "generate_block_f32: stream was built with "
                 "Precision::Float64");
+  const std::uint64_t first = first_instant(block_index);
   SourceList sources = make_sources(seed);
   if (design_->history_blocks() > 0 && block_index > 0) {
     replay(sources, seed, block_index - 1, /*float32=*/true);
   }
   random::Rng rng = random::block_substream(seed, block_index);
-  return emit_f32(sources, rng, block_index, block_index * block_size(),
-                  /*batch=*/nullptr, /*workspace=*/nullptr);
+  return emit_f32(sources, rng, block_index, first, /*batch=*/nullptr,
+                  /*workspace=*/nullptr);
 }
 
 numeric::RMatrix FadingStream::generate_envelope_block(

@@ -1,6 +1,8 @@
 #include "rfade/service/channel_service.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "rfade/metrics/tap.hpp"
@@ -71,8 +73,8 @@ Session::Session(std::shared_ptr<const CompiledChannel> channel,
     opened->add();
   }
   if (channel_->mode() == EmissionMode::Stream) {
-    // Per-seed engine instances: hosts of the const keyed
-    // generate_block (their design work runs once per session).
+    // Per-seed engine instances: their cursor serves next_block, their
+    // const keyed generate_block serves random access.
     if (channel_->family() == FadingFamily::CascadedRayleigh) {
       cascaded_.emplace(channel_->make_cascaded_stream(seed));
     } else {
@@ -81,10 +83,22 @@ Session::Session(std::shared_ptr<const CompiledChannel> channel,
   }
 }
 
+numeric::CMatrix Session::pull_block() {
+  if (stream_.has_value()) {
+    if (stream_->next_block_index() != cursor_) stream_->seek(cursor_);
+    return stream_->next_block();
+  }
+  if (cascaded_.has_value()) {
+    if (cascaded_->next_block_index() != cursor_) cascaded_->seek(cursor_);
+    return cascaded_->next_block();
+  }
+  return generate_block(cursor_);
+}
+
 numeric::CMatrix Session::next_block() {
   const telemetry::Span span("Session::next_block");
   const telemetry::ScopedTimer timer(session_block_histogram());
-  numeric::CMatrix block = generate_block(cursor_);
+  numeric::CMatrix block = pull_block();
   ++cursor_;
   if (metrics_tap_) metrics_tap_->observe(block);
   return block;
@@ -93,7 +107,9 @@ numeric::CMatrix Session::next_block() {
 numeric::RMatrix Session::next_envelope_block() {
   const telemetry::Span span("Session::next_envelope_block");
   const telemetry::ScopedTimer timer(session_block_histogram());
-  numeric::RMatrix block = generate_envelope_block(cursor_);
+  numeric::RMatrix block = channel_->envelope_only()
+                               ? generate_envelope_block(cursor_)
+                               : envelopes_of(pull_block());
   ++cursor_;
   return block;
 }
@@ -205,16 +221,27 @@ std::vector<numeric::CMatrix> ChannelService::generate_blocks(
 
 std::vector<numeric::CMatrix> ChannelService::pull_blocks(
     const std::vector<Session*>& sessions) {
-  std::vector<BlockRequest> requests;
-  requests.reserve(sessions.size());
-  for (Session* session : sessions) {
-    RFADE_EXPECTS(session != nullptr, "pull_blocks needs live sessions");
-    requests.push_back({session, session->next_block_index()});
-  }
-  std::vector<numeric::CMatrix> blocks = generate_blocks(requests);
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    sessions[i]->seek(requests[i].block_index + 1);
-  }
+  const telemetry::Span span("ChannelService::pull_blocks");
+  // Every pull mutates its session's engine, so a repeated session would
+  // be a data race: reject it before anything is dispatched.
+  RFADE_EXPECTS(std::find(sessions.begin(), sessions.end(), nullptr) ==
+                    sessions.end(),
+                "pull_blocks needs live sessions");
+  std::vector<const Session*> sorted(sessions.begin(), sessions.end());
+  std::sort(sorted.begin(), sorted.end(), std::less<const Session*>());
+  RFADE_EXPECTS(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                    sorted.end(),
+                "pull_blocks: each session may appear at most once per call");
+  telemetry::record_if_enabled(batcher_width_histogram(), sessions.size());
+  std::vector<numeric::CMatrix> blocks(sessions.size());
+  support::parallel_for_chunked(
+      sessions.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
+        for (std::size_t i = begin; i < end; ++i) {
+          blocks[i] = sessions[i]->next_block();
+        }
+      },
+      {.chunk_size = 1});
   return blocks;
 }
 

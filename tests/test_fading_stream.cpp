@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "rfade/channel/spectral.hpp"
@@ -164,6 +166,71 @@ TEST(FadingStream, KeyedBlocksEqualCursorAndSurviveSeeks) {
     EXPECT_EQ(seeker.next_block(), blocks[2])
         << doppler::stream_backend_name(backend);
     EXPECT_EQ(seeker.next_block_index(), 3u);
+  }
+}
+
+// --- 64-bit instant range at extreme block indices --------------------------
+
+TEST(FadingStream, BlockIndexOverflowIsAContractViolation) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const core::Precision precision :
+       {core::Precision::Float64, core::Precision::Float32}) {
+    for (const StreamBackend backend :
+         {StreamBackend::IndependentBlock, StreamBackend::WindowedOverlapAdd,
+          StreamBackend::OverlapSaveFir}) {
+      FadingStreamOptions options =
+          scalar_options(backend, 128, 0.1, /*overlap=*/32);
+      options.precision = precision;
+      FadingStream cursor(CMatrix::identity(1), options);
+      const FadingStream keyed(CMatrix::identity(1), options);
+      const std::uint64_t m = cursor.block_size();
+      // The last block whose every row instant fits in 64 bits; for a
+      // power-of-two block size that is exactly UINT64_MAX / M.
+      const std::uint64_t last = (kMax - (m - 1)) / m;
+      if ((m & (m - 1)) == 0) {
+        EXPECT_EQ(last, kMax / m);
+      }
+      const std::string label = std::string(doppler::stream_backend_name(
+                                    backend)) +
+                                " " + core::precision_name(precision);
+
+      EXPECT_THROW((void)keyed.generate_block(options.seed, last + 1),
+                   ContractViolation)
+          << label;
+      EXPECT_THROW((void)keyed.generate_block(options.seed, kMax),
+                   ContractViolation)
+          << label;
+      if (precision == core::Precision::Float32) {
+        EXPECT_THROW((void)keyed.generate_block_f32(options.seed, last + 1),
+                     ContractViolation)
+            << label;
+      }
+
+      // A rejected seek leaves the cursor (and its carried state) alone.
+      cursor.seek(last - 1);
+      EXPECT_THROW(cursor.seek(last + 1), ContractViolation) << label;
+      EXPECT_EQ(cursor.next_block_index(), last - 1) << label;
+
+      // Just below the limit and at it: cursor == keyed, then the cursor
+      // refuses to step past the range instead of wrapping to instant 0.
+      EXPECT_EQ(cursor.next_block(), keyed.generate_block(options.seed,
+                                                          last - 1))
+          << label;
+      EXPECT_EQ(cursor.next_block(), keyed.generate_block(options.seed, last))
+          << label;
+      EXPECT_THROW((void)cursor.next_instant(), ContractViolation) << label;
+      EXPECT_THROW((void)cursor.next_block(), ContractViolation) << label;
+      if (precision == core::Precision::Float32) {
+        EXPECT_THROW((void)cursor.next_block_f32(), ContractViolation)
+            << label;
+      }
+      EXPECT_EQ(cursor.next_block_index(), last + 1) << label;
+
+      // Seeking back into range recovers the realisation.
+      cursor.seek(last);
+      EXPECT_EQ(cursor.next_block(), keyed.generate_block(options.seed, last))
+          << label;
+    }
   }
 }
 

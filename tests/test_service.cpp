@@ -1,13 +1,18 @@
 // Tests for the serving layer: ChannelSpec canonical hashing and typed
 // rejections, PlanCache hit/miss/eviction/collision behaviour, Session
-// bit-identity against the keyed stream/instant engines, the batcher,
-// sharded accumulator merges, and the legacy-wrapper equivalences.
+// bit-identity against the keyed stream/instant engines (including
+// interleaved cursor/seek/keyed walks), the batcher and its preconditions,
+// keyed access concurrent with cursor pulls, sharded accumulator merges,
+// and the legacy-wrapper equivalences.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rfade/channel/spectral.hpp"
@@ -315,6 +320,143 @@ TEST(Session, CascadedStreamMatchesRealTimeGenerator) {
   }
 }
 
+/// Interleaved walk over one session: cursor pulls, lazy seeks forward,
+/// backward, to the current index and to 0, an envelope pull, and keyed
+/// random access between pulls.  Every step must equal \p keyed(b).
+template <typename KeyedFn>
+void expect_walk_matches_keyed(Session& session, KeyedFn keyed,
+                               const std::string& label) {
+  auto pull = [&](std::uint64_t expected_index) {
+    ASSERT_EQ(session.next_block_index(), expected_index) << label;
+    EXPECT_TRUE(bit_equal(session.next_block(), keyed(expected_index)))
+        << label << " block " << expected_index;
+  };
+  pull(0);
+  pull(1);
+  session.seek(6);  // forward
+  pull(6);
+  // Keyed access between pulls neither moves nor disturbs the cursor.
+  EXPECT_TRUE(bit_equal(session.generate_block(2), keyed(2))) << label;
+  EXPECT_EQ(session.next_block_index(), 7u) << label;
+  pull(7);
+  session.seek(3);  // backward
+  session.seek(9);  // repeated seeks are free: only the last one counts
+  session.seek(3);
+  pull(3);
+  session.seek(4);  // to the index the cursor already holds
+  pull(4);
+  session.seek(0);
+  pull(0);
+  const numeric::RMatrix envelopes = session.next_envelope_block();
+  const CMatrix expected = keyed(1);
+  ASSERT_EQ(envelopes.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(envelopes.data()[i], std::abs(expected.data()[i])) << label;
+  }
+  pull(2);
+}
+
+TEST(Session, InterleavedWalkMatchesKeyedEveryBackendAndPrecision) {
+  const CMatrix k = paper_covariance();
+  ChannelService svc;
+  for (const auto precision :
+       {core::Precision::Float64, core::Precision::Float32}) {
+    for (const auto backend : {doppler::StreamBackend::IndependentBlock,
+                               doppler::StreamBackend::WindowedOverlapAdd,
+                               doppler::StreamBackend::OverlapSaveFir}) {
+      const ChannelSpec spec = ChannelSpec::Builder()
+                                   .rayleigh(k)
+                                   .backend(backend)
+                                   .precision(precision)
+                                   .idft_size(256)
+                                   .doppler(0.05)
+                                   .build();
+      Session session = svc.open_session(spec, 42);
+      const core::FadingStream reference = svc.compile(spec)->make_stream(42);
+      expect_walk_matches_keyed(
+          session,
+          [&](std::uint64_t b) { return reference.generate_block(42, b); },
+          std::string(doppler::stream_backend_name(backend)) + " " +
+              core::precision_name(precision));
+    }
+  }
+}
+
+TEST(Session, InterleavedWalkMatchesKeyedScenarioFamilies) {
+  const CMatrix k = paper_covariance();
+  ChannelService svc;
+  scenario::composite::ShadowingSpec shadowing;
+  shadowing.sigma_db = 3.0;
+  shadowing.decorrelation_samples = 256.0;
+  const std::vector<std::pair<std::string, ChannelSpec>> specs{
+      {"rician", ChannelSpec::Builder()
+                     .rician(k, 4.0, 0.3)
+                     .los_doppler(0.02)
+                     .backend(doppler::StreamBackend::OverlapSaveFir)
+                     .idft_size(256)
+                     .build()},
+      {"suzuki", ChannelSpec::Builder()
+                     .suzuki(k, shadowing)
+                     .backend(doppler::StreamBackend::WindowedOverlapAdd)
+                     .idft_size(256)
+                     .build()},
+      {"twdp", ChannelSpec::Builder()
+                   .twdp(k, 5.0, 0.6)
+                   .wave_dopplers(0.01, -0.02)
+                   .precision(core::Precision::Float32)
+                   .idft_size(256)
+                   .build()}};
+  for (const auto& [label, spec] : specs) {
+    Session session = svc.open_session(spec, 9);
+    const core::FadingStream reference = svc.compile(spec)->make_stream(9);
+    expect_walk_matches_keyed(
+        session,
+        [&](std::uint64_t b) { return reference.generate_block(9, b); },
+        label);
+  }
+
+  const ChannelSpec cascaded =
+      ChannelSpec::Builder()
+          .cascaded(k, k)
+          .backend(doppler::StreamBackend::WindowedOverlapAdd)
+          .idft_size(256)
+          .doppler(0.05)
+          .second_doppler(0.02)
+          .build();
+  Session session = svc.open_session(cascaded, 5);
+  const scenario::CascadedRealTimeGenerator reference =
+      svc.compile(cascaded)->make_cascaded_stream(5);
+  expect_walk_matches_keyed(
+      session, [&](std::uint64_t b) { return reference.generate_block(5, b); },
+      "cascaded");
+}
+
+TEST(Session, OutOfRangeSeekFailsOnThePullAndLeavesTheCursor) {
+  const ChannelSpec spec = ChannelSpec::Builder()
+                               .rayleigh(paper_covariance())
+                               .backend(doppler::StreamBackend::OverlapSaveFir)
+                               .idft_size(256)
+                               .build();
+  ChannelService svc;
+  Session session = svc.open_session(spec, 3);
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t last = kMax / session.block_size();
+  session.seek(kMax);  // noexcept: the range check runs on the pull
+  try {
+    (void)session.next_block();
+    ADD_FAILURE() << "pull past the 64-bit instant range did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::ContractViolation);
+  }
+  EXPECT_EQ(session.next_block_index(), kMax);
+  session.seek(last);
+  EXPECT_TRUE(bit_equal(session.next_block(), session.generate_block(last)));
+  EXPECT_THROW((void)session.next_block(), ContractViolation);
+  EXPECT_THROW((void)session.generate_block(last + 1), ContractViolation);
+  session.seek(0);
+  EXPECT_TRUE(bit_equal(session.next_block(), session.generate_block(0)));
+}
+
 TEST(Session, InstantWalkMatchesKeyedPipelines) {
   const CMatrix k = paper_covariance();
   ChannelService svc;
@@ -449,6 +591,123 @@ TEST(ChannelService, BatcherIsBitIdenticalToSequentialPulls) {
   const auto blocks = ChannelService::generate_blocks(requests);
   EXPECT_TRUE(bit_equal(blocks[0], batched[0].generate_block(5)));
   EXPECT_TRUE(bit_equal(blocks[2], blocks[0]));
+}
+
+TEST(ChannelService, PullBlocksMatchesSequentialPullsAfterMixedSeeks) {
+  const CMatrix k = paper_covariance();
+  ChannelService svc;
+  const std::vector<ChannelSpec> specs{
+      ChannelSpec::Builder()
+          .rayleigh(k)
+          .backend(doppler::StreamBackend::OverlapSaveFir)
+          .idft_size(256)
+          .build(),
+      ChannelSpec::Builder()
+          .rayleigh(k)
+          .backend(doppler::StreamBackend::WindowedOverlapAdd)
+          .precision(core::Precision::Float32)
+          .idft_size(256)
+          .build(),
+      ChannelSpec::Builder().cascaded(k, k).idft_size(256).build(),
+      ChannelSpec::Builder().rician(k, 2.0).instant().block_size(48).build()};
+
+  std::vector<Session> batched;
+  std::vector<Session> sequential;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    batched.push_back(svc.open_session(specs[i], 100 + i));
+    sequential.push_back(svc.open_session(specs[i], 100 + i));
+  }
+  std::vector<Session*> pointers;
+  for (Session& session : batched) {
+    pointers.push_back(&session);
+  }
+  // Per-round seeks: forward, backward, same index, none.
+  const std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>
+      seeks{{}, {{0, 5}, {2, 9}}, {{0, 1}, {1, 2}, {3, 7}}, {{2, 10}}, {}};
+  for (const auto& round : seeks) {
+    for (const auto& [i, index] : round) {
+      batched[i].seek(index);
+      sequential[i].seek(index);
+    }
+    const auto blocks = ChannelService::pull_blocks(pointers);
+    ASSERT_EQ(blocks.size(), specs.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const std::uint64_t index = sequential[i].next_block_index();
+      const CMatrix expected = sequential[i].next_block();
+      EXPECT_TRUE(bit_equal(blocks[i], expected)) << "session " << i;
+      EXPECT_TRUE(bit_equal(blocks[i], batched[i].generate_block(index)))
+          << "session " << i;
+      EXPECT_EQ(batched[i].next_block_index(),
+                sequential[i].next_block_index());
+    }
+  }
+}
+
+TEST(ChannelService, PullBlocksRejectsRepeatedSessionsBeforeAnyPull) {
+  const ChannelSpec spec = ChannelSpec::Builder()
+                               .rayleigh(paper_covariance())
+                               .idft_size(256)
+                               .build();
+  ChannelService svc;
+  Session a = svc.open_session(spec, 1);
+  Session b = svc.open_session(spec, 2);
+  a.seek(4);
+  for (const std::vector<Session*>& pointers :
+       {std::vector<Session*>{&a, &b, &a}, std::vector<Session*>{&b, &b},
+        std::vector<Session*>{&a, nullptr}}) {
+    try {
+      (void)ChannelService::pull_blocks(pointers);
+      ADD_FAILURE() << "pull_blocks accepted an invalid session list";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::ContractViolation);
+    }
+    EXPECT_EQ(a.next_block_index(), 4u);
+    EXPECT_EQ(b.next_block_index(), 0u);
+  }
+  EXPECT_TRUE(ChannelService::pull_blocks({}).empty());
+  const auto blocks = ChannelService::pull_blocks({&a, &b});
+  EXPECT_TRUE(bit_equal(blocks[0], a.generate_block(4)));
+  EXPECT_TRUE(bit_equal(blocks[1], b.generate_block(0)));
+}
+
+TEST(ChannelService, KeyedAccessIsSafeWhileTheOwnerPulls) {
+  const CMatrix k = paper_covariance();
+  const ChannelSpec spec = ChannelSpec::Builder()
+                               .rayleigh(k)
+                               .backend(doppler::StreamBackend::OverlapSaveFir)
+                               .idft_size(256)
+                               .build();
+  const ChannelSpec wola = ChannelSpec::Builder()
+                               .rayleigh(k)
+                               .backend(doppler::StreamBackend::WindowedOverlapAdd)
+                               .idft_size(256)
+                               .build();
+  ChannelService svc;
+  Session owned = svc.open_session(spec, 77);
+  Session other = svc.open_session(wola, 78);
+  constexpr std::uint64_t kRounds = 6;
+
+  // Another thread reads owned's keyed path while this thread sweeps
+  // pull_blocks over it: the keyed path must not touch cursor state.
+  std::vector<CMatrix> keyed(kRounds);
+  std::future<void> reader = std::async(std::launch::async, [&] {
+    for (std::uint64_t b = kRounds; b-- > 0;) {
+      keyed[b] = owned.generate_block(b);
+    }
+  });
+  std::vector<CMatrix> pulled;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    auto blocks = ChannelService::pull_blocks({&owned, &other});
+    pulled.push_back(std::move(blocks[0]));
+  }
+  reader.get();
+
+  const core::FadingStream reference = svc.compile(spec)->make_stream(77);
+  for (std::uint64_t b = 0; b < kRounds; ++b) {
+    const CMatrix expected = reference.generate_block(77, b);
+    EXPECT_TRUE(bit_equal(pulled[b], expected)) << "block " << b;
+    EXPECT_TRUE(bit_equal(keyed[b], expected)) << "block " << b;
+  }
 }
 
 TEST(ChannelService, TwoShardAccumulatorMergeEqualsSingleRun) {

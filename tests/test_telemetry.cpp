@@ -784,20 +784,34 @@ TEST(TelemetryWiring, SessionPullsRecordLatencyWhenEnabled) {
   const auto before_histogram =
       Registry::global().histogram("rfade_session_next_block_ns");
   const std::uint64_t before = before_histogram->count();
+  // Session pulls ride the stream cursor, so they also land in the
+  // engine's per-backend fill histogram.
+  const auto backend_histogram = Registry::global().histogram(
+      "rfade_stream_block_fill_ns",
+      telemetry::label("backend", "overlap-save-fir") + "," +
+          telemetry::label("precision", "f64"));
+  const std::uint64_t backend_before = backend_histogram->count();
 
   service::ChannelService service_instance;
   const auto spec = service::ChannelSpec::Builder()
                         .rayleigh(numeric::CMatrix::identity(2))
+                        .backend(doppler::StreamBackend::OverlapSaveFir)
                         .idft_size(256)
                         .doppler(0.05)
                         .build();
   auto session = service_instance.open_session(spec, 7);
   (void)session.next_block();  // idle: must not record
   EXPECT_EQ(before_histogram->count(), before);
+  EXPECT_EQ(backend_histogram->count(), backend_before);
 
   telemetry::set_enabled(true);
   (void)session.next_block();
   EXPECT_EQ(before_histogram->count(), before + 1);
+  EXPECT_EQ(backend_histogram->count(), backend_before + 1);
+  // The keyed path is not a cursor pull: neither histogram moves.
+  (void)session.generate_block(5);
+  EXPECT_EQ(before_histogram->count(), before + 1);
+  EXPECT_EQ(backend_histogram->count(), backend_before + 1);
   const std::uint64_t seeks_before =
       Registry::global().counter("rfade_session_seeks_total")->value();
   session.seek(0);
