@@ -40,8 +40,10 @@
 /// first_instant through SamplePipeline::color_block, so time-varying
 /// LOS/TWDP phasors stay continuous across blocks.
 
+#include <complex>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "rfade/core/plan.hpp"
@@ -114,14 +116,6 @@ struct FadingStreamOptions {
   /// Synthesize the N branch fills concurrently on the global thread
   /// pool.  Output is bit-identical either way.
   bool parallel_branches = true;
-  /// Overlap-save backend only: run the stateful cursor's N branch
-  /// convolutions as one batched planar FFT sweep over the shared plan
-  /// (doppler::OverlapSaveBatch) instead of N independent per-branch
-  /// passes.  Bit-identical either way — the keyed generate_block path
-  /// always uses the per-branch sources, and the test suite pins the two
-  /// against each other.  Ignored by the other backends and by the
-  /// non-power-of-two Bluestein fallback.
-  bool batched_fill = true;
   /// Emission-pipeline precision (see core::Precision).  A stream is
   /// constructed in one precision for its whole life; Float32 streams
   /// emit via next_block_f32()/generate_block_f32(), and their
@@ -287,18 +281,16 @@ class FadingStream {
  private:
   using SourceList = std::vector<std::unique_ptr<doppler::BranchSource>>;
 
-  /// Cursor-path scratch, sized on first use and reused every block so
-  /// the steady-state next_block() loop allocates nothing but its
-  /// returned matrix: the per-branch fill buffers and the W matrix of
-  /// the transpose/normalise pass, in whichever precision the stream
-  /// runs.  The keyed const paths stay transient (they are the
-  /// any-thread fan-out API) and bit-identical — buffer reuse never
-  /// changes arithmetic.
+  /// Cursor-path scratch in one emission precision, sized on first use
+  /// and reused every block so the steady-state next_block() loop
+  /// allocates nothing but its returned matrix: the per-branch fill
+  /// buffers and the W matrix of the transpose/normalise pass.  The keyed
+  /// const paths stay transient (they are the any-thread fan-out API) and
+  /// bit-identical — buffer reuse never changes arithmetic.
+  template <typename T>
   struct Workspace {
-    std::vector<numeric::CVector> outputs;
-    numeric::CMatrix w;
-    std::vector<numeric::CVectorF> outputs_f;
-    numeric::CMatrixF w_f;
+    std::vector<std::vector<std::complex<T>>> outputs;
+    numeric::Matrix<std::complex<T>> w;
   };
 
   [[nodiscard]] SourceList make_sources(std::uint64_t seed) const;
@@ -312,33 +304,39 @@ class FadingStream {
   /// overflow.
   [[nodiscard]] std::uint64_t first_instant(std::uint64_t block_index) const;
 
-  /// Advance + fill + normalise + color one block: the single copy of the
-  /// loop RealTimeGenerator, StreamingFadingSource and the cascaded /
-  /// TWDP real-time generators used to duplicate.  When \p batch is
-  /// non-null (the cursor's batched overlap-save sweep) the per-branch
-  /// sources are bypassed and all N convolutions run as one planar
-  /// batch — bit-identical to the per-branch path.  \p workspace reuses
-  /// the cursor's scratch; null means transient buffers (keyed path).
-  [[nodiscard]] numeric::CMatrix emit(SourceList& sources, random::Rng& rng,
-                                      std::uint64_t block_index,
-                                      std::uint64_t first_instant,
-                                      doppler::OverlapSaveBatch* batch,
-                                      Workspace* workspace) const;
-
-  /// Float32 mirror of emit: fill_f32 per branch (or the float batched
-  /// sweep), float normalise, float coloring GEMM.  The rng is consumed
-  /// exactly as in the double emit, so the block keying is identical.
-  [[nodiscard]] numeric::CMatrixF emit_f32(
+  /// Advance + fill + normalise + color one block in precision \p T: the
+  /// single copy of the loop RealTimeGenerator, StreamingFadingSource and
+  /// the cascaded / TWDP real-time generators used to duplicate.  When
+  /// \p batch is non-null (the cursor's batched overlap-save sweep) the
+  /// per-branch sources are bypassed and all N convolutions run as one
+  /// planar batch — bit-identical to the per-branch path.  The rng is
+  /// consumed in the same serial order in either precision, so the block
+  /// keying is precision-independent.  \p workspace reuses the cursor's
+  /// scratch; null means transient buffers (keyed path).
+  template <typename T>
+  [[nodiscard]] numeric::Matrix<std::complex<T>> emit(
       SourceList& sources, random::Rng& rng, std::uint64_t block_index,
       std::uint64_t first_instant, doppler::OverlapSaveBatch* batch,
-      Workspace* workspace) const;
+      Workspace<T>* workspace) const;
+
+  /// The cursor step of next_block / next_block_f32 in precision \p T.
+  template <typename T>
+  [[nodiscard]] numeric::Matrix<std::complex<T>> next_block_as();
+
+  /// The keyed path of generate_block / generate_block_f32 in precision
+  /// \p T: transient sources, history replay, then the per-branch emit —
+  /// the bit-reference the batched cursor is pinned against.
+  template <typename T>
+  [[nodiscard]] numeric::Matrix<std::complex<T>> generate_block_as(
+      std::uint64_t seed, std::uint64_t block_index) const;
 
   /// Advance + fill, discarding the output (history replay for seeks and
-  /// keyed access to stateful backends).  \p float32 replays through
-  /// fill_f32 so the float carried state (e.g. WOLA's previous float
-  /// block) is rebuilt in the stream's own precision.
+  /// keyed access to stateful backends).  Replays in precision \p T so
+  /// the carried state (e.g. WOLA's previous float block) is rebuilt in
+  /// the stream's own precision.
+  template <typename T>
   void replay(SourceList& sources, std::uint64_t seed,
-              std::uint64_t block_index, bool float32) const;
+              std::uint64_t block_index) const;
 
   SamplePipeline pipeline_;
   std::shared_ptr<const doppler::BranchSourceDesign> design_;
@@ -347,9 +345,9 @@ class FadingStream {
   Precision precision_;
   std::uint64_t seed_;
   SourceList sources_;
-  Workspace workspace_;
-  /// The cursor's batched overlap-save sweep (null when the backend,
-  /// options.batched_fill, or the non-power-of-two fallback opt out).
+  std::tuple<Workspace<double>, Workspace<float>> workspace_;
+  /// The cursor's batched overlap-save sweep (null when the backend or
+  /// the non-power-of-two fallback opt out).
   std::unique_ptr<doppler::OverlapSaveBatch> batch_;
   std::uint64_t next_block_ = 0;
   /// Per-backend latency instruments on the telemetry registry

@@ -97,15 +97,12 @@ class ColoringPlan {
 
   /// Float32 clone of the coloring operator for the mixed-precision
   /// emission pipeline: L^T narrowed element-by-element from the double
-  /// factor, in both interleaved and split re/im layouts.  The design
-  /// itself (eigen/Cholesky, PSD forcing) always runs in double — this is
-  /// a one-time down-conversion, built lazily on the first float32 draw
-  /// and cached for the plan's lifetime (thread-safe; plans are shared
-  /// across streams and the PlanCache).
+  /// factor.  The design itself (eigen/Cholesky, PSD forcing) always runs
+  /// in double — this is a one-time down-conversion, built lazily on the
+  /// first float32 draw and cached for the plan's lifetime (thread-safe;
+  /// plans are shared across streams and the PlanCache).
   struct ColoringF32 {
-    numeric::CMatrixF transposed;     ///< L^T, N x N interleaved
-    numeric::RVectorF transposed_re;  ///< split planes of L^T (row-major)
-    numeric::RVectorF transposed_im;
+    numeric::CMatrixF transposed;  ///< L^T, N x N interleaved
   };
   [[nodiscard]] const ColoringF32& coloring_f32() const;
 
@@ -121,6 +118,16 @@ class ColoringPlan {
   mutable std::once_flag coloring_f32_once_;
   mutable ColoringF32 coloring_f32_;
 };
+
+/// Absolute time instant of the first row of block \p block_index when
+/// blocks start every \p period instants and span \p rows instants:
+/// block_index * period, checked so that every row instant of the block,
+/// up to block_index * period + rows - 1, is addressable in 64 bits.
+/// Every keyed entry point of the stream and instant paths goes through
+/// it.  \throws ContractViolation on overflow.
+[[nodiscard]] std::uint64_t checked_first_instant(std::uint64_t block_index,
+                                                  std::uint64_t period,
+                                                  std::uint64_t rows);
 
 /// Options for SamplePipeline.
 struct PipelineOptions {
@@ -237,7 +244,9 @@ class SamplePipeline {
   /// unit variance directly).  Row t carries the mean at instant
   /// \p first_instant + t; the three-argument form assigns
   /// first_instant = block_index * options().block_size, matching the
-  /// instants sample_stream gives the same rows.
+  /// instants sample_stream gives the same rows, and \throws
+  /// ContractViolation when the block's row instants leave the 64-bit
+  /// range (see checked_first_instant).
   [[nodiscard]] numeric::CMatrix sample_block(std::size_t count,
                                               std::uint64_t seed,
                                               std::uint64_t block_index) const;
@@ -287,19 +296,23 @@ class SamplePipeline {
       const numeric::CMatrix& w, double variance,
       std::uint64_t first_instant = 0) const;
 
-  /// Float32 coloring of an already-normalised W block (count x N): the
-  /// float GEMM against the plan's cached float32 L^T clone, then the
-  /// mean/gain tail evaluated per row in double (mean_at / gains_at) and
-  /// applied narrowed.  The float analogue of color_block(w, 1.0, ...);
-  /// callers fold their 1/sigma scaling into W assembly.
-  [[nodiscard]] numeric::CMatrixF color_block_f32(
-      const numeric::CMatrixF& w, std::uint64_t first_instant = 0) const;
+  /// Color an already-normalised W block (count x N) in either emission
+  /// precision: one GEMM against L^T — the plan's cached float32 clone
+  /// for T = float — then the mean/gain tail at instant
+  /// \p first_instant + t on row t.  For T = double this is exactly
+  /// color_block(w, 1.0, first_instant); callers fold their 1/sigma
+  /// scaling into W assembly.
+  template <typename T>
+  [[nodiscard]] numeric::Matrix<std::complex<T>> color_normalized(
+      const numeric::Matrix<std::complex<T>>& w,
+      std::uint64_t first_instant) const;
 
-  /// In-place form of color_block_f32 writing into caller memory
-  /// (row-major count x N) — the allocation-free streaming hot path.
-  void color_block_f32_into(const numeric::CMatrixF& w,
-                            std::uint64_t first_instant,
-                            numeric::CMatrixF& out) const;
+  /// Float32 coloring of an already-normalised W block:
+  /// color_normalized<float>.
+  [[nodiscard]] numeric::CMatrixF color_block_f32(
+      const numeric::CMatrixF& w, std::uint64_t first_instant = 0) const {
+    return color_normalized(w, first_instant);
+  }
 
  private:
   /// Draw `rows` white vectors scaled by 1/sigma_w from \p rng and color
@@ -316,22 +329,17 @@ class SamplePipeline {
                               std::uint64_t first_instant, std::size_t rows,
                               numeric::cdouble* out) const;
 
-  /// Add the configured mean m(first_instant + t) to row t of the `rows`
-  /// N-vectors in `out`; no-op when has_mean_offset() is false.
-  void add_mean_rows(std::uint64_t first_instant, std::size_t rows,
-                     numeric::cdouble* out) const;
-
   /// Apply the mean-then-gain tail of every draw path to the `rows`
   /// colored N-vectors in `out`: row t gains m(first_instant + t) and is
   /// then scaled by g(first_instant + t).  No-op for the default
-  /// zero-mean/unit-gain pipeline.
+  /// zero-mean/unit-gain pipeline.  The trajectories are double by
+  /// design, so the float overload evaluates each row's m / g in double
+  /// and applies them narrowed, while the double one applies them in
+  /// place.
   void finish_rows(std::uint64_t first_instant, std::size_t rows,
                    numeric::cdouble* out) const;
-
-  /// Float32 mean/gain tail: each row's m / g evaluated in double (the
-  /// sources are double by design) and applied narrowed.
-  void finish_rows_f32(std::uint64_t first_instant, std::size_t rows,
-                       numeric::cfloat* out) const;
+  void finish_rows(std::uint64_t first_instant, std::size_t rows,
+                   numeric::cfloat* out) const;
 
   std::shared_ptr<const ColoringPlan> plan_;
   PipelineOptions options_;

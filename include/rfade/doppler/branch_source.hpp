@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "rfade/doppler/idft_generator.hpp"
@@ -57,11 +58,9 @@
 #include "rfade/random/rng.hpp"
 
 namespace rfade::fft {
-class Pow2Plan;
-class Pow2PlanF;
 class BluesteinPlan;
-class RealConvolver;
-class RealConvolverF;
+template <typename T>
+class BasicRealConvolver;
 }  // namespace rfade::fft
 
 namespace rfade::doppler {
@@ -97,15 +96,18 @@ class BranchSource {
   /// \p out.  Exactly one fill per advance (fill may rotate carried
   /// state).  No shared mutable state across sources — parallel-safe
   /// across branches.
-  virtual void fill(std::span<numeric::cdouble> out) = 0;
-
-  /// Single-precision fill for the float32 emission pipeline: same
-  /// advance/fill protocol, but the block is emitted in float.  A given
-  /// source instance is driven in ONE precision for its whole life (the
+  ///
+  /// The float overload is the float32 emission pipeline's fill: same
+  /// advance/fill protocol, block emitted in float.  A given source
+  /// instance is driven in ONE precision for its whole life (the
   /// stream's precision knob is fixed at construction); the float stream
   /// is its own bit-reference — deterministic and keyed exactly like the
   /// double path, but not required to match it bitwise.
-  virtual void fill_f32(std::span<numeric::cfloat> out) = 0;
+  virtual void fill(std::span<numeric::cdouble> out) = 0;
+  virtual void fill(std::span<numeric::cfloat> out) = 0;
+
+  /// Float fill under its historical name.
+  void fill_f32(std::span<numeric::cfloat> out) { fill(out); }
 
   /// Drop all carried state, as if freshly constructed (used by seeks,
   /// which then replay history_blocks() blocks to rebuild it).
@@ -172,44 +174,48 @@ class BranchSourceDesign {
                                                 std::size_t branch);
 
  private:
+  /// The per-block operators in one emission precision: the WOLA fade
+  /// weights and the power-of-two overlap-save convolver (which carries
+  /// the shared 2M-point plan and the kernel spectrum).  Designed in
+  /// double; the float set is the double one narrowed once, so no design
+  /// step ever reruns in float.
+  template <typename T>
+  struct Operators {
+    std::vector<T> fade_in;   ///< sqrt(w),   w = (i+1) / (overlap+1)
+    std::vector<T> fade_out;  ///< sqrt(1-w)
+    /// Null for non-power-of-two 2M and the other backends.
+    std::shared_ptr<const fft::BasicRealConvolver<T>> convolver;
+  };
+
+  template <typename T>
+  [[nodiscard]] const Operators<T>& operators() const noexcept {
+    return std::get<Operators<T>>(operators_);
+  }
+
   StreamBackend backend_;
   IdftRayleighBranch branch_;
   std::size_t overlap_ = 0;
   std::size_t block_size_;
-  /// WOLA: precomputed equal-power fade weights, bit-identical to the
-  /// historical StreamingFadingSource crossfade.
-  numeric::RVector fade_in_;   ///< sqrt(w),   w = (i+1) / (overlap+1)
-  numeric::RVector fade_out_;  ///< sqrt(1-w)
-  /// Overlap-save: DFT_{2M} of the centered REAL impulse response (h =
-  /// IDFT(F) is real because F is a real, even Doppler spectrum; the
-  /// ~1e-16 imaginary FP residue of the complex IDFT is dropped), and the
-  /// per-sample complex variance 2 sigma_orig^2 / M of the white input
-  /// stream that reproduces the Fig. 2 output statistics exactly.
-  numeric::CVector kernel_spectrum_;
-  double input_stream_variance_ = 0.0;
-  /// Overlap-save, power-of-two 2M: the shared 2M-point plan plus the
-  /// real-kernel convolver built on it.  The I and Q Philox tapes pack
-  /// into one complex FFT (the real-FFT pairing trick — see
+  /// WOLA fade weights are bit-identical to the historical
+  /// StreamingFadingSource crossfade.  Overlap-save: the convolver holds
+  /// DFT_{2M} of the centered REAL impulse response (h = IDFT(F) is real
+  /// because F is a real, even Doppler spectrum; the ~1e-16 imaginary FP
+  /// residue of the complex IDFT is dropped).  The I and Q Philox tapes
+  /// pack into one complex FFT (the real-FFT pairing trick — see
   /// fft::RealConvolver), so each block costs one forward + one inverse
-  /// transform for BOTH quadratures; kernel_spectrum_ aliases the
-  /// convolver's spectrum.  Null for non-power-of-two 2M and the other
-  /// backends.
-  std::shared_ptr<const fft::Pow2Plan> convolution_plan_;
-  std::shared_ptr<const fft::RealConvolver> convolver_;
-  /// Overlap-save, non-power-of-two 2M: the Bluestein plan built once so
-  /// the fallback stops rebuilding chirp/kernel tables and allocating
-  /// fresh fft::dft/idft vectors every block.
+  /// transform for BOTH quadratures.
+  std::tuple<Operators<double>, Operators<float>> operators_;
+  /// Per-sample complex variance 2 sigma_orig^2 / M of the overlap-save
+  /// white input stream that reproduces the Fig. 2 output statistics
+  /// exactly.
+  double input_stream_variance_ = 0.0;
+  /// Overlap-save, non-power-of-two 2M: the kernel spectrum and the
+  /// Bluestein plan built once, so the fallback stops rebuilding
+  /// chirp/kernel tables and allocating fresh fft::dft/idft vectors every
+  /// block.  The fallback has no float transform: its float fill runs in
+  /// double and narrows.
+  numeric::CVector kernel_spectrum_;
   std::shared_ptr<const fft::BluesteinPlan> fallback_plan_;
-  /// Float32 emission clones, down-converted once at construction: WOLA
-  /// fade weights, and (power-of-two overlap-save only) the narrowed
-  /// kernel spectrum with a float plan + convolver over it.  Null/empty
-  /// when the backend has no float fast path — the float fill then
-  /// computes in double and narrows.
-  numeric::RVectorF fade_in_f_;
-  numeric::RVectorF fade_out_f_;
-  numeric::CVectorF kernel_spectrum_f_;
-  std::shared_ptr<const fft::Pow2PlanF> convolution_plan_f_;
-  std::shared_ptr<const fft::RealConvolverF> convolver_f_;
 
   friend class IndependentBlockBranchSource;
   friend class WolaBranchSource;
@@ -241,8 +247,8 @@ class OverlapSaveBatch {
   /// float Philox tapes, float transforms over the design's narrowed
   /// kernel spectrum, and 16 lanes per group (one zmm of floats) instead
   /// of 8.  A batch is built in ONE precision for its whole life; the
-  /// float sweep is bit-identical to the per-branch fill_f32 path, which
-  /// is its own reference (not the double path narrowed).
+  /// float sweep is bit-identical to the per-branch float fill, which is
+  /// its own reference (not the double path narrowed).
   OverlapSaveBatch(std::shared_ptr<const BranchSourceDesign> design,
                    std::vector<std::uint64_t> branch_seeds,
                    bool float32 = false);
@@ -259,27 +265,26 @@ class OverlapSaveBatch {
   /// w(l, j) = u_j[l] * post_scale into the block_size() x branches()
   /// matrix \p w — the exact transpose-and-normalise pass of the
   /// per-branch path (post_scale is the caller's 1/sigma_g).  Lane
-  /// groups run concurrently on the global pool when \p parallel.
-  void fill_block(std::uint64_t block_index, double post_scale,
-                  numeric::CMatrix& w, bool parallel);
-
-  /// Single-precision fill_block (\pre constructed with float32 = true):
-  /// identical protocol, float output matrix.  Bit-identical to running
-  /// the per-branch fill_f32 fills one by one.
-  void fill_block_f32(std::uint64_t block_index, float post_scale,
-                      numeric::CMatrixF& w, bool parallel);
+  /// groups run concurrently on the global pool when \p parallel.  \p T
+  /// must be the precision the batch was built in.
+  template <typename T>
+  void fill_block(std::uint64_t block_index, T post_scale,
+                  numeric::Matrix<std::complex<T>>& w, bool parallel);
 
   /// Drop the cached input windows (seek support; the next fill_block
   /// regenerates them from the bulk-Philox tapes).
   void reset();
 
  private:
+  template <typename T>
   struct LaneGroup;
 
   std::shared_ptr<const BranchSourceDesign> design_;
   std::vector<std::uint64_t> branch_seeds_;
-  std::vector<LaneGroup> groups_;
-  bool float32_ = false;
+  /// The lane groups of the batch's precision (the other vector stays
+  /// empty).
+  std::tuple<std::vector<LaneGroup<double>>, std::vector<LaneGroup<float>>>
+      groups_;
 };
 
 }  // namespace rfade::doppler

@@ -30,6 +30,8 @@
 ///     complex transform plus an O(N) twiddle recombination
 ///     (transform_real / inverse_real).
 
+#include <complex>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -72,12 +74,10 @@ void fft_pow2_inplace(CVector& data, Direction direction);
 ///   (re, im)[k*batch + b] *= h[k]
 /// with the exact operand order of std::complex operator*= — the kernel
 /// multiply of the batched overlap-save sweep, multiversioned for wide
-/// vectors and bit-identical to the scalar loop per lane.
+/// vectors and bit-identical to the scalar loop per lane.  The float
+/// overload runs the same body at twice the lanes per vector.
 void multiply_batched_pointwise(double* re, double* im, std::size_t n,
                                 std::size_t batch, const cdouble* h);
-
-/// Float clone of multiply_batched_pointwise for the float32 emission
-/// pipeline — same operand order per lane, twice the lanes per vector.
 void multiply_batched_pointwise(float* re, float* im, std::size_t n,
                                 std::size_t batch, const cfloat* h);
 
@@ -92,24 +92,30 @@ void multiply_batched_pointwise(float* re, float* im, std::size_t n,
 /// block after block, against one immutable plan shared by all N
 /// branches (transform() only mutates the caller's buffer, so concurrent
 /// use across branches is safe).
-class Pow2Plan {
+///
+/// One class template serves both emission precisions: Pow2Plan (double)
+/// and Pow2PlanF (float).  The float plan's twiddles come from the same
+/// double recurrence, narrowed once, so every plan of a given length
+/// carries identical tables; its scalar and batched transforms share the
+/// per-lane operation order, so float is its own bit-reference,
+/// independent of the double plan's values.  The real-input helpers
+/// (dft, idft, the pairing/split identities) exist for double only.
+template <typename T>
+class BasicPow2Plan {
  public:
+  using Complex = std::complex<T>;
+  using ComplexVector = std::vector<Complex>;
+
   /// \pre n is a power of two.
-  explicit Pow2Plan(std::size_t n);
+  explicit BasicPow2Plan(std::size_t n);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
   /// In-place transform of \p data (size() elements), bit-identical to
-  /// fft_pow2_inplace(data, direction).  Const and allocation-free:
-  /// safe to call concurrently from multiple threads on distinct
-  /// buffers.
-  void transform(CVector& data, Direction direction) const;
-
-  /// Forward DFT into a fresh vector (unnormalised).
-  [[nodiscard]] CVector dft(const CVector& data) const;
-
-  /// Inverse DFT including the 1/N factor (the paper's IDFT operator).
-  [[nodiscard]] CVector idft(const CVector& data) const;
+  /// fft_pow2_inplace(data, direction) in double.  Const and
+  /// allocation-free: safe to call concurrently from multiple threads on
+  /// distinct buffers.
+  void transform(ComplexVector& data, Direction direction) const;
 
   /// \p batch independent size()-point transforms advanced through every
   /// butterfly stage in lockstep, on planar data: lane b of point p lives
@@ -118,26 +124,37 @@ class Pow2Plan {
   /// across transforms).  Unnormalised in both directions; every lane's
   /// value sequence is the scalar transform()'s, so each lane is
   /// bit-identical to transforming it alone.  Const and allocation-free.
-  void transform_batched(double* re, double* im, std::size_t batch,
+  void transform_batched(T* re, T* im, std::size_t batch,
                          Direction direction) const;
+
+  /// Forward DFT into a fresh vector (unnormalised).
+  [[nodiscard]] CVector dft(const CVector& data) const
+    requires std::same_as<T, double>;
+
+  /// Inverse DFT including the 1/N factor (the paper's IDFT operator).
+  [[nodiscard]] CVector idft(const CVector& data) const
+    requires std::same_as<T, double>;
 
   /// DFTs of TWO real length-size() sequences from ONE complex transform
   /// (the pairing identity: Z = DFT(x + i y), then
   /// X[k] = (Z[k] + conj(Z[N-k]))/2, Y[k] = -i (Z[k] - conj(Z[N-k]))/2).
   /// Full conjugate-symmetric spectra are written to \p fx / \p fy.
   void transform_real_pair(const RVector& x, const RVector& y, CVector& fx,
-                           CVector& fy) const;
+                           CVector& fy) const
+    requires std::same_as<T, double>;
 
   /// Forward DFT of one real sequence of length 2*size() via this
   /// size()-point plan (the split identity: even/odd samples packed into
   /// one complex sequence, recombined with e^{-i pi k / N} twiddles).
   /// Returns the full conjugate-symmetric 2N-point spectrum.
-  [[nodiscard]] CVector transform_real(const RVector& x) const;
+  [[nodiscard]] CVector transform_real(const RVector& x) const
+    requires std::same_as<T, double>;
 
   /// Inverse of transform_real: recover the real 2*size()-point signal
   /// from its conjugate-symmetric spectrum, including the 1/(2N) factor
   /// (the idft convention).
-  [[nodiscard]] RVector inverse_real(const CVector& spectrum) const;
+  [[nodiscard]] RVector inverse_real(const CVector& spectrum) const
+    requires std::same_as<T, double>;
 
  private:
   std::size_t n_;
@@ -146,76 +163,14 @@ class Pow2Plan {
   /// Per-stage twiddles, stages concatenated: stage len contributes
   /// len/2 entries (total n - 1), in the exact value sequence of the
   /// resynchronised incremental recurrence.
-  std::vector<cdouble> forward_twiddles_;
-  std::vector<cdouble> inverse_twiddles_;
+  ComplexVector forward_twiddles_;
+  ComplexVector inverse_twiddles_;
 };
 
-/// Single-precision power-of-two FFT plan for the float32 emission
-/// pipeline.  A separate class rather than a template: the double
-/// Pow2Plan is forward-declared (by name) across the codebase, and GCC's
-/// target_clones — which the batched float butterflies rely on — cannot
-/// attach to templates.  The twiddle tables are generated by the exact
-/// double-precision resync recurrence of Pow2Plan and narrowed once, so
-/// every plan of a given length carries identical tables; transform() and
-/// transform_batched() mirror the double plan's per-lane operation order
-/// (with -ffp-contract=off in the implementation TU), making the scalar
-/// and batched float paths bit-identical to each other — float is its own
-/// bit-reference, independent of the double plan's values.
-class Pow2PlanF {
- public:
-  /// \pre n is a power of two.
-  explicit Pow2PlanF(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-
-  /// In-place float transform (see Pow2Plan::transform).
-  void transform(CVectorF& data, Direction direction) const;
-
-  /// \p batch lockstep float transforms on planar data (lane b of point p
-  /// at [p * batch + b]); each lane is bit-identical to transforming it
-  /// alone through transform().  Const and allocation-free.
-  void transform_batched(float* re, float* im, std::size_t batch,
-                         Direction direction) const;
-
- private:
-  std::size_t n_;
-  std::vector<std::uint32_t> swaps_;
-  std::vector<cfloat> forward_twiddles_;
-  std::vector<cfloat> inverse_twiddles_;
-};
-
-/// Float clone of RealConvolver: circular convolution with a fixed real
-/// kernel via the pairing trick, on complex<float> data.  The kernel
-/// spectrum is supplied by the caller (the overlap-save design narrows
-/// its double kernel spectrum once at construction), so the float
-/// convolution uses exactly the same spectrum values as the batched
-/// planar float sweep — keeping per-branch and batched float fills
-/// bit-identical.
-class RealConvolverF {
- public:
-  /// \param plan     shared float plan; \pre plan != nullptr.
-  /// \param spectrum kernel spectrum, spectrum.size() == plan->size().
-  RealConvolverF(std::shared_ptr<const Pow2PlanF> plan, CVectorF spectrum);
-
-  [[nodiscard]] std::size_t size() const noexcept { return plan_->size(); }
-
-  [[nodiscard]] const CVectorF& kernel_spectrum() const noexcept {
-    return spectrum_;
-  }
-
-  [[nodiscard]] const std::shared_ptr<const Pow2PlanF>& plan()
-      const noexcept {
-    return plan_;
-  }
-
-  /// Packed-pair circular convolution (unnormalised, like
-  /// RealConvolver::convolve_packed).
-  void convolve_packed(const CVectorF& in, CVectorF& work) const;
-
- private:
-  std::shared_ptr<const Pow2PlanF> plan_;
-  CVectorF spectrum_;
-};
+using Pow2Plan = BasicPow2Plan<double>;
+using Pow2PlanF = BasicPow2Plan<float>;
+extern template class BasicPow2Plan<double>;
+extern template class BasicPow2Plan<float>;
 
 /// Precomputed Bluestein (chirp-z) plan for arbitrary-length transforms:
 /// the per-direction chirp sequences and the forward spectra of the
@@ -256,25 +211,42 @@ class BluesteinPlan {
 /// and one inverse complex FFT convolve BOTH streams (the pairing trick).
 /// This is exactly the per-branch operation of the overlap-save Doppler
 /// backend: the I and Q Philox tapes are the real pair, h = IDFT(F) the
-/// real kernel.  The kernel spectrum is computed through the full complex
-/// transform of the zero-imaginary kernel, so it is bit-identical to
-/// fft::dft of the complexified kernel.  Immutable and shareable; the
-/// per-call state lives in a caller-owned workspace, so one instance
-/// serves any number of concurrent branch sources allocation-free.
-class RealConvolver {
+/// real kernel.  Immutable and shareable; the per-call state lives in a
+/// caller-owned workspace, so one instance serves any number of
+/// concurrent branch sources allocation-free.
+///
+/// RealConvolver (double) designs its spectrum from the real kernel;
+/// RealConvolverF (float) takes a caller-supplied spectrum — the
+/// overlap-save design narrows its double kernel spectrum once, so the
+/// per-branch float convolution uses exactly the values of the batched
+/// planar float sweep.
+template <typename T>
+class BasicRealConvolver {
  public:
+  using Plan = BasicPow2Plan<T>;
+  using ComplexVector = typename Plan::ComplexVector;
+
+  /// \param plan     shared 2^k plan; \pre plan != nullptr.
+  /// \param spectrum kernel spectrum, spectrum.size() == plan->size().
+  BasicRealConvolver(std::shared_ptr<const Plan> plan,
+                     ComplexVector spectrum);
+
   /// \param plan   shared 2^k plan; \pre plan != nullptr.
-  /// \param kernel real kernel, kernel.size() == plan->size().
-  RealConvolver(std::shared_ptr<const Pow2Plan> plan, const RVector& kernel);
+  /// \param kernel real kernel, kernel.size() == plan->size().  The
+  /// spectrum is computed through the full complex transform of the
+  /// zero-imaginary kernel, so it is bit-identical to fft::dft of the
+  /// complexified kernel.
+  BasicRealConvolver(std::shared_ptr<const Plan> plan, const RVector& kernel)
+    requires std::same_as<T, double>;
 
   [[nodiscard]] std::size_t size() const noexcept { return plan_->size(); }
 
   /// DFT of the (zero-padded) kernel — conjugate symmetric.
-  [[nodiscard]] const CVector& kernel_spectrum() const noexcept {
+  [[nodiscard]] const ComplexVector& kernel_spectrum() const noexcept {
     return spectrum_;
   }
 
-  [[nodiscard]] const std::shared_ptr<const Pow2Plan>& plan() const noexcept {
+  [[nodiscard]] const std::shared_ptr<const Plan>& plan() const noexcept {
     return plan_;
   }
 
@@ -284,16 +256,22 @@ class RealConvolver {
   /// that factor into its extraction pass).  Re(work) is then h (*) x and
   /// Im(work) is h (*) y.  Const and allocation-free after the first call
   /// per workspace.
-  void convolve_packed(const CVector& in, CVector& work) const;
+  void convolve_packed(const ComplexVector& in, ComplexVector& work) const;
 
   /// Circularly convolve BOTH real inputs (length size()) with the kernel
   /// in one forward + one inverse transform, including the 1/N factor.
   void convolve_pair(const double* x, const double* y, double* out_x,
-                     double* out_y, CVector& work) const;
+                     double* out_y, CVector& work) const
+    requires std::same_as<T, double>;
 
  private:
-  std::shared_ptr<const Pow2Plan> plan_;
-  CVector spectrum_;
+  std::shared_ptr<const Plan> plan_;
+  ComplexVector spectrum_;
 };
+
+using RealConvolver = BasicRealConvolver<double>;
+using RealConvolverF = BasicRealConvolver<float>;
+extern template class BasicRealConvolver<double>;
+extern template class BasicRealConvolver<float>;
 
 }  // namespace rfade::fft

@@ -77,11 +77,10 @@ class LevelCrossingAccumulator {
                            std::vector<double> branch_rms);
 
   /// Folds the envelopes |z| of a complex block (count x N), row order.
-  void accumulate(const numeric::CMatrix& block);
-
-  /// Float32 block overload; samples widen to double exactly, so float
-  /// shards keep the bit-exact merge contract among themselves.
-  void accumulate(const numeric::CMatrixF& block);
+  /// T = float (the float32 pipeline): samples widen to double exactly,
+  /// so float shards keep the bit-exact merge contract among themselves.
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
   /// Folds an envelope block (count x N, r >= 0) directly.
   void accumulate_envelopes(const numeric::RMatrix& envelopes);
@@ -142,9 +141,10 @@ class AcfAccumulator {
   ///                  one positive lag.
   AcfAccumulator(std::size_t dimension, std::vector<std::size_t> lags);
 
-  void accumulate(const numeric::CMatrix& block);
-  /// Float32 overload; widened exactly (see LevelCrossingAccumulator).
-  void accumulate(const numeric::CMatrixF& block);
+  /// Folds a complex block (count x N), row order; float blocks widen
+  /// exactly (see LevelCrossingAccumulator).
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
   /// Stitches the adjacent following segment \p other (see file comment).
   /// \throws DimensionError when dimensions/lag lists differ.
@@ -203,9 +203,10 @@ class MutualInformationAccumulator {
                                std::vector<double> branch_power,
                                std::vector<std::size_t> lags);
 
-  void accumulate(const numeric::CMatrix& block);
-  /// Float32 overload; widened exactly (see LevelCrossingAccumulator).
-  void accumulate(const numeric::CMatrixF& block);
+  /// Folds a complex block (count x N), row order; float blocks widen
+  /// exactly (see LevelCrossingAccumulator).
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
   /// Stitches the adjacent following segment \p other (see file comment).
   /// \throws DimensionError when configurations differ.

@@ -4,7 +4,8 @@
 /// \brief Free-function linear algebra kernels on Matrix<T>.
 ///
 /// Concrete (non-template) signatures for the two element types rfade uses,
-/// double and std::complex<double>.  Everything validates shapes via
+/// double and std::complex<double>, plus float overloads of the batched
+/// emission kernels.  Everything validates shapes via
 /// contracts and throws rfade::DimensionError-compatible ContractViolation
 /// on mismatch.
 
@@ -69,8 +70,16 @@ namespace rfade::numeric {
 /// naive dot product (and hence to the per-sample matvec loops it replaces);
 /// the loop nest is row-tiled so one tile of c and one row of b stay
 /// cache-resident while a is streamed.  \p c must not alias \p a or \p b.
+///
+/// Every batched kernel below comes in a double and a float overload
+/// sharing one body: same accumulation order and contraction discipline
+/// (the implementation TU keeps -ffp-contract=off), so each float kernel
+/// is bit-identical to its own scalar float loop at every ISA width —
+/// float is its own bit-reference, not required to match double bitwise.
 void multiply_block_raw(const cdouble* a, std::size_t m, std::size_t k,
                         const cdouble* b, std::size_t n, cdouble* c);
+void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
+                        const cfloat* b, std::size_t n, cfloat* c);
 
 /// out = a * b via the blocked kernel; \p out is resized/overwritten.
 void multiply_block_into(const CMatrix& a, const CMatrix& b, CMatrix& out);
@@ -89,21 +98,6 @@ void multiply_block_into(const CMatrix& a, const CMatrix& b, CMatrix& out);
 void multiply_block_planar(const double* a_re, const double* a_im,
                            std::size_t m, std::size_t k, const double* b_re,
                            const double* b_im, std::size_t n, cdouble* c);
-
-// --- float32 emission-path kernels -------------------------------------------
-//
-// Single-precision clones of the hot emission kernels.  Same accumulation
-// order and contraction discipline as the double versions (this TU keeps
-// -ffp-contract=off), so each float kernel is bit-identical to its own
-// scalar float loop at every ISA width — float is its own bit-reference,
-// not required to match double bitwise.
-
-/// Float clone of multiply_block_raw: c = a * b, ascending-k accumulation.
-void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
-                        const cfloat* b, std::size_t n, cfloat* c);
-
-/// Float clone of multiply_block_planar (split-plane operands, interleaved
-/// complex output).
 void multiply_block_planar(const float* a_re, const float* a_im,
                            std::size_t m, std::size_t k, const float* b_re,
                            const float* b_im, std::size_t n, cfloat* c);
@@ -120,6 +114,9 @@ void multiply_block_planar(const float* a_re, const float* a_im,
 void crossfade_block(const double* fade_out, const double* fade_in,
                      const cdouble* previous, const cdouble* current,
                      std::size_t count, cdouble* out);
+void crossfade_block(const float* fade_out, const float* fade_in,
+                     const cfloat* previous, const cfloat* current,
+                     std::size_t count, cfloat* out);
 
 /// Strided scale-and-scatter (the branch->row interleave pass of the
 /// stream engine): out[l * stride] = u[l] * scale for l in [0, count).
@@ -127,13 +124,6 @@ void crossfade_block(const double* fade_out, const double* fade_in,
 /// loop.
 void scale_into_strided(const cdouble* u, std::size_t count, double scale,
                         cdouble* out, std::size_t stride);
-
-/// Float clone of crossfade_block (float weights, complex<float> samples).
-void crossfade_block(const float* fade_out, const float* fade_in,
-                     const cfloat* previous, const cfloat* current,
-                     std::size_t count, cfloat* out);
-
-/// Float clone of scale_into_strided.
 void scale_into_strided(const cfloat* u, std::size_t count, float scale,
                         cfloat* out, std::size_t stride);
 

@@ -45,23 +45,25 @@ void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
                                    std::uint64_t first_sample,
                                    std::size_t count, double* re, double* im);
 
-/// Single-precision variants for the float32 emission pipeline.  Same
-/// contract (sample t consumes Philox counter block t; positionally pure
-/// at any ISA width and for any call partitioning), but the uniforms and
-/// the Box-Muller transform run in float: sample t draws
-/// u = (words[0] + 1) * 2^-32 in (0, 1] and v = 2 pi words[2] * 2^-32,
-/// giving the float path its own bit-reference — deterministic and
-/// seekable, but a different value stream from the double fill.
-void fill_complex_gaussians_planar_f32(std::uint64_t seed,
-                                       std::uint64_t stream, double variance,
-                                       std::size_t count, float* re,
-                                       float* im);
+/// Single-precision stream-seekable fill for the float32 emission
+/// pipeline.  Same contract (sample t consumes Philox counter block t;
+/// positionally pure at any ISA width and for any call partitioning),
+/// but the uniforms and the Box-Muller transform run in float: sample t
+/// draws u = (words[0] + 1) * 2^-32 in (0, 1] and
+/// v = 2 pi words[2] * 2^-32, giving the float path its own
+/// bit-reference — deterministic and seekable, but a different value
+/// stream from the double fill.
+void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
+                                   double variance,
+                                   std::uint64_t first_sample,
+                                   std::size_t count, float* re, float* im);
 
-/// Stream-seekable float form (see the double overload above).
-void fill_complex_gaussians_planar_f32(std::uint64_t seed,
-                                       std::uint64_t stream, double variance,
-                                       std::uint64_t first_sample,
-                                       std::size_t count, float* re,
-                                       float* im);
+/// The float fill under its historical name.
+inline void fill_complex_gaussians_planar_f32(
+    std::uint64_t seed, std::uint64_t stream, double variance,
+    std::uint64_t first_sample, std::size_t count, float* re, float* im) {
+  fill_complex_gaussians_planar(seed, stream, variance, first_sample, count,
+                                re, im);
+}
 
 }  // namespace rfade::random

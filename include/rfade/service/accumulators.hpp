@@ -44,13 +44,12 @@ class EnvelopeMomentAccumulator {
  public:
   explicit EnvelopeMomentAccumulator(std::size_t dimension);
 
-  /// Folds |z| for every element of a complex block (count x N).
-  void accumulate(const numeric::CMatrix& block);
-
-  /// Float32 block overload.  Samples are widened to double before the
-  /// ExactSum fold (widening is exact), so shard merges over float
-  /// blocks keep the bit-exact associativity contract.
-  void accumulate(const numeric::CMatrixF& block);
+  /// Folds |z| for every element of a complex block (count x N).  Float
+  /// blocks are widened to double before the ExactSum fold (widening is
+  /// exact), so shard merges over float blocks keep the bit-exact
+  /// associativity contract.
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
   /// Folds an envelope block (count x N, r >= 0) directly.
   void accumulate_envelopes(const numeric::RMatrix& envelopes);
@@ -87,12 +86,11 @@ class ComplexCovarianceAccumulator {
  public:
   explicit ComplexCovarianceAccumulator(std::size_t dimension);
 
-  /// Folds every row of a complex block (count x N).
-  void accumulate(const numeric::CMatrix& block);
-
-  /// Float32 block overload; widened to double (exactly) before the
-  /// fold, preserving bit-exact shard-merge associativity.
-  void accumulate(const numeric::CMatrixF& block);
+  /// Folds every row of a complex block (count x N); float blocks are
+  /// widened to double (exactly) before the fold, preserving bit-exact
+  /// shard-merge associativity.
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
   /// Folds \p other in; exactly order-invariant.
   /// \throws DimensionError when dimensions differ.

@@ -26,6 +26,16 @@
 /// still exact — ifunc resolves one clone per process).  On toolchains or
 /// targets without multiversioning support the macros expand to nothing
 /// and the baseline loop is used everywhere.
+///
+/// One body per kernel, both precisions: the loop nest is written once as
+/// a function template marked RFADE_CLONE_BODY (always_inline), and each
+/// element type gets a thin non-template entry point carrying
+/// RFADE_TARGET_CLONES_WIDE whose body only forwards to it (e.g.
+/// planar_gemm_body<T> behind the double and float planar_gemm_tile in
+/// numeric/matrix_ops.cpp).  target_clones itself never touches a
+/// template: the body is inlined into every clone of every wrapper, so
+/// each clone compiles it for its own ISA (zmm on avx512f) under the
+/// TU's FP flags — the same code a hand-written per-type copy produces.
 
 // Sanitizers and ifunc-based multiversioning do not mix: the clone
 // resolver runs during dynamic relocation, before the sanitizer runtime
@@ -50,3 +60,7 @@
 #define RFADE_TARGET_CLONES_AVX2
 #define RFADE_TARGET_CLONES_WIDE
 #endif
+
+/// Marks the shared template body of a multiversioned kernel (see the
+/// file comment): always inlined, so it is compiled once per clone.
+#define RFADE_CLONE_BODY [[gnu::always_inline]] inline

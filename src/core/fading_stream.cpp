@@ -1,7 +1,6 @@
 #include "rfade/core/fading_stream.hpp"
 
 #include <cmath>
-#include <limits>
 #include <span>
 #include <utility>
 
@@ -74,7 +73,7 @@ FadingStream::FadingStream(std::shared_ptr<const ColoringPlan> plan,
     seek_histogram_ = registry.histogram("rfade_stream_seek_ns", labels);
   }
   sources_ = make_sources(seed_);
-  if (options.batched_fill && pipeline_.dimension() > 0 &&
+  if (pipeline_.dimension() > 0 &&
       doppler::OverlapSaveBatch::supports(*design_)) {
     std::vector<std::uint64_t> seeds(pipeline_.dimension());
     for (std::size_t j = 0; j < seeds.size(); ++j) {
@@ -95,18 +94,22 @@ FadingStream::SourceList FadingStream::make_sources(std::uint64_t seed) const {
   return sources;
 }
 
-numeric::CMatrix FadingStream::emit(SourceList& sources, random::Rng& rng,
-                                    std::uint64_t block_index,
-                                    std::uint64_t first_instant,
-                                    doppler::OverlapSaveBatch* batch,
-                                    Workspace* workspace) const {
+template <typename T>
+numeric::Matrix<std::complex<T>> FadingStream::emit(
+    SourceList& sources, random::Rng& rng, std::uint64_t block_index,
+    std::uint64_t first_instant, doppler::OverlapSaveBatch* batch,
+    Workspace<T>* workspace) const {
   const std::size_t n = pipeline_.dimension();
   const std::size_t m = design_->block_size();
-  Workspace transient;
-  Workspace& ws = workspace != nullptr ? *workspace : transient;
+  Workspace<T> transient;
+  Workspace<T>& ws = workspace != nullptr ? *workspace : transient;
   if (ws.w.rows() != m || ws.w.cols() != n) {
-    ws.w = numeric::CMatrix(m, n);
+    ws.w = numeric::Matrix<std::complex<T>>(m, n);
   }
+  // The step-6 normalisation 1/sigma_g, narrowed once from the double
+  // constant in float so every float draw path divides by the same
+  // float scalar.
+  const T inv_sigma = static_cast<T>(1.0 / std::sqrt(assumed_variance_));
 
   if (batch != nullptr) {
     // Batched overlap-save sweep: the backend keys its randomness off the
@@ -114,9 +117,8 @@ numeric::CMatrix FadingStream::emit(SourceList& sources, random::Rng& rng,
     // advance/fill/normalise picture collapses into one planar batch that
     // writes w(l, j) = u_j[l] / sigma_g directly — the same bits as the
     // per-branch path below.
-    const double inv_sigma = 1.0 / std::sqrt(assumed_variance_);
     batch->fill_block(block_index, inv_sigma, ws.w, parallel_branches_);
-    return pipeline_.color_block(ws.w, 1.0, first_instant);
+    return pipeline_.color_normalized(ws.w, first_instant);
   }
 
   // Stochastic halves run branch-by-branch in a fixed serial order — the
@@ -127,14 +129,14 @@ numeric::CMatrix FadingStream::emit(SourceList& sources, random::Rng& rng,
 
   // The deterministic halves (IDFT / window / convolution) are
   // independent across branches: fill them concurrently.
-  std::vector<numeric::CVector>& outputs = ws.outputs;
+  std::vector<std::vector<std::complex<T>>>& outputs = ws.outputs;
   outputs.resize(n);
   support::parallel_for_chunked(
       n,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
         for (std::size_t j = begin; j < end; ++j) {
           outputs[j].resize(m);
-          sources[j]->fill(std::span<numeric::cdouble>(outputs[j]));
+          sources[j]->fill(std::span<std::complex<T>>(outputs[j]));
         }
       },
       {/*chunk_size=*/1, /*serial=*/!parallel_branches_});
@@ -143,65 +145,18 @@ numeric::CMatrix FadingStream::emit(SourceList& sources, random::Rng& rng,
   // 1/sigma_g is folded into this transpose pass (same scale-then-color
   // order, hence the same bits, as scaling inside color_block), then every
   // time instant is colored with L: Z_l = L W_l / sigma_g (steps 7-8).
-  const double inv_sigma = 1.0 / std::sqrt(assumed_variance_);
   for (std::size_t j = 0; j < n; ++j) {
     // w(l, j) = u[l] / sigma_g as one vectorized strided pass
     // (bit-identical to the scalar transpose loop).
     numeric::scale_into_strided(outputs[j].data(), m, inv_sigma,
                                 ws.w.data() + j, n);
   }
-  return pipeline_.color_block(ws.w, 1.0, first_instant);
+  return pipeline_.color_normalized(ws.w, first_instant);
 }
 
-numeric::CMatrixF FadingStream::emit_f32(SourceList& sources, random::Rng& rng,
-                                         std::uint64_t block_index,
-                                         std::uint64_t first_instant,
-                                         doppler::OverlapSaveBatch* batch,
-                                         Workspace* workspace) const {
-  const std::size_t n = pipeline_.dimension();
-  const std::size_t m = design_->block_size();
-  Workspace transient;
-  Workspace& ws = workspace != nullptr ? *workspace : transient;
-  if (ws.w_f.rows() != m || ws.w_f.cols() != n) {
-    ws.w_f = numeric::CMatrixF(m, n);
-  }
-  // The step-6 normalisation narrowed once from the double constant, so
-  // every float draw path divides by the same float scalar.
-  const float inv_sigma =
-      static_cast<float>(1.0 / std::sqrt(assumed_variance_));
-
-  if (batch != nullptr) {
-    batch->fill_block_f32(block_index, inv_sigma, ws.w_f, parallel_branches_);
-    return pipeline_.color_block_f32(ws.w_f, first_instant);
-  }
-
-  // Same serial advance order as the double emit — the rng consumption
-  // (and hence the block keying) is precision-independent.
-  for (std::size_t j = 0; j < n; ++j) {
-    sources[j]->advance(rng, block_index);
-  }
-
-  std::vector<numeric::CVectorF>& outputs = ws.outputs_f;
-  outputs.resize(n);
-  support::parallel_for_chunked(
-      n,
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        for (std::size_t j = begin; j < end; ++j) {
-          outputs[j].resize(m);
-          sources[j]->fill_f32(std::span<numeric::cfloat>(outputs[j]));
-        }
-      },
-      {/*chunk_size=*/1, /*serial=*/!parallel_branches_});
-
-  for (std::size_t j = 0; j < n; ++j) {
-    numeric::scale_into_strided(outputs[j].data(), m, inv_sigma,
-                                ws.w_f.data() + j, n);
-  }
-  return pipeline_.color_block_f32(ws.w_f, first_instant);
-}
-
+template <typename T>
 void FadingStream::replay(SourceList& sources, std::uint64_t seed,
-                          std::uint64_t block_index, bool float32) const {
+                          std::uint64_t block_index) const {
   const std::size_t n = pipeline_.dimension();
   random::Rng rng = random::block_substream(seed, block_index);
   for (std::size_t j = 0; j < n; ++j) {
@@ -210,60 +165,42 @@ void FadingStream::replay(SourceList& sources, std::uint64_t seed,
   support::parallel_for_chunked(
       n,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        // Replay in the stream's own precision so precision-specific
-        // carried state (WOLA's previous float block) is rebuilt.
-        std::vector<numeric::cdouble> scratch(float32 ? 0
-                                                      : design_->block_size());
-        std::vector<numeric::cfloat> scratch_f(float32 ? design_->block_size()
-                                                       : 0);
+        std::vector<std::complex<T>> scratch(design_->block_size());
         for (std::size_t j = begin; j < end; ++j) {
-          if (float32) {
-            sources[j]->fill_f32(scratch_f);
-          } else {
-            sources[j]->fill(scratch);
-          }
+          sources[j]->fill(std::span<std::complex<T>>(scratch));
         }
       },
       {/*chunk_size=*/1, /*serial=*/!parallel_branches_});
 }
 
 std::uint64_t FadingStream::first_instant(std::uint64_t block_index) const {
-  const std::uint64_t m = block_size();
-  std::uint64_t first = 0;
-  const bool overflows = __builtin_mul_overflow(block_index, m, &first) ||
-                         first > std::numeric_limits<std::uint64_t>::max() -
-                                     (m - 1);
-  RFADE_EXPECTS(!overflows,
-                "block index overflows the 64-bit instant range: "
-                "block_index * block_size() + block_size() - 1 must fit");
-  return first;
+  return checked_first_instant(block_index, block_size(), block_size());
+}
+
+template <typename T>
+numeric::Matrix<std::complex<T>> FadingStream::next_block_as() {
+  const std::uint64_t first = next_instant();
+  const telemetry::ScopedTimer timer(block_histogram_.get());
+  random::Rng rng = random::block_substream(seed_, next_block_);
+  numeric::Matrix<std::complex<T>> z =
+      emit<T>(sources_, rng, next_block_, first, batch_.get(),
+              &std::get<Workspace<T>>(workspace_));
+  ++next_block_;
+  if (metrics_tap_) metrics_tap_->observe(z);
+  return z;
 }
 
 numeric::CMatrix FadingStream::next_block() {
   if (precision_ == Precision::Float32) {
     return widen(next_block_f32());
   }
-  const std::uint64_t first = next_instant();
-  const telemetry::ScopedTimer timer(block_histogram_.get());
-  random::Rng rng = random::block_substream(seed_, next_block_);
-  numeric::CMatrix z = emit(sources_, rng, next_block_, first, batch_.get(),
-                            &workspace_);
-  ++next_block_;
-  if (metrics_tap_) metrics_tap_->observe(z);
-  return z;
+  return next_block_as<double>();
 }
 
 numeric::CMatrixF FadingStream::next_block_f32() {
   RFADE_EXPECTS(precision_ == Precision::Float32,
                 "next_block_f32: stream was built with Precision::Float64");
-  const std::uint64_t first = next_instant();
-  const telemetry::ScopedTimer timer(block_histogram_.get());
-  random::Rng rng = random::block_substream(seed_, next_block_);
-  numeric::CMatrixF z = emit_f32(sources_, rng, next_block_, first,
-                                 batch_.get(), &workspace_);
-  ++next_block_;
-  if (metrics_tap_) metrics_tap_->observe(z);
-  return z;
+  return next_block_as<float>();
 }
 
 numeric::RMatrix FadingStream::next_envelope_block() {
@@ -282,10 +219,28 @@ void FadingStream::seek(std::uint64_t block_index) {
     batch_->reset();
   }
   if (design_->history_blocks() > 0 && block_index > 0) {
-    replay(sources_, seed_, block_index - 1,
-           precision_ == Precision::Float32);
+    if (precision_ == Precision::Float32) {
+      replay<float>(sources_, seed_, block_index - 1);
+    } else {
+      replay<double>(sources_, seed_, block_index - 1);
+    }
   }
   next_block_ = block_index;
+}
+
+template <typename T>
+numeric::Matrix<std::complex<T>> FadingStream::generate_block_as(
+    std::uint64_t seed, std::uint64_t block_index) const {
+  const std::uint64_t first = first_instant(block_index);
+  SourceList sources = make_sources(seed);
+  if (design_->history_blocks() > 0 && block_index > 0) {
+    replay<T>(sources, seed, block_index - 1);
+  }
+  random::Rng rng = random::block_substream(seed, block_index);
+  // Always the per-branch sources: the keyed path is the bit-reference
+  // the batched cursor is pinned against.
+  return emit<T>(sources, rng, block_index, first, /*batch=*/nullptr,
+                 /*workspace=*/nullptr);
 }
 
 numeric::CMatrix FadingStream::generate_block(std::uint64_t seed,
@@ -293,16 +248,7 @@ numeric::CMatrix FadingStream::generate_block(std::uint64_t seed,
   if (precision_ == Precision::Float32) {
     return widen(generate_block_f32(seed, block_index));
   }
-  const std::uint64_t first = first_instant(block_index);
-  SourceList sources = make_sources(seed);
-  if (design_->history_blocks() > 0 && block_index > 0) {
-    replay(sources, seed, block_index - 1, /*float32=*/false);
-  }
-  random::Rng rng = random::block_substream(seed, block_index);
-  // Always the per-branch sources: the keyed path is the bit-reference
-  // the batched cursor is pinned against.
-  return emit(sources, rng, block_index, first, /*batch=*/nullptr,
-              /*workspace=*/nullptr);
+  return generate_block_as<double>(seed, block_index);
 }
 
 numeric::CMatrixF FadingStream::generate_block_f32(
@@ -310,14 +256,7 @@ numeric::CMatrixF FadingStream::generate_block_f32(
   RFADE_EXPECTS(precision_ == Precision::Float32,
                 "generate_block_f32: stream was built with "
                 "Precision::Float64");
-  const std::uint64_t first = first_instant(block_index);
-  SourceList sources = make_sources(seed);
-  if (design_->history_blocks() > 0 && block_index > 0) {
-    replay(sources, seed, block_index - 1, /*float32=*/true);
-  }
-  random::Rng rng = random::block_substream(seed, block_index);
-  return emit_f32(sources, rng, block_index, first, /*batch=*/nullptr,
-                  /*workspace=*/nullptr);
+  return generate_block_as<float>(seed, block_index);
 }
 
 numeric::RMatrix FadingStream::generate_envelope_block(
@@ -332,8 +271,8 @@ numeric::CMatrix FadingStream::generate_block_from(
                 "independent-block backend (the continuous backends key "
                 "their own randomness; use next_block/generate_block)");
   SourceList sources = make_sources(0);
-  return emit(sources, rng, 0, first_instant, /*batch=*/nullptr,
-              /*workspace=*/nullptr);
+  return emit<double>(sources, rng, 0, first_instant, /*batch=*/nullptr,
+                      /*workspace=*/nullptr);
 }
 
 }  // namespace rfade::core

@@ -1,6 +1,8 @@
 #include "rfade/core/plan.hpp"
 
 #include <cmath>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "rfade/core/covariance_spec.hpp"
@@ -10,6 +12,20 @@
 #include "rfade/support/parallel.hpp"
 
 namespace rfade::core {
+
+std::uint64_t checked_first_instant(std::uint64_t block_index,
+                                    std::uint64_t period,
+                                    std::uint64_t rows) {
+  std::uint64_t first = 0;
+  const bool overflows =
+      __builtin_mul_overflow(block_index, period, &first) ||
+      first > std::numeric_limits<std::uint64_t>::max() -
+                  (rows > 0 ? rows - 1 : 0);
+  RFADE_EXPECTS(!overflows,
+                "block index overflows the 64-bit instant range: "
+                "block_index * period + rows - 1 must fit");
+  return first;
+}
 
 // --- ColoringPlan -----------------------------------------------------------
 
@@ -39,17 +55,11 @@ std::shared_ptr<const ColoringPlan> ColoringPlan::create(
 
 const ColoringPlan::ColoringF32& ColoringPlan::coloring_f32() const {
   std::call_once(coloring_f32_once_, [this] {
-    // One-time down-conversion of the double factor; element-by-element
-    // narrowing so the interleaved and planar layouts agree bit-for-bit.
+    // One-time element-by-element down-conversion of the double factor.
     coloring_f32_.transposed = numeric::CMatrixF(dim_, dim_);
-    coloring_f32_.transposed_re.resize(dim_ * dim_);
-    coloring_f32_.transposed_im.resize(dim_ * dim_);
     for (std::size_t i = 0; i < dim_ * dim_; ++i) {
-      const float re = static_cast<float>(coloring_transposed_re_[i]);
-      const float im = static_cast<float>(coloring_transposed_im_[i]);
-      coloring_f32_.transposed.data()[i] = numeric::cfloat(re, im);
-      coloring_f32_.transposed_re[i] = re;
-      coloring_f32_.transposed_im[i] = im;
+      coloring_f32_.transposed.data()[i] =
+          numeric::cfloat(coloring_transposed_.data()[i]);
     }
   });
   return coloring_f32_;
@@ -85,29 +95,20 @@ SamplePipeline::SamplePipeline(std::shared_ptr<const ColoringPlan> plan,
   has_gain_ = !options_.gain.is_unit();
 }
 
-void SamplePipeline::add_mean_rows(std::uint64_t first_instant,
-                                   std::size_t rows,
-                                   numeric::cdouble* out) const {
-  if (!has_mean_) {
-    return;
-  }
-  options_.mean_offset.add_to_rows(first_instant, rows, plan_->dimension(),
-                                   out);
-}
-
 void SamplePipeline::finish_rows(std::uint64_t first_instant, std::size_t rows,
                                  numeric::cdouble* out) const {
   if (has_mean_) {
-    add_mean_rows(first_instant, rows, out);
+    options_.mean_offset.add_to_rows(first_instant, rows, plan_->dimension(),
+                                     out);
   }
   if (has_gain_) {
     options_.gain.multiply_rows(first_instant, rows, plan_->dimension(), out);
   }
 }
 
-void SamplePipeline::finish_rows_f32(std::uint64_t first_instant,
-                                     std::size_t rows,
-                                     numeric::cfloat* out) const {
+void SamplePipeline::finish_rows(std::uint64_t first_instant,
+                                 std::size_t rows,
+                                 numeric::cfloat* out) const {
   if (!has_mean_ && !has_gain_) {
     return;
   }
@@ -236,8 +237,9 @@ numeric::CMatrix SamplePipeline::sample_block(std::size_t count,
   // Default instant assignment: block b of a stream starts at row
   // b * block_size, so standalone blocks see the same mean rows as
   // sample_stream hands the same block index.
-  return sample_block(count, seed, block_index,
-                      block_index * options_.block_size);
+  return sample_block(
+      count, seed, block_index,
+      checked_first_instant(block_index, options_.block_size, count));
 }
 
 numeric::CMatrix SamplePipeline::sample_block(
@@ -285,56 +287,46 @@ numeric::CMatrix SamplePipeline::color_block(const numeric::CMatrix& w,
                                              double variance,
                                              std::uint64_t first_instant)
     const {
-  const std::size_t n = plan_->dimension();
-  RFADE_EXPECTS(w.cols() == n, "color_block: column count != dimension");
   RFADE_EXPECTS(variance > 0.0, "color_block: variance must be positive");
-  numeric::CMatrix out(w.rows(), n);
   if (variance == 1.0) {
     // Already normalised (callers on a hot path fold the 1/sigma scaling
     // into the pass that assembles W) — color straight from the input.
-    numeric::multiply_block_raw(w.data(), w.rows(), n,
-                                plan_->coloring_matrix_transposed().data(), n,
-                                out.data());
-    finish_rows(first_instant, w.rows(), out.data());
-    return out;
+    return color_normalized(w, first_instant);
   }
   // Sec. 5 steps 6-8: divide by the assumed per-branch complex variance,
   // then color every time instant with L — as one blocked GEMM.
   const double inv_sigma = 1.0 / std::sqrt(variance);
-  numeric::CMatrix scaled(w.rows(), n);
+  numeric::CMatrix scaled(w.rows(), w.cols());
   for (std::size_t t = 0; t < w.rows(); ++t) {
-    for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < w.cols(); ++j) {
       scaled(t, j) = w(t, j) * inv_sigma;
     }
   }
-  numeric::multiply_block_raw(scaled.data(), w.rows(), n,
-                              plan_->coloring_matrix_transposed().data(), n,
+  return color_normalized(scaled, first_instant);
+}
+
+template <typename T>
+numeric::Matrix<std::complex<T>> SamplePipeline::color_normalized(
+    const numeric::Matrix<std::complex<T>>& w,
+    std::uint64_t first_instant) const {
+  const std::size_t n = plan_->dimension();
+  RFADE_EXPECTS(w.cols() == n, "color_block: column count != dimension");
+  const numeric::Matrix<std::complex<T>>* lt = nullptr;
+  if constexpr (std::is_same_v<T, double>) {
+    lt = &plan_->coloring_matrix_transposed();
+  } else {
+    lt = &plan_->coloring_f32().transposed;
+  }
+  numeric::Matrix<std::complex<T>> out(w.rows(), n);
+  numeric::multiply_block_raw(w.data(), w.rows(), n, lt->data(), n,
                               out.data());
   finish_rows(first_instant, w.rows(), out.data());
   return out;
 }
 
-numeric::CMatrixF SamplePipeline::color_block_f32(
-    const numeric::CMatrixF& w, std::uint64_t first_instant) const {
-  numeric::CMatrixF out(w.rows(), plan_->dimension());
-  color_block_f32_into(w, first_instant, out);
-  return out;
-}
-
-void SamplePipeline::color_block_f32_into(const numeric::CMatrixF& w,
-                                          std::uint64_t first_instant,
-                                          numeric::CMatrixF& out) const {
-  const std::size_t n = plan_->dimension();
-  RFADE_EXPECTS(w.cols() == n, "color_block_f32: column count != dimension");
-  RFADE_EXPECTS(out.rows() == w.rows() && out.cols() == n,
-                "color_block_f32: output shape mismatch");
-  // Float analogue of the variance == 1.0 color_block path: callers fold
-  // the 1/sigma normalisation into W assembly, so this is one float GEMM
-  // against the cached float32 clone of L^T plus the mean/gain tail.
-  const ColoringPlan::ColoringF32& clone = plan_->coloring_f32();
-  numeric::multiply_block_raw(w.data(), w.rows(), n, clone.transposed.data(),
-                              n, out.data());
-  finish_rows_f32(first_instant, w.rows(), out.data());
-}
+template numeric::CMatrix SamplePipeline::color_normalized(
+    const numeric::CMatrix&, std::uint64_t) const;
+template numeric::CMatrixF SamplePipeline::color_normalized(
+    const numeric::CMatrixF&, std::uint64_t) const;
 
 }  // namespace rfade::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "rfade/fft/fft.hpp"
@@ -43,8 +45,30 @@ class SpectrumDrawingSource : public BranchSource {
   }
 
  protected:
+  /// The drawn block's IDFT realisation in the emission precision.
+  /// Synthesis always runs in double (the IDFT *is* this backend's cost
+  /// and the design is double); the float pipeline narrows the result
+  /// once.  Returns a warm member buffer — steady state allocates nothing.
+  template <typename T>
+  std::vector<std::complex<T>>& synthesize() {
+    design_.branch().synthesize_into(spectrum_, wide_);
+    if constexpr (std::is_same_v<T, double>) {
+      return wide_;
+    } else {
+      narrow_.resize(wide_.size());
+      for (std::size_t l = 0; l < wide_.size(); ++l) {
+        narrow_[l] = numeric::cfloat(wide_[l]);
+      }
+      return narrow_;
+    }
+  }
+
   const BranchSourceDesign& design_;
   numeric::CVector spectrum_;
+
+ private:
+  numeric::CVector wide_;
+  numeric::CVectorF narrow_;
 };
 
 }  // namespace
@@ -58,32 +82,27 @@ class IndependentBlockBranchSource final : public SpectrumDrawingSource {
     return design_.block_size();
   }
 
-  void fill(std::span<numeric::cdouble> out) override {
-    design_.branch().synthesize_into(spectrum_, u_);
-    std::copy(u_.begin(), u_.end(), out.begin());
-  }
-
-  void fill_f32(std::span<numeric::cfloat> out) override {
-    // Synthesis stays double (the IDFT *is* this backend's cost and the
-    // design is double); only the emitted block narrows.
-    design_.branch().synthesize_into(spectrum_, u_);
-    for (std::size_t l = 0; l < u_.size(); ++l) {
-      out[l] = numeric::cfloat(static_cast<float>(u_[l].real()),
-                               static_cast<float>(u_[l].imag()));
-    }
-  }
+  void fill(std::span<numeric::cdouble> out) override { emit(out); }
+  void fill(std::span<numeric::cfloat> out) override { emit(out); }
 
   void reset() override { spectrum_.clear(); }
 
  private:
-  numeric::CVector u_;  ///< warm synthesis buffer — steady state allocates nothing
+  template <typename T>
+  void emit(std::span<std::complex<T>> out) {
+    const std::vector<std::complex<T>>& u = synthesize<T>();
+    std::copy(u.begin(), u.end(), out.begin());
+  }
 };
 
 /// Equal-power crossfade of consecutive independent block realisations.
 /// Chunk 0 plays the first block's head verbatim; every later chunk blends
 /// the previous block's tail into the current block's head over `overlap`
 /// samples — the exact sample sequence of the historical per-sample
-/// StreamingFadingSource, emitted M - overlap samples at a time.
+/// StreamingFadingSource, emitted M - overlap samples at a time.  The
+/// float pipeline crossfades the narrowed blocks in float over the
+/// narrowed fade weights — the float stream's own reference sequence,
+/// replayed identically by keyed generation and seeks.
 class WolaBranchSource final : public SpectrumDrawingSource {
  public:
   using SpectrumDrawingSource::SpectrumDrawingSource;
@@ -92,63 +111,42 @@ class WolaBranchSource final : public SpectrumDrawingSource {
     return design_.block_size();
   }
 
-  void fill(std::span<numeric::cdouble> out) override {
-    const std::size_t hop = design_.block_size();
-    const std::size_t overlap = design_.overlap();
-    design_.branch().synthesize_into(spectrum_, current_);
-    if (previous_.empty()) {
-      std::copy(current_.begin(), current_.begin() + hop, out.begin());
-    } else {
-      // out[i] = fade_out[i] * previous[hop+i] + fade_in[i] * current[i],
-      // as one vectorized pass (bit-identical to the scalar loop).
-      numeric::crossfade_block(design_.fade_out_.data(),
-                               design_.fade_in_.data(),
-                               previous_.data() + hop, current_.data(), overlap,
-                               out.data());
-      std::copy(current_.begin() + overlap, current_.begin() + hop,
-                out.begin() + overlap);
-    }
-    // Rotate by swapping so the outgoing buffer's capacity feeds the next
-    // synthesize_into — steady state allocates nothing.
-    std::swap(previous_, current_);
-  }
-
-  void fill_f32(std::span<numeric::cfloat> out) override {
-    const std::size_t hop = design_.block_size();
-    const std::size_t overlap = design_.overlap();
-    design_.branch().synthesize_into(spectrum_, current_);
-    current_f_.resize(current_.size());
-    for (std::size_t l = 0; l < current_.size(); ++l) {
-      current_f_[l] = numeric::cfloat(static_cast<float>(current_[l].real()),
-                                      static_cast<float>(current_[l].imag()));
-    }
-    if (previous_f_.empty()) {
-      std::copy(current_f_.begin(), current_f_.begin() + hop, out.begin());
-    } else {
-      // The crossfade itself runs in float over the narrowed fade weights
-      // — this is the float stream's own reference sequence, replayed
-      // identically by keyed generation and seeks.
-      numeric::crossfade_block(design_.fade_out_f_.data(),
-                               design_.fade_in_f_.data(),
-                               previous_f_.data() + hop, current_f_.data(),
-                               overlap, out.data());
-      std::copy(current_f_.begin() + overlap, current_f_.begin() + hop,
-                out.begin() + overlap);
-    }
-    std::swap(previous_f_, current_f_);
-  }
+  void fill(std::span<numeric::cdouble> out) override { emit(out); }
+  void fill(std::span<numeric::cfloat> out) override { emit(out); }
 
   void reset() override {
     spectrum_.clear();
-    previous_.clear();
-    previous_f_.clear();
+    std::get<numeric::CVector>(previous_).clear();
+    std::get<numeric::CVectorF>(previous_).clear();
   }
 
  private:
-  numeric::CVector previous_;
-  numeric::CVector current_;
-  numeric::CVectorF previous_f_;
-  numeric::CVectorF current_f_;
+  template <typename T>
+  void emit(std::span<std::complex<T>> out) {
+    const std::size_t hop = design_.block_size();
+    const std::size_t overlap = design_.overlap();
+    const BranchSourceDesign::Operators<T>& ops = design_.operators<T>();
+    std::vector<std::complex<T>>& previous =
+        std::get<std::vector<std::complex<T>>>(previous_);
+    std::vector<std::complex<T>>& current = synthesize<T>();
+    if (previous.empty()) {
+      std::copy(current.begin(), current.begin() + hop, out.begin());
+    } else {
+      // out[i] = fade_out[i] * previous[hop+i] + fade_in[i] * current[i],
+      // as one vectorized pass (bit-identical to the scalar loop).
+      numeric::crossfade_block(ops.fade_out.data(), ops.fade_in.data(),
+                               previous.data() + hop, current.data(), overlap,
+                               out.data());
+      std::copy(current.begin() + overlap, current.begin() + hop,
+                out.begin() + overlap);
+    }
+    // Rotate by swapping so the outgoing buffer's capacity feeds the next
+    // synthesis — steady state allocates nothing.
+    std::swap(previous, current);
+  }
+
+  /// The previous block, in the precision the source is driven in.
+  std::tuple<numeric::CVector, numeric::CVectorF> previous_;
 };
 
 /// Exact continuous stream: overlap-save FFT convolution of the centered
@@ -156,7 +154,11 @@ class WolaBranchSource final : public SpectrumDrawingSource {
 /// stream.  Output block b is the linear convolution evaluated over input
 /// samples [bM, bM + 2M) of the branch's bulk-Philox substream — a pure
 /// function of (branch seed, block index), with a shift fast path when
-/// blocks are consumed in order.
+/// blocks are consumed in order.  The float pipeline runs the same steps
+/// on the float Philox tape (random::fill_complex_gaussians_planar at the
+/// same seed and absolute offsets — positionally pure, so the same shift
+/// fast path and seek behaviour hold) through the design's float
+/// convolver; the batched sweep reproduces either sequence exactly.
 class OverlapSaveBranchSource final : public BranchSource {
  public:
   OverlapSaveBranchSource(const BranchSourceDesign& design,
@@ -171,162 +173,129 @@ class OverlapSaveBranchSource final : public BranchSource {
     pending_block_ = block_index;
   }
 
-  void fill(std::span<numeric::cdouble> out) override {
+  void fill(std::span<numeric::cdouble> out) override { emit(out); }
+  void fill(std::span<numeric::cfloat> out) override { emit(out); }
+
+  void reset() override {
+    std::get<Window<double>>(windows_).valid = false;
+    std::get<Window<float>>(windows_).valid = false;
+  }
+
+ private:
+  /// The input window [block*M, block*M + 2M) of the branch substream in
+  /// one precision, plus its tape and convolution workspaces.
+  template <typename T>
+  struct Window {
+    std::vector<std::complex<T>> inputs;
+    std::uint64_t block = 0;
+    bool valid = false;
+    std::vector<T> re;
+    std::vector<T> im;
+    std::vector<std::complex<T>> scratch;  ///< convolver workspace (2M)
+  };
+
+  template <typename T>
+  void emit(std::span<std::complex<T>> out) {
     const std::size_t m = design_.block_size();
-    ensure_inputs(pending_block_);
-    const double scale = 1.0 / static_cast<double>(2 * m);
-    // Circular 2M convolution; entries [M-1, 2M) are wrap-free, i.e. the
-    // linear convolution of the kernel with this input span.
-    if (const fft::RealConvolver* convolver = design_.convolver_.get()) {
-      // Real-kernel path: the I/Q tapes already live packed as one complex
-      // sequence, so the convolver's single forward/inverse pass over the
-      // cached plan convolves both quadratures (pairing trick) —
-      // bit-identical to transforming inputs_ and multiplying by
-      // kernel_spectrum_ by hand.
-      convolver->convolve_packed(inputs_, scratch_);
-      for (std::size_t i = 0; i < m; ++i) {
-        out[i] = scratch_[m - 1 + i] * scale;
+    const fft::BasicRealConvolver<T>* convolver =
+        design_.operators<T>().convolver.get();
+    if (convolver == nullptr) {
+      // Non-power-of-two 2M has no float transform: run the double
+      // Bluestein fill and narrow — still deterministic and keyed, just
+      // not float-accelerated.
+      if constexpr (std::is_same_v<T, double>) {
+        fill_bluestein(out);
+      } else {
+        tmp_.resize(m);
+        fill_bluestein(tmp_);
+        for (std::size_t i = 0; i < m; ++i) {
+          out[i] = numeric::cfloat(tmp_[i]);
+        }
       }
       return;
     }
-    // Non-power-of-two 2M: the design's Bluestein plan with preallocated
-    // out/scratch workspaces — same value sequence as the historical
-    // fft::dft/idft calls, without rebuilding chirp tables or allocating
-    // four vectors per block.
+    Window<T>& window = std::get<Window<T>>(windows_);
+    ensure_inputs(window, pending_block_);
+    // Circular 2M convolution; entries [M-1, 2M) are wrap-free, i.e. the
+    // linear convolution of the kernel with this input span.  The I/Q
+    // tapes already live packed as one complex sequence, so the
+    // convolver's single forward/inverse pass over the cached plan
+    // convolves both quadratures (pairing trick).
+    convolver->convolve_packed(window.inputs, window.scratch);
+    const T scale = T{1} / static_cast<T>(2 * m);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[i] = window.scratch[m - 1 + i] * scale;
+    }
+  }
+
+  /// Non-power-of-two 2M: the design's Bluestein plan with preallocated
+  /// out/scratch workspaces — same value sequence as the historical
+  /// fft::dft/idft calls, without rebuilding chirp tables or allocating
+  /// four vectors per block.
+  void fill_bluestein(std::span<numeric::cdouble> out) {
+    const std::size_t m = design_.block_size();
+    Window<double>& window = std::get<Window<double>>(windows_);
+    ensure_inputs(window, pending_block_);
     const fft::BluesteinPlan& plan = *design_.fallback_plan_;
-    plan.transform(inputs_, spectrum_, fft::Direction::Forward, bwork_);
+    plan.transform(window.inputs, spectrum_, fft::Direction::Forward, bwork_);
     for (std::size_t k = 0; k < spectrum_.size(); ++k) {
       spectrum_[k] *= design_.kernel_spectrum_[k];
     }
     plan.transform(spectrum_, y_, fft::Direction::Inverse, bwork_);
+    const double scale = 1.0 / static_cast<double>(2 * m);
     for (std::size_t i = 0; i < m; ++i) {
       out[i] = y_[m - 1 + i] * scale;
     }
   }
 
-  void fill_f32(std::span<numeric::cfloat> out) override {
-    const std::size_t m = design_.block_size();
-    if (const fft::RealConvolverF* convolver = design_.convolver_f_.get()) {
-      // Native float path: float Philox tape, float transforms over the
-      // design's narrowed kernel spectrum.  This sequence is the float
-      // stream's bit-reference; the batched sweep reproduces it exactly.
-      ensure_inputs_f32(pending_block_);
-      const float scale = 1.0f / static_cast<float>(2 * m);
-      convolver->convolve_packed(inputs_f_, scratch_f_);
-      for (std::size_t i = 0; i < m; ++i) {
-        out[i] = scratch_f_[m - 1 + i] * scale;
-      }
-      return;
-    }
-    // Non-power-of-two 2M has no float transform: run the double
-    // Bluestein fill and narrow — still deterministic and keyed, just not
-    // float-accelerated.
-    tmp_.resize(m);
-    fill(std::span<numeric::cdouble>(tmp_));
-    for (std::size_t i = 0; i < m; ++i) {
-      out[i] = numeric::cfloat(static_cast<float>(tmp_[i].real()),
-                               static_cast<float>(tmp_[i].imag()));
-    }
-  }
-
-  void reset() override {
-    inputs_.clear();
-    have_inputs_ = false;
-    inputs_f_.clear();
-    have_inputs_f_ = false;
-  }
-
- private:
-  /// Make inputs_ hold samples [block*M, block*M + 2M) of the branch
+  /// Make \p window hold samples [block*M, block*M + 2M) of the branch
   /// input substream, shifting the overlapping half when advancing
   /// sequentially and regenerating both halves otherwise.
-  void ensure_inputs(std::uint64_t block) {
+  template <typename T>
+  void ensure_inputs(Window<T>& window, std::uint64_t block) {
     const std::size_t m = design_.block_size();
-    if (re_.size() < m) {
-      re_.resize(m);
-      im_.resize(m);
+    if (window.re.size() < m) {
+      window.re.resize(m);
+      window.im.resize(m);
     }
-    if (have_inputs_ && block == input_block_) {
+    if (window.valid && block == window.block) {
       return;
     }
-    if (have_inputs_ && block == input_block_ + 1) {
-      std::copy(inputs_.begin() + m, inputs_.end(), inputs_.begin());
-      fetch(block * m + m, inputs_.data() + m);
+    if (window.valid && block == window.block + 1) {
+      std::copy(window.inputs.begin() + m, window.inputs.end(),
+                window.inputs.begin());
+      fetch(window, block * m + m, window.inputs.data() + m);
     } else {
-      inputs_.resize(2 * m);
-      fetch(block * m, inputs_.data());
-      fetch(block * m + m, inputs_.data() + m);
+      window.inputs.resize(2 * m);
+      fetch(window, block * m, window.inputs.data());
+      fetch(window, block * m + m, window.inputs.data() + m);
     }
-    input_block_ = block;
-    have_inputs_ = true;
+    window.block = block;
+    window.valid = true;
   }
 
   /// One M-sample planar bulk fill at absolute stream offset
   /// \p first_sample, interleaved into \p out.
-  void fetch(std::uint64_t first_sample, numeric::cdouble* out) {
+  template <typename T>
+  void fetch(Window<T>& window, std::uint64_t first_sample,
+             std::complex<T>* out) {
     const std::size_t m = design_.block_size();
     random::fill_complex_gaussians_planar(
         branch_seed_, /*stream=*/0, design_.input_stream_variance_,
-        first_sample, m, re_.data(), im_.data());
+        first_sample, m, window.re.data(), window.im.data());
     for (std::size_t t = 0; t < m; ++t) {
-      out[t] = numeric::cdouble(re_[t], im_[t]);
-    }
-  }
-
-  /// Float clones of ensure_inputs/fetch over the float Philox tape
-  /// (random::fill_complex_gaussians_planar_f32 at the same seed and
-  /// absolute offsets — positionally pure, so the same shift fast path
-  /// and seek behaviour hold).
-  void ensure_inputs_f32(std::uint64_t block) {
-    const std::size_t m = design_.block_size();
-    if (re_f_.size() < m) {
-      re_f_.resize(m);
-      im_f_.resize(m);
-    }
-    if (have_inputs_f_ && block == input_block_f_) {
-      return;
-    }
-    if (have_inputs_f_ && block == input_block_f_ + 1) {
-      std::copy(inputs_f_.begin() + m, inputs_f_.end(), inputs_f_.begin());
-      fetch_f32(block * m + m, inputs_f_.data() + m);
-    } else {
-      inputs_f_.resize(2 * m);
-      fetch_f32(block * m, inputs_f_.data());
-      fetch_f32(block * m + m, inputs_f_.data() + m);
-    }
-    input_block_f_ = block;
-    have_inputs_f_ = true;
-  }
-
-  void fetch_f32(std::uint64_t first_sample, numeric::cfloat* out) {
-    const std::size_t m = design_.block_size();
-    random::fill_complex_gaussians_planar_f32(
-        branch_seed_, /*stream=*/0, design_.input_stream_variance_,
-        first_sample, m, re_f_.data(), im_f_.data());
-    for (std::size_t t = 0; t < m; ++t) {
-      out[t] = numeric::cfloat(re_f_[t], im_f_[t]);
+      out[t] = std::complex<T>(window.re[t], window.im[t]);
     }
   }
 
   const BranchSourceDesign& design_;
   std::uint64_t branch_seed_;
   std::uint64_t pending_block_ = 0;
-  numeric::CVector inputs_;  ///< [input_block_*M, input_block_*M + 2M)
-  std::uint64_t input_block_ = 0;
-  bool have_inputs_ = false;
-  numeric::RVector re_;
-  numeric::RVector im_;
-  numeric::CVector scratch_;   ///< convolver workspace (2M)
+  std::tuple<Window<double>, Window<float>> windows_;
   numeric::CVector spectrum_;  ///< Bluestein fallback: forward output
   numeric::CVector y_;         ///< Bluestein fallback: inverse output
   numeric::CVector bwork_;     ///< Bluestein fallback: inner scratch
   numeric::CVector tmp_;       ///< float fallback: double block to narrow
-  numeric::CVectorF inputs_f_;  ///< float input window (2M)
-  std::uint64_t input_block_f_ = 0;
-  bool have_inputs_f_ = false;
-  numeric::RVectorF re_f_;
-  numeric::RVectorF im_f_;
-  numeric::CVectorF scratch_f_;  ///< float convolver workspace (2M)
 };
 
 // --- design -----------------------------------------------------------------
@@ -349,21 +318,15 @@ BranchSourceDesign::BranchSourceDesign(StreamBackend backend, std::size_t m,
       RFADE_EXPECTS(overlap_ < m / 2,
                     "BranchSourceDesign: WOLA overlap must be < M/2");
       block_size_ = m - overlap_;
-      fade_in_.resize(overlap_);
-      fade_out_.resize(overlap_);
+      Operators<double>& ops = std::get<Operators<double>>(operators_);
+      ops.fade_in.resize(overlap_);
+      ops.fade_out.resize(overlap_);
       for (std::size_t i = 0; i < overlap_; ++i) {
         // The historical StreamingFadingSource weights, bit-for-bit.
         const double w = static_cast<double>(i + 1) /
                          static_cast<double>(overlap_ + 1);
-        fade_in_[i] = std::sqrt(w);
-        fade_out_[i] = std::sqrt(1.0 - w);
-      }
-      // Float32 emission clone: the same weights narrowed once.
-      fade_in_f_.resize(overlap_);
-      fade_out_f_.resize(overlap_);
-      for (std::size_t i = 0; i < overlap_; ++i) {
-        fade_in_f_[i] = static_cast<float>(fade_in_[i]);
-        fade_out_f_[i] = static_cast<float>(fade_out_[i]);
+        ops.fade_in[i] = std::sqrt(w);
+        ops.fade_out[i] = std::sqrt(1.0 - w);
       }
       break;
     }
@@ -394,25 +357,9 @@ BranchSourceDesign::BranchSourceDesign(StreamBackend backend, std::size_t m,
       input_stream_variance_ = 2.0 * input_variance_per_dim /
                                static_cast<double>(m);
       if (fft::is_power_of_two(2 * m)) {
-        convolution_plan_ = std::make_shared<const fft::Pow2Plan>(2 * m);
-        convolver_ =
-            std::make_shared<const fft::RealConvolver>(convolution_plan_,
-                                                       centered);
-        kernel_spectrum_ = convolver_->kernel_spectrum();
-        // Float32 emission clone: the kernel spectrum designed in double
-        // and narrowed ONCE, with a float plan + convolver over it.  All
-        // per-block float transforms use these; the design itself never
-        // reruns in float.
-        numeric::CVectorF spectrum_f(kernel_spectrum_.size());
-        for (std::size_t k = 0; k < kernel_spectrum_.size(); ++k) {
-          spectrum_f[k] =
-              numeric::cfloat(static_cast<float>(kernel_spectrum_[k].real()),
-                              static_cast<float>(kernel_spectrum_[k].imag()));
-        }
-        kernel_spectrum_f_ = spectrum_f;
-        convolution_plan_f_ = std::make_shared<const fft::Pow2PlanF>(2 * m);
-        convolver_f_ = std::make_shared<const fft::RealConvolverF>(
-            convolution_plan_f_, std::move(spectrum_f));
+        std::get<Operators<double>>(operators_).convolver =
+            std::make_shared<const fft::RealConvolver>(
+                std::make_shared<const fft::Pow2Plan>(2 * m), centered);
       } else {
         numeric::CVector complexified(2 * m);
         for (std::size_t k = 0; k < 2 * m; ++k) {
@@ -423,6 +370,21 @@ BranchSourceDesign::BranchSourceDesign(StreamBackend backend, std::size_t m,
       }
       break;
     }
+  }
+  // The float32 emission operators: the double ones narrowed once.
+  const Operators<double>& wide = std::get<Operators<double>>(operators_);
+  Operators<float>& narrow = std::get<Operators<float>>(operators_);
+  narrow.fade_in.assign(wide.fade_in.begin(), wide.fade_in.end());
+  narrow.fade_out.assign(wide.fade_out.begin(), wide.fade_out.end());
+  if (wide.convolver != nullptr) {
+    const numeric::CVector& spectrum = wide.convolver->kernel_spectrum();
+    numeric::CVectorF spectrum_f(spectrum.size());
+    for (std::size_t k = 0; k < spectrum.size(); ++k) {
+      spectrum_f[k] = numeric::cfloat(spectrum[k]);
+    }
+    narrow.convolver = std::make_shared<const fft::RealConvolverF>(
+        std::make_shared<const fft::Pow2PlanF>(wide.convolver->size()),
+        std::move(spectrum_f));
   }
 }
 
@@ -453,33 +415,33 @@ std::unique_ptr<BranchSource> BranchSourceDesign::make_source(
 
 // --- batched overlap-save sweep ---------------------------------------------
 
-/// One lane group of the batched sweep: up to 8 branches (one zmm register
-/// of doubles) whose 2M-point input windows and transform buffers live in
-/// planar point-major / lane-minor layout, re[p * lanes + b].
+/// One lane group of the batched sweep: up to kWidth branches whose 2M-point input windows and
+/// transform buffers live in planar point-major / lane-minor layout,
+/// re[p * lanes + b].
+template <typename T>
 struct OverlapSaveBatch::LaneGroup {
   std::size_t first = 0;  ///< first branch (column) of this group
-  std::size_t lanes = 0;  ///< branches in this group (<= 8)
+  std::size_t lanes = 0;  ///< branches in this group
   /// Cached input windows [input_block*M, input_block*M + 2M) per lane.
-  numeric::RVector in_re;
-  numeric::RVector in_im;
+  std::vector<T> in_re;
+  std::vector<T> in_im;
   /// Transform workspace (the batched FFTs run in place).
-  numeric::RVector work_re;
-  numeric::RVector work_im;
+  std::vector<T> work_re;
+  std::vector<T> work_im;
   /// One branch's M-sample bulk-Philox tape, scattered into the planar
   /// layout after each fill.
-  numeric::RVector tape_re;
-  numeric::RVector tape_im;
-  /// Float32-mode clones of the planar buffers (only the active
-  /// precision's buffers are ever allocated; a batch lives in one
-  /// precision, so the input cache fields are shared).
-  numeric::RVectorF in_re_f;
-  numeric::RVectorF in_im_f;
-  numeric::RVectorF work_re_f;
-  numeric::RVectorF work_im_f;
-  numeric::RVectorF tape_re_f;
-  numeric::RVectorF tape_im_f;
+  std::vector<T> tape_re;
+  std::vector<T> tape_im;
   std::uint64_t input_block = 0;
   bool have_inputs = false;
+
+  /// One zmm register per butterfly operand: 8 double lanes or 16 float.
+  static constexpr std::size_t kWidth = 64 / sizeof(T);
+
+  LaneGroup(std::size_t first_branch, std::size_t lane_count, std::size_t m)
+      : first(first_branch), lanes(lane_count), in_re(2 * m * lanes),
+        in_im(2 * m * lanes), work_re(2 * m * lanes), work_im(2 * m * lanes),
+        tape_re(m), tape_im(m) {}
 
   /// One M-sample bulk fill per lane at absolute stream offset
   /// \p first_sample, scattered into input rows [dest, dest + M) — the
@@ -525,92 +487,30 @@ struct OverlapSaveBatch::LaneGroup {
   /// batch FFT, then w(l, first + b) = (wrap-free sample * 1/(2M)) *
   /// post_scale — the same two componentwise multiplies, in the same
   /// order, as the per-branch extract + scale_into_strided passes.
-  void fill_into(const BranchSourceDesign& design, double post_scale,
-                 numeric::CMatrix& w) {
+  void fill_into(const BranchSourceDesign& design, T post_scale,
+                 numeric::Matrix<std::complex<T>>& w) {
     const std::size_t m = design.block_size();
     const std::size_t m2 = 2 * m;
     std::copy(in_re.begin(), in_re.end(), work_re.begin());
     std::copy(in_im.begin(), in_im.end(), work_im.begin());
-    const fft::Pow2Plan& plan = *design.convolution_plan_;
+    const fft::BasicRealConvolver<T>& convolver =
+        *design.operators<T>().convolver;
+    const fft::BasicPow2Plan<T>& plan = *convolver.plan();
     plan.transform_batched(work_re.data(), work_im.data(), lanes,
                            fft::Direction::Forward);
     fft::multiply_batched_pointwise(work_re.data(), work_im.data(), m2, lanes,
-                                    design.kernel_spectrum_.data());
+                                    convolver.kernel_spectrum().data());
     plan.transform_batched(work_re.data(), work_im.data(), lanes,
                            fft::Direction::Inverse);
-    const double scale = 1.0 / static_cast<double>(m2);
+    const T scale = T{1} / static_cast<T>(m2);
     for (std::size_t l = 0; l < m; ++l) {
-      const double* row_re = work_re.data() + (m - 1 + l) * lanes;
-      const double* row_im = work_im.data() + (m - 1 + l) * lanes;
-      numeric::cdouble* out = &w(l, first);
+      const T* row_re = work_re.data() + (m - 1 + l) * lanes;
+      const T* row_im = work_im.data() + (m - 1 + l) * lanes;
+      std::complex<T>* out = &w(l, first);
       for (std::size_t b = 0; b < lanes; ++b) {
-        const double ur = row_re[b] * scale;
-        const double ui = row_im[b] * scale;
-        out[b] = numeric::cdouble(ur * post_scale, ui * post_scale);
-      }
-    }
-  }
-
-  /// Float32 clones of fetch / ensure_inputs / fill_into: the same
-  /// absolute-offset tape (fill_complex_gaussians_planar_f32 at the same
-  /// seeds), the float plan's batched transforms, and the narrowed kernel
-  /// spectrum — per-lane arithmetic mirrors the per-branch fill_f32
-  /// exactly, so batched ≡ per-branch holds in float too.
-  void fetch_f32(const BranchSourceDesign& design, const std::uint64_t* seeds,
-                 std::uint64_t first_sample, std::size_t dest) {
-    const std::size_t m = design.block_size();
-    for (std::size_t b = 0; b < lanes; ++b) {
-      random::fill_complex_gaussians_planar_f32(
-          seeds[first + b], /*stream=*/0, design.input_stream_variance_,
-          first_sample, m, tape_re_f.data(), tape_im_f.data());
-      for (std::size_t t = 0; t < m; ++t) {
-        in_re_f[(dest + t) * lanes + b] = tape_re_f[t];
-        in_im_f[(dest + t) * lanes + b] = tape_im_f[t];
-      }
-    }
-  }
-
-  void ensure_inputs_f32(const BranchSourceDesign& design,
-                         const std::uint64_t* seeds, std::uint64_t block) {
-    const std::size_t m = design.block_size();
-    if (have_inputs && block == input_block) {
-      return;
-    }
-    if (have_inputs && block == input_block + 1) {
-      const std::size_t half = m * lanes;
-      std::copy(in_re_f.begin() + half, in_re_f.end(), in_re_f.begin());
-      std::copy(in_im_f.begin() + half, in_im_f.end(), in_im_f.begin());
-      fetch_f32(design, seeds, block * m + m, m);
-    } else {
-      fetch_f32(design, seeds, block * m, 0);
-      fetch_f32(design, seeds, block * m + m, m);
-    }
-    input_block = block;
-    have_inputs = true;
-  }
-
-  void fill_into_f32(const BranchSourceDesign& design, float post_scale,
-                     numeric::CMatrixF& w) {
-    const std::size_t m = design.block_size();
-    const std::size_t m2 = 2 * m;
-    std::copy(in_re_f.begin(), in_re_f.end(), work_re_f.begin());
-    std::copy(in_im_f.begin(), in_im_f.end(), work_im_f.begin());
-    const fft::Pow2PlanF& plan = *design.convolution_plan_f_;
-    plan.transform_batched(work_re_f.data(), work_im_f.data(), lanes,
-                           fft::Direction::Forward);
-    fft::multiply_batched_pointwise(work_re_f.data(), work_im_f.data(), m2,
-                                    lanes, design.kernel_spectrum_f_.data());
-    plan.transform_batched(work_re_f.data(), work_im_f.data(), lanes,
-                           fft::Direction::Inverse);
-    const float scale = 1.0f / static_cast<float>(m2);
-    for (std::size_t l = 0; l < m; ++l) {
-      const float* row_re = work_re_f.data() + (m - 1 + l) * lanes;
-      const float* row_im = work_im_f.data() + (m - 1 + l) * lanes;
-      numeric::cfloat* out = &w(l, first);
-      for (std::size_t b = 0; b < lanes; ++b) {
-        const float ur = row_re[b] * scale;
-        const float ui = row_im[b] * scale;
-        out[b] = numeric::cfloat(ur * post_scale, ui * post_scale);
+        const T ur = row_re[b] * scale;
+        const T ui = row_im[b] * scale;
+        out[b] = std::complex<T>(ur * post_scale, ui * post_scale);
       }
     }
   }
@@ -619,37 +519,25 @@ struct OverlapSaveBatch::LaneGroup {
 OverlapSaveBatch::OverlapSaveBatch(
     std::shared_ptr<const BranchSourceDesign> design,
     std::vector<std::uint64_t> branch_seeds, bool float32)
-    : design_(std::move(design)), branch_seeds_(std::move(branch_seeds)),
-      float32_(float32) {
+    : design_(std::move(design)), branch_seeds_(std::move(branch_seeds)) {
   RFADE_EXPECTS(design_ != nullptr && supports(*design_),
                 "OverlapSaveBatch: design must be a power-of-two "
                 "overlap-save backend");
   RFADE_EXPECTS(!branch_seeds_.empty(),
                 "OverlapSaveBatch: need at least one branch seed");
-  const std::size_t m = design_->block_size();
-  // One zmm register per butterfly operand: 8 double lanes or 16 float.
-  const std::size_t lane_width = float32_ ? 16 : 8;
-  for (std::size_t first = 0; first < branch_seeds_.size();
-       first += lane_width) {
-    LaneGroup group;
-    group.first = first;
-    group.lanes = std::min(lane_width, branch_seeds_.size() - first);
-    if (float32_) {
-      group.in_re_f.resize(2 * m * group.lanes);
-      group.in_im_f.resize(2 * m * group.lanes);
-      group.work_re_f.resize(2 * m * group.lanes);
-      group.work_im_f.resize(2 * m * group.lanes);
-      group.tape_re_f.resize(m);
-      group.tape_im_f.resize(m);
-    } else {
-      group.in_re.resize(2 * m * group.lanes);
-      group.in_im.resize(2 * m * group.lanes);
-      group.work_re.resize(2 * m * group.lanes);
-      group.work_im.resize(2 * m * group.lanes);
-      group.tape_re.resize(m);
-      group.tape_im.resize(m);
+  const auto build = [this](auto& groups) {
+    using Group = typename std::decay_t<decltype(groups)>::value_type;
+    for (std::size_t first = 0; first < branch_seeds_.size();
+         first += Group::kWidth) {
+      groups.emplace_back(
+          first, std::min(Group::kWidth, branch_seeds_.size() - first),
+          design_->block_size());
     }
-    groups_.push_back(std::move(group));
+  };
+  if (float32) {
+    build(std::get<std::vector<LaneGroup<float>>>(groups_));
+  } else {
+    build(std::get<std::vector<LaneGroup<double>>>(groups_));
   }
 }
 
@@ -657,16 +545,21 @@ OverlapSaveBatch::~OverlapSaveBatch() = default;
 
 bool OverlapSaveBatch::supports(const BranchSourceDesign& design) {
   return design.backend() == StreamBackend::OverlapSaveFir &&
-         design.convolver_ != nullptr;
+         design.operators<double>().convolver != nullptr;
 }
 
 std::size_t OverlapSaveBatch::branches() const noexcept {
   return branch_seeds_.size();
 }
 
-void OverlapSaveBatch::fill_block(std::uint64_t block_index, double post_scale,
-                                  numeric::CMatrix& w, bool parallel) {
-  RFADE_EXPECTS(!float32_, "OverlapSaveBatch: built for float32");
+template <typename T>
+void OverlapSaveBatch::fill_block(std::uint64_t block_index, T post_scale,
+                                  numeric::Matrix<std::complex<T>>& w,
+                                  bool parallel) {
+  std::vector<LaneGroup<T>>& groups = std::get<std::vector<LaneGroup<T>>>(
+      groups_);
+  RFADE_EXPECTS(!groups.empty(),
+                "OverlapSaveBatch: built for the other precision");
   RFADE_EXPECTS(w.rows() == design_->block_size() &&
                     w.cols() == branch_seeds_.size(),
                 "OverlapSaveBatch: output matrix shape mismatch");
@@ -674,38 +567,27 @@ void OverlapSaveBatch::fill_block(std::uint64_t block_index, double post_scale,
   // columns): the group sweep parallelises exactly like the per-branch
   // fills, with identical output either way.
   support::parallel_for_chunked(
-      groups_.size(),
+      groups.size(),
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
         for (std::size_t g = begin; g < end; ++g) {
-          groups_[g].ensure_inputs(*design_, branch_seeds_.data(),
-                                   block_index);
-          groups_[g].fill_into(*design_, post_scale, w);
+          groups[g].ensure_inputs(*design_, branch_seeds_.data(),
+                                  block_index);
+          groups[g].fill_into(*design_, post_scale, w);
         }
       },
       {/*chunk_size=*/1, /*serial=*/!parallel});
 }
 
-void OverlapSaveBatch::fill_block_f32(std::uint64_t block_index,
-                                      float post_scale, numeric::CMatrixF& w,
-                                      bool parallel) {
-  RFADE_EXPECTS(float32_, "OverlapSaveBatch: not built for float32");
-  RFADE_EXPECTS(w.rows() == design_->block_size() &&
-                    w.cols() == branch_seeds_.size(),
-                "OverlapSaveBatch: output matrix shape mismatch");
-  support::parallel_for_chunked(
-      groups_.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        for (std::size_t g = begin; g < end; ++g) {
-          groups_[g].ensure_inputs_f32(*design_, branch_seeds_.data(),
-                                       block_index);
-          groups_[g].fill_into_f32(*design_, post_scale, w);
-        }
-      },
-      {/*chunk_size=*/1, /*serial=*/!parallel});
-}
+template void OverlapSaveBatch::fill_block<double>(std::uint64_t, double,
+                                                   numeric::CMatrix&, bool);
+template void OverlapSaveBatch::fill_block<float>(std::uint64_t, float,
+                                                  numeric::CMatrixF&, bool);
 
 void OverlapSaveBatch::reset() {
-  for (LaneGroup& group : groups_) {
+  for (LaneGroup<double>& group : std::get<0>(groups_)) {
+    group.have_inputs = false;
+  }
+  for (LaneGroup<float>& group : std::get<1>(groups_)) {
     group.have_inputs = false;
   }
 }

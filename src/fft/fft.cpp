@@ -147,32 +147,33 @@ namespace {
 
 /// All butterfly stages of \p batch lockstep transforms on planar data
 /// (lane b of point p at [p * batch + b]).  The per-lane arithmetic is
-/// written to mirror the std::complex operations of Pow2Plan::transform
+/// written to mirror the std::complex operations of the scalar transform
 /// exactly — odd = x * w as (xr*wr - xi*wi, xr*wi + xi*wr), then sum and
 /// difference — so each lane's value sequence is bit-identical to the
 /// scalar path.  The inner lane loops run over contiguous memory, which
 /// is what the clone tier vectorises (zmm on avx512f).
-RFADE_TARGET_CLONES_WIDE
-void batched_butterfly_stages(double* __restrict re, double* __restrict im,
-                              std::size_t n, std::size_t batch,
-                              const cdouble* twiddles) {
+template <typename T>
+RFADE_CLONE_BODY void butterfly_stages_body(T* __restrict re,
+                                            T* __restrict im, std::size_t n,
+                                            std::size_t batch,
+                                            const std::complex<T>* twiddles) {
   std::size_t offset = 0;
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const cdouble* w = twiddles + offset;
+    const std::complex<T>* w = twiddles + offset;
     const std::size_t half = len / 2;
     for (std::size_t start = 0; start < n; start += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const double wr = w[k].real();
-        const double wi = w[k].imag();
-        double* __restrict er = re + (start + k) * batch;
-        double* __restrict ei = im + (start + k) * batch;
-        double* __restrict xr = re + (start + k + half) * batch;
-        double* __restrict xi = im + (start + k + half) * batch;
+        const T wr = w[k].real();
+        const T wi = w[k].imag();
+        T* __restrict er = re + (start + k) * batch;
+        T* __restrict ei = im + (start + k) * batch;
+        T* __restrict xr = re + (start + k + half) * batch;
+        T* __restrict xi = im + (start + k + half) * batch;
         for (std::size_t b = 0; b < batch; ++b) {
-          const double odd_r = xr[b] * wr - xi[b] * wi;
-          const double odd_i = xr[b] * wi + xi[b] * wr;
-          const double even_r = er[b];
-          const double even_i = ei[b];
+          const T odd_r = xr[b] * wr - xi[b] * wi;
+          const T odd_i = xr[b] * wi + xi[b] * wr;
+          const T even_r = er[b];
+          const T even_i = ei[b];
           er[b] = even_r + odd_r;
           ei[b] = even_i + odd_i;
           xr[b] = even_r - odd_r;
@@ -186,97 +187,61 @@ void batched_butterfly_stages(double* __restrict re, double* __restrict im,
 
 /// Pointwise planar multiply by a shared spectrum, mirroring the operand
 /// order of std::complex operator*= (work[k] *= h[k]) per lane.
-RFADE_TARGET_CLONES_WIDE
-void batched_pointwise_kernel(double* __restrict re, double* __restrict im,
-                              std::size_t n, std::size_t batch,
-                              const cdouble* h) {
+template <typename T>
+RFADE_CLONE_BODY void pointwise_body(T* __restrict re, T* __restrict im,
+                                     std::size_t n, std::size_t batch,
+                                     const std::complex<T>* h) {
   for (std::size_t k = 0; k < n; ++k) {
-    const double hr = h[k].real();
-    const double hi = h[k].imag();
-    double* __restrict r = re + k * batch;
-    double* __restrict i = im + k * batch;
+    const T hr = h[k].real();
+    const T hi = h[k].imag();
+    T* __restrict r = re + k * batch;
+    T* __restrict i = im + k * batch;
     for (std::size_t b = 0; b < batch; ++b) {
-      const double xr = r[b];
-      const double xi = i[b];
+      const T xr = r[b];
+      const T xi = i[b];
       r[b] = xr * hr - xi * hi;
       i[b] = xr * hi + xi * hr;
     }
   }
 }
 
-/// Float clones of the batched kernels (plain functions: target_clones
-/// cannot attach to templates).  Identical per-lane operation order at
-/// twice the lanes per vector; contraction stays off in this TU, so every
-/// clone reproduces the scalar float bit pattern.
 RFADE_TARGET_CLONES_WIDE
-void batched_butterfly_stages_f32(float* __restrict re, float* __restrict im,
-                                  std::size_t n, std::size_t batch,
-                                  const cfloat* twiddles) {
-  std::size_t offset = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const cfloat* w = twiddles + offset;
-    const std::size_t half = len / 2;
-    for (std::size_t start = 0; start < n; start += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const float wr = w[k].real();
-        const float wi = w[k].imag();
-        float* __restrict er = re + (start + k) * batch;
-        float* __restrict ei = im + (start + k) * batch;
-        float* __restrict xr = re + (start + k + half) * batch;
-        float* __restrict xi = im + (start + k + half) * batch;
-        for (std::size_t b = 0; b < batch; ++b) {
-          const float odd_r = xr[b] * wr - xi[b] * wi;
-          const float odd_i = xr[b] * wi + xi[b] * wr;
-          const float even_r = er[b];
-          const float even_i = ei[b];
-          er[b] = even_r + odd_r;
-          ei[b] = even_i + odd_i;
-          xr[b] = even_r - odd_r;
-          xi[b] = even_i - odd_i;
-        }
-      }
-    }
-    offset += half;
-  }
+void batched_butterfly_stages(double* re, double* im, std::size_t n,
+                              std::size_t batch, const cdouble* twiddles) {
+  butterfly_stages_body(re, im, n, batch, twiddles);
 }
 
 RFADE_TARGET_CLONES_WIDE
-void batched_pointwise_kernel_f32(float* __restrict re, float* __restrict im,
-                                  std::size_t n, std::size_t batch,
-                                  const cfloat* h) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const float hr = h[k].real();
-    const float hi = h[k].imag();
-    float* __restrict r = re + k * batch;
-    float* __restrict i = im + k * batch;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float xr = r[b];
-      const float xi = i[b];
-      r[b] = xr * hr - xi * hi;
-      i[b] = xr * hi + xi * hr;
-    }
-  }
+void batched_butterfly_stages(float* re, float* im, std::size_t n,
+                              std::size_t batch, const cfloat* twiddles) {
+  butterfly_stages_body(re, im, n, batch, twiddles);
+}
+
+RFADE_TARGET_CLONES_WIDE
+void batched_pointwise_kernel(double* re, double* im, std::size_t n,
+                              std::size_t batch, const cdouble* h) {
+  pointwise_body(re, im, n, batch, h);
+}
+
+RFADE_TARGET_CLONES_WIDE
+void batched_pointwise_kernel(float* re, float* im, std::size_t n,
+                              std::size_t batch, const cfloat* h) {
+  pointwise_body(re, im, n, batch, h);
 }
 
 }  // namespace
 
 void multiply_batched_pointwise(double* re, double* im, std::size_t n,
                                 std::size_t batch, const cdouble* h) {
-  if (n == 0 || batch == 0) {
-    return;
-  }
   batched_pointwise_kernel(re, im, n, batch, h);
 }
 
 void multiply_batched_pointwise(float* re, float* im, std::size_t n,
                                 std::size_t batch, const cfloat* h) {
-  if (n == 0 || batch == 0) {
-    return;
-  }
-  batched_pointwise_kernel_f32(re, im, n, batch, h);
+  batched_pointwise_kernel(re, im, n, batch, h);
 }
 
-// --- Pow2Plan ----------------------------------------------------------------
+// --- BasicPow2Plan -----------------------------------------------------------
 
 namespace {
 
@@ -299,7 +264,8 @@ void fill_stage_twiddles(std::size_t len, double sign, cdouble* out) {
 
 }  // namespace
 
-Pow2Plan::Pow2Plan(std::size_t n) : n_(n) {
+template <typename T>
+BasicPow2Plan<T>::BasicPow2Plan(std::size_t n) : n_(n) {
   RFADE_EXPECTS(is_power_of_two(n), "Pow2Plan: size must be 2^k");
   RFADE_EXPECTS(n <= (std::size_t{1} << 32), "Pow2Plan: size exceeds 2^32");
   // Bit-reversal permutation as an explicit swap list (i < j only).
@@ -317,18 +283,29 @@ Pow2Plan::Pow2Plan(std::size_t n) : n_(n) {
     j |= mask;
   }
   if (n > 1) {
+    // Twiddles from the double resync recurrence, narrowed once for a
+    // float plan (the identity for double).
+    std::vector<cdouble> stage(n / 2);
     forward_twiddles_.resize(n - 1);
     inverse_twiddles_.resize(n - 1);
     std::size_t offset = 0;
     for (std::size_t len = 2; len <= n; len <<= 1) {
-      fill_stage_twiddles(len, -1.0, forward_twiddles_.data() + offset);
-      fill_stage_twiddles(len, 1.0, inverse_twiddles_.data() + offset);
+      for (const double sign : {-1.0, 1.0}) {
+        fill_stage_twiddles(len, sign, stage.data());
+        Complex* out = (sign < 0.0 ? forward_twiddles_ : inverse_twiddles_)
+                           .data() + offset;
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          out[k] = Complex(stage[k]);
+        }
+      }
       offset += len / 2;
     }
   }
 }
 
-void Pow2Plan::transform(CVector& data, Direction direction) const {
+template <typename T>
+void BasicPow2Plan<T>::transform(ComplexVector& data,
+                                 Direction direction) const {
   RFADE_EXPECTS(data.size() == n_, "Pow2Plan: data size mismatch");
   if (n_ == 1) {
     return;
@@ -336,15 +313,15 @@ void Pow2Plan::transform(CVector& data, Direction direction) const {
   for (std::size_t s = 0; s + 1 < swaps_.size(); s += 2) {
     std::swap(data[swaps_[s]], data[swaps_[s + 1]]);
   }
-  const std::vector<cdouble>& twiddles =
+  const ComplexVector& twiddles =
       direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
   std::size_t offset = 0;
   for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const cdouble* w = twiddles.data() + offset;
+    const Complex* w = twiddles.data() + offset;
     for (std::size_t start = 0; start < n_; start += len) {
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const cdouble even = data[start + k];
-        const cdouble odd = data[start + k + len / 2] * w[k];
+        const Complex even = data[start + k];
+        const Complex odd = data[start + k + len / 2] * w[k];
         data[start + k] = even + odd;
         data[start + k + len / 2] = even - odd;
       }
@@ -353,24 +330,9 @@ void Pow2Plan::transform(CVector& data, Direction direction) const {
   }
 }
 
-CVector Pow2Plan::dft(const CVector& data) const {
-  CVector copy = data;
-  transform(copy, Direction::Forward);
-  return copy;
-}
-
-CVector Pow2Plan::idft(const CVector& data) const {
-  CVector copy = data;
-  transform(copy, Direction::Inverse);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (cdouble& value : copy) {
-    value *= scale;
-  }
-  return copy;
-}
-
-void Pow2Plan::transform_batched(double* re, double* im, std::size_t batch,
-                                 Direction direction) const {
+template <typename T>
+void BasicPow2Plan<T>::transform_batched(T* re, T* im, std::size_t batch,
+                                         Direction direction) const {
   RFADE_EXPECTS(re != nullptr && im != nullptr,
                 "Pow2Plan::transform_batched: null data");
   if (n_ == 1 || batch == 0) {
@@ -384,13 +346,38 @@ void Pow2Plan::transform_batched(double* re, double* im, std::size_t batch,
     std::swap_ranges(re + i, re + i + batch, re + j);
     std::swap_ranges(im + i, im + i + batch, im + j);
   }
-  const std::vector<cdouble>& twiddles =
+  const ComplexVector& twiddles =
       direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
   batched_butterfly_stages(re, im, n_, batch, twiddles.data());
 }
 
-void Pow2Plan::transform_real_pair(const RVector& x, const RVector& y,
-                                   CVector& fx, CVector& fy) const {
+template <typename T>
+CVector BasicPow2Plan<T>::dft(const CVector& data) const
+  requires std::same_as<T, double>
+{
+  CVector copy = data;
+  transform(copy, Direction::Forward);
+  return copy;
+}
+
+template <typename T>
+CVector BasicPow2Plan<T>::idft(const CVector& data) const
+  requires std::same_as<T, double>
+{
+  CVector copy = data;
+  transform(copy, Direction::Inverse);
+  const double scale = 1.0 / static_cast<double>(n_);
+  for (cdouble& value : copy) {
+    value *= scale;
+  }
+  return copy;
+}
+
+template <typename T>
+void BasicPow2Plan<T>::transform_real_pair(const RVector& x, const RVector& y,
+                                           CVector& fx, CVector& fy) const
+  requires std::same_as<T, double>
+{
   RFADE_EXPECTS(x.size() == n_ && y.size() == n_,
                 "Pow2Plan::transform_real_pair: input size mismatch");
   CVector z(n_);
@@ -411,7 +398,10 @@ void Pow2Plan::transform_real_pair(const RVector& x, const RVector& y,
   }
 }
 
-CVector Pow2Plan::transform_real(const RVector& x) const {
+template <typename T>
+CVector BasicPow2Plan<T>::transform_real(const RVector& x) const
+  requires std::same_as<T, double>
+{
   RFADE_EXPECTS(x.size() == 2 * n_,
                 "Pow2Plan::transform_real: input must have 2 * size() samples");
   // Split identity: pack even/odd samples into one complex sequence, take
@@ -436,7 +426,10 @@ CVector Pow2Plan::transform_real(const RVector& x) const {
   return spectrum;
 }
 
-RVector Pow2Plan::inverse_real(const CVector& spectrum) const {
+template <typename T>
+RVector BasicPow2Plan<T>::inverse_real(const CVector& spectrum) const
+  requires std::same_as<T, double>
+{
   RFADE_EXPECTS(spectrum.size() == 2 * n_,
                 "Pow2Plan::inverse_real: spectrum must have 2 * size() bins");
   // Undo the split recombination, inverse-transform the packed sequence,
@@ -460,114 +453,8 @@ RVector Pow2Plan::inverse_real(const CVector& spectrum) const {
   return x;
 }
 
-// --- Pow2PlanF ---------------------------------------------------------------
-
-Pow2PlanF::Pow2PlanF(std::size_t n) : n_(n) {
-  RFADE_EXPECTS(is_power_of_two(n), "Pow2PlanF: size must be 2^k");
-  RFADE_EXPECTS(n <= (std::size_t{1} << 32), "Pow2PlanF: size exceeds 2^32");
-  std::size_t j = 0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (i < j) {
-      swaps_.push_back(static_cast<std::uint32_t>(i));
-      swaps_.push_back(static_cast<std::uint32_t>(j));
-    }
-    std::size_t mask = n >> 1;
-    while (j & mask) {
-      j ^= mask;
-      mask >>= 1;
-    }
-    j |= mask;
-  }
-  if (n > 1) {
-    // Twiddles from the double resync recurrence, narrowed once: every
-    // float plan of a given length carries identical tables, so scalar
-    // and batched float transforms (which both read these) agree.
-    std::vector<cdouble> stage(n / 2);
-    forward_twiddles_.resize(n - 1);
-    inverse_twiddles_.resize(n - 1);
-    std::size_t offset = 0;
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      fill_stage_twiddles(len, -1.0, stage.data());
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        forward_twiddles_[offset + k] =
-            cfloat(static_cast<float>(stage[k].real()),
-                   static_cast<float>(stage[k].imag()));
-      }
-      fill_stage_twiddles(len, 1.0, stage.data());
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        inverse_twiddles_[offset + k] =
-            cfloat(static_cast<float>(stage[k].real()),
-                   static_cast<float>(stage[k].imag()));
-      }
-      offset += len / 2;
-    }
-  }
-}
-
-void Pow2PlanF::transform(CVectorF& data, Direction direction) const {
-  RFADE_EXPECTS(data.size() == n_, "Pow2PlanF: data size mismatch");
-  if (n_ == 1) {
-    return;
-  }
-  for (std::size_t s = 0; s + 1 < swaps_.size(); s += 2) {
-    std::swap(data[swaps_[s]], data[swaps_[s + 1]]);
-  }
-  const std::vector<cfloat>& twiddles =
-      direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
-  std::size_t offset = 0;
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const cfloat* w = twiddles.data() + offset;
-    for (std::size_t start = 0; start < n_; start += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cfloat even = data[start + k];
-        const cfloat odd = data[start + k + len / 2] * w[k];
-        data[start + k] = even + odd;
-        data[start + k + len / 2] = even - odd;
-      }
-    }
-    offset += len / 2;
-  }
-}
-
-void Pow2PlanF::transform_batched(float* re, float* im, std::size_t batch,
-                                  Direction direction) const {
-  RFADE_EXPECTS(re != nullptr && im != nullptr,
-                "Pow2PlanF::transform_batched: null data");
-  if (n_ == 1 || batch == 0) {
-    return;
-  }
-  for (std::size_t s = 0; s + 1 < swaps_.size(); s += 2) {
-    const std::size_t i = std::size_t{swaps_[s]} * batch;
-    const std::size_t j = std::size_t{swaps_[s + 1]} * batch;
-    std::swap_ranges(re + i, re + i + batch, re + j);
-    std::swap_ranges(im + i, im + i + batch, im + j);
-  }
-  const std::vector<cfloat>& twiddles =
-      direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
-  batched_butterfly_stages_f32(re, im, n_, batch, twiddles.data());
-}
-
-// --- RealConvolverF ----------------------------------------------------------
-
-RealConvolverF::RealConvolverF(std::shared_ptr<const Pow2PlanF> plan,
-                               CVectorF spectrum)
-    : plan_(std::move(plan)), spectrum_(std::move(spectrum)) {
-  RFADE_EXPECTS(plan_ != nullptr, "RealConvolverF: null plan");
-  RFADE_EXPECTS(spectrum_.size() == plan_->size(),
-                "RealConvolverF: spectrum size must match plan size");
-}
-
-void RealConvolverF::convolve_packed(const CVectorF& in,
-                                     CVectorF& work) const {
-  RFADE_EXPECTS(in.size() == plan_->size(),
-                "RealConvolverF: input size must match plan size");
-  work = in;
-  plan_->transform(work, Direction::Forward);
-  for (std::size_t k = 0; k < work.size(); ++k) {
-    work[k] *= spectrum_[k];
-  }
-  plan_->transform(work, Direction::Inverse);
-}
+template class BasicPow2Plan<double>;
+template class BasicPow2Plan<float>;
 
 // --- BluesteinPlan -----------------------------------------------------------
 
@@ -625,10 +512,21 @@ void BluesteinPlan::transform(const CVector& in, CVector& out,
   }
 }
 
-// --- RealConvolver -----------------------------------------------------------
+// --- BasicRealConvolver -----------------------------------------------------
 
-RealConvolver::RealConvolver(std::shared_ptr<const Pow2Plan> plan,
-                             const RVector& kernel)
+template <typename T>
+BasicRealConvolver<T>::BasicRealConvolver(std::shared_ptr<const Plan> plan,
+                                          ComplexVector spectrum)
+    : plan_(std::move(plan)), spectrum_(std::move(spectrum)) {
+  RFADE_EXPECTS(plan_ != nullptr, "RealConvolver: null plan");
+  RFADE_EXPECTS(spectrum_.size() == plan_->size(),
+                "RealConvolver: spectrum size must match plan size");
+}
+
+template <typename T>
+BasicRealConvolver<T>::BasicRealConvolver(std::shared_ptr<const Plan> plan,
+                                          const RVector& kernel)
+  requires std::same_as<T, double>
     : plan_(std::move(plan)) {
   RFADE_EXPECTS(plan_ != nullptr, "RealConvolver: null plan");
   RFADE_EXPECTS(kernel.size() == plan_->size(),
@@ -644,7 +542,9 @@ RealConvolver::RealConvolver(std::shared_ptr<const Pow2Plan> plan,
   spectrum_ = std::move(complexified);
 }
 
-void RealConvolver::convolve_packed(const CVector& in, CVector& work) const {
+template <typename T>
+void BasicRealConvolver<T>::convolve_packed(const ComplexVector& in,
+                                            ComplexVector& work) const {
   RFADE_EXPECTS(in.size() == plan_->size(),
                 "RealConvolver: input size must match plan size");
   work = in;
@@ -655,9 +555,12 @@ void RealConvolver::convolve_packed(const CVector& in, CVector& work) const {
   plan_->transform(work, Direction::Inverse);
 }
 
-void RealConvolver::convolve_pair(const double* x, const double* y,
-                                  double* out_x, double* out_y,
-                                  CVector& work) const {
+template <typename T>
+void BasicRealConvolver<T>::convolve_pair(const double* x, const double* y,
+                                          double* out_x, double* out_y,
+                                          CVector& work) const
+  requires std::same_as<T, double>
+{
   const std::size_t n = plan_->size();
   work.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -674,6 +577,9 @@ void RealConvolver::convolve_pair(const double* x, const double* y,
     out_y[j] = work[j].imag() * scale;
   }
 }
+
+template class BasicRealConvolver<double>;
+template class BasicRealConvolver<float>;
 
 CVector naive_dft(const CVector& data, Direction direction) {
   const std::size_t n = data.size();

@@ -92,7 +92,9 @@ void LevelCrossingAccumulator::fold(std::size_t branch, double envelope) {
   }
 }
 
-void LevelCrossingAccumulator::accumulate(const numeric::CMatrix& block) {
+template <typename T>
+void LevelCrossingAccumulator::accumulate(
+    const numeric::Matrix<std::complex<T>>& block) {
   if (block.cols() != dimension_) {
     throw DimensionError("LevelCrossingAccumulator: block has " +
                          std::to_string(block.cols()) + " branches, expected " +
@@ -100,27 +102,14 @@ void LevelCrossingAccumulator::accumulate(const numeric::CMatrix& block) {
   }
   for (std::size_t r = 0; r < block.rows(); ++r) {
     for (std::size_t j = 0; j < dimension_; ++j) {
-      fold(j, std::abs(block(r, j)));
+      fold(j, std::abs(cdouble(block(r, j))));
     }
     ++count_;
   }
 }
 
-void LevelCrossingAccumulator::accumulate(const numeric::CMatrixF& block) {
-  if (block.cols() != dimension_) {
-    throw DimensionError("LevelCrossingAccumulator: block has " +
-                         std::to_string(block.cols()) + " branches, expected " +
-                         std::to_string(dimension_));
-  }
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      const cdouble z(static_cast<double>(block(r, j).real()),
-                      static_cast<double>(block(r, j).imag()));
-      fold(j, std::abs(z));
-    }
-    ++count_;
-  }
-}
+template void LevelCrossingAccumulator::accumulate(const numeric::CMatrix&);
+template void LevelCrossingAccumulator::accumulate(const numeric::CMatrixF&);
 
 void LevelCrossingAccumulator::accumulate_envelopes(
     const numeric::RMatrix& envelopes) {
@@ -237,7 +226,8 @@ std::size_t AcfAccumulator::lag_index(std::size_t lag) const {
   return static_cast<std::size_t>(it - lags_.begin());
 }
 
-void AcfAccumulator::accumulate(const numeric::CMatrix& block) {
+template <typename T>
+void AcfAccumulator::accumulate(const numeric::Matrix<std::complex<T>>& block) {
   if (block.cols() != dimension_) {
     throw DimensionError("AcfAccumulator: block has " +
                          std::to_string(block.cols()) + " branches, expected " +
@@ -264,23 +254,8 @@ void AcfAccumulator::accumulate(const numeric::CMatrix& block) {
   }
 }
 
-void AcfAccumulator::accumulate(const numeric::CMatrixF& block) {
-  if (block.cols() != dimension_) {
-    throw DimensionError("AcfAccumulator: block has " +
-                         std::to_string(block.cols()) + " branches, expected " +
-                         std::to_string(dimension_));
-  }
-  // Widen once per sample; everything downstream is the double path, so
-  // float shards satisfy the same bit-exact merge contract.
-  numeric::CMatrix wide(block.rows(), block.cols());
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      wide(r, j) = cdouble(static_cast<double>(block(r, j).real()),
-                           static_cast<double>(block(r, j).imag()));
-    }
-  }
-  accumulate(wide);
-}
+template void AcfAccumulator::accumulate(const numeric::CMatrix&);
+template void AcfAccumulator::accumulate(const numeric::CMatrixF&);
 
 void AcfAccumulator::merge(const AcfAccumulator& other) {
   if (other.dimension_ != dimension_ || other.lags_ != lags_) {
@@ -418,7 +393,9 @@ void MutualInformationAccumulator::fold(std::size_t branch,
   }
 }
 
-void MutualInformationAccumulator::accumulate(const numeric::CMatrix& block) {
+template <typename T>
+void MutualInformationAccumulator::accumulate(
+    const numeric::Matrix<std::complex<T>>& block) {
   if (block.cols() != dimension_) {
     throw DimensionError("MutualInformationAccumulator: block has " +
                          std::to_string(block.cols()) + " branches, expected " +
@@ -426,28 +403,17 @@ void MutualInformationAccumulator::accumulate(const numeric::CMatrix& block) {
   }
   for (std::size_t r = 0; r < block.rows(); ++r) {
     for (std::size_t j = 0; j < dimension_; ++j) {
-      const double power = std::norm(block(r, j));
+      const double power = std::norm(cdouble(block(r, j)));
       fold(j, std::log2(1.0 + inv_power_[j] * power));
     }
     ++count_;
   }
 }
 
-void MutualInformationAccumulator::accumulate(const numeric::CMatrixF& block) {
-  if (block.cols() != dimension_) {
-    throw DimensionError("MutualInformationAccumulator: block has " +
-                         std::to_string(block.cols()) + " branches, expected " +
-                         std::to_string(dimension_));
-  }
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      const cdouble z(static_cast<double>(block(r, j).real()),
-                      static_cast<double>(block(r, j).imag()));
-      fold(j, std::log2(1.0 + inv_power_[j] * std::norm(z)));
-    }
-    ++count_;
-  }
-}
+template void MutualInformationAccumulator::accumulate(
+    const numeric::CMatrix&);
+template void MutualInformationAccumulator::accumulate(
+    const numeric::CMatrixF&);
 
 void MutualInformationAccumulator::merge(
     const MutualInformationAccumulator& other) {

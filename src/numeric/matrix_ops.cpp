@@ -14,21 +14,23 @@ namespace {
 /// compiled with -ffp-contract=off (see CMakeLists.txt) so the avx512f
 /// clone — whose base feature set includes 512-bit FMA — cannot contract
 /// either: every clone produces the bit pattern of the scalar mul/add
-/// sequence.
-RFADE_TARGET_CLONES_WIDE
-void planar_gemm_tile(const double* __restrict a_re,
-                      const double* __restrict a_im, std::size_t m,
-                      std::size_t k, const double* __restrict b_re,
-                      const double* __restrict b_im, std::size_t n,
-                      double* __restrict c_re, double* __restrict c_im) {
+/// sequence, at twice the lanes per vector in float.
+template <typename T>
+RFADE_CLONE_BODY void planar_gemm_body(const T* __restrict a_re,
+                                       const T* __restrict a_im,
+                                       std::size_t m, std::size_t k,
+                                       const T* __restrict b_re,
+                                       const T* __restrict b_im,
+                                       std::size_t n, T* __restrict c_re,
+                                       T* __restrict c_im) {
   for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* brr = b_re + kk * n;
-    const double* bri = b_im + kk * n;
+    const T* brr = b_re + kk * n;
+    const T* bri = b_im + kk * n;
     for (std::size_t t = 0; t < m; ++t) {
-      const double ar = a_re[t * k + kk];
-      const double ai = a_im[t * k + kk];
-      double* crr = c_re + t * n;
-      double* cri = c_im + t * n;
+      const T ar = a_re[t * k + kk];
+      const T ai = a_im[t * k + kk];
+      T* crr = c_re + t * n;
+      T* cri = c_im + t * n;
       for (std::size_t j = 0; j < n; ++j) {
         crr[j] += ar * brr[j] - ai * bri[j];
         cri[j] += ar * bri[j] + ai * brr[j];
@@ -37,28 +39,68 @@ void planar_gemm_tile(const double* __restrict a_re,
   }
 }
 
-/// Float clone of planar_gemm_tile.  GCC's target_clones cannot be applied
-/// to templates, so the float kernel is a separate plain function; it runs
-/// twice the lanes per vector at every ISA level and, with contraction off
-/// in this TU, reproduces the scalar float mul/add bit pattern in every
-/// clone.
 RFADE_TARGET_CLONES_WIDE
-void planar_gemm_tile_f32(const float* __restrict a_re,
-                          const float* __restrict a_im, std::size_t m,
-                          std::size_t k, const float* __restrict b_re,
-                          const float* __restrict b_im, std::size_t n,
-                          float* __restrict c_re, float* __restrict c_im) {
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* brr = b_re + kk * n;
-    const float* bri = b_im + kk * n;
-    for (std::size_t t = 0; t < m; ++t) {
-      const float ar = a_re[t * k + kk];
-      const float ai = a_im[t * k + kk];
-      float* crr = c_re + t * n;
-      float* cri = c_im + t * n;
+void planar_gemm_tile(const double* a_re, const double* a_im, std::size_t m,
+                      std::size_t k, const double* b_re, const double* b_im,
+                      std::size_t n, double* c_re, double* c_im) {
+  planar_gemm_body(a_re, a_im, m, k, b_re, b_im, n, c_re, c_im);
+}
+
+RFADE_TARGET_CLONES_WIDE
+void planar_gemm_tile(const float* a_re, const float* a_im, std::size_t m,
+                      std::size_t k, const float* b_re, const float* b_im,
+                      std::size_t n, float* c_re, float* c_im) {
+  planar_gemm_body(a_re, a_im, m, k, b_re, b_im, n, c_re, c_im);
+}
+
+/// Row-tile size of the blocked GEMMs: one tile of c (kRowTile x n) plus
+/// one row of b fit in L1 for every dimension rfade uses (n is the
+/// envelope count, <= a few hundred).
+constexpr std::size_t kRowTile = 64;
+
+/// c = a * b on interleaved complex operands.  Within a tile the kk loop
+/// is outermost, so each output element accumulates its k-terms in
+/// ascending order — the bit pattern of the naive dot product.
+template <typename T>
+void block_raw(const std::complex<T>* a, std::size_t m, std::size_t k,
+               const std::complex<T>* b, std::size_t n, std::complex<T>* c) {
+  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
+    const std::size_t t1 = std::min(m, t0 + kRowTile);
+    std::fill(c + t0 * n, c + t1 * n, std::complex<T>{});
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const std::complex<T>* brow = b + kk * n;
+      for (std::size_t t = t0; t < t1; ++t) {
+        const std::complex<T> atk = a[t * k + kk];
+        std::complex<T>* crow = c + t * n;
+        for (std::size_t j = 0; j < n; ++j) {
+          crow[j] += atk * brow[j];
+        }
+      }
+    }
+  }
+}
+
+/// c = a * b on split-plane operands, interleaved complex output: the
+/// planar tile kernel into per-tile re/im accumulators, then one
+/// interleave pass per tile.
+template <typename T>
+void block_planar(const T* a_re, const T* a_im, std::size_t m, std::size_t k,
+                  const T* b_re, const T* b_im, std::size_t n,
+                  std::complex<T>* c) {
+  std::vector<T> c_re(kRowTile * n);
+  std::vector<T> c_im(kRowTile * n);
+  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
+    const std::size_t t1 = std::min(m, t0 + kRowTile);
+    std::fill(c_re.begin(), c_re.begin() + (t1 - t0) * n, T{});
+    std::fill(c_im.begin(), c_im.begin() + (t1 - t0) * n, T{});
+    planar_gemm_tile(a_re + t0 * k, a_im + t0 * k, t1 - t0, k, b_re, b_im, n,
+                     c_re.data(), c_im.data());
+    for (std::size_t t = t0; t < t1; ++t) {
+      const T* crr = c_re.data() + (t - t0) * n;
+      const T* cri = c_im.data() + (t - t0) * n;
+      std::complex<T>* crow = c + t * n;
       for (std::size_t j = 0; j < n; ++j) {
-        crr[j] += ar * brr[j] - ai * bri[j];
-        cri[j] += ar * bri[j] + ai * brr[j];
+        crow[j] = std::complex<T>(crr[j], cri[j]);
       }
     }
   }
@@ -188,26 +230,12 @@ RVector multiply(const RMatrix& a, const RVector& x) {
 
 void multiply_block_raw(const cdouble* a, std::size_t m, std::size_t k,
                         const cdouble* b, std::size_t n, cdouble* c) {
-  // Row-tile size: one tile of c (kRowTile x n) plus one row of b fit in L1
-  // for every dimension rfade uses (n is the envelope count, <= a few
-  // hundred).  Within a tile the kk loop is outermost, so each output
-  // element accumulates its k-terms in ascending order — the bit pattern of
-  // the naive dot product.
-  constexpr std::size_t kRowTile = 64;
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c + t0 * n, c + t1 * n, cdouble{});
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const cdouble* brow = b + kk * n;
-      for (std::size_t t = t0; t < t1; ++t) {
-        const cdouble atk = a[t * k + kk];
-        cdouble* crow = c + t * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          crow[j] += atk * brow[j];
-        }
-      }
-    }
-  }
+  block_raw(a, m, k, b, n, c);
+}
+
+void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
+                        const cfloat* b, std::size_t n, cfloat* c) {
+  block_raw(a, m, k, b, n, c);
 }
 
 void multiply_block_into(const CMatrix& a, const CMatrix& b, CMatrix& out) {
@@ -229,94 +257,40 @@ CMatrix multiply_block(const CMatrix& a, const CMatrix& b) {
 void multiply_block_planar(const double* a_re, const double* a_im,
                            std::size_t m, std::size_t k, const double* b_re,
                            const double* b_im, std::size_t n, cdouble* c) {
-  constexpr std::size_t kRowTile = 64;
-  std::vector<double> c_re(kRowTile * n);
-  std::vector<double> c_im(kRowTile * n);
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c_re.begin(), c_re.begin() + (t1 - t0) * n, 0.0);
-    std::fill(c_im.begin(), c_im.begin() + (t1 - t0) * n, 0.0);
-    planar_gemm_tile(a_re + t0 * k, a_im + t0 * k, t1 - t0, k, b_re, b_im, n,
-                     c_re.data(), c_im.data());
-    for (std::size_t t = t0; t < t1; ++t) {
-      const double* crr = c_re.data() + (t - t0) * n;
-      const double* cri = c_im.data() + (t - t0) * n;
-      cdouble* crow = c + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] = cdouble(crr[j], cri[j]);
-      }
-    }
-  }
-}
-
-void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
-                        const cfloat* b, std::size_t n, cfloat* c) {
-  // Mirror of the double kernel: kk outermost within each row tile, so the
-  // k-terms of every output element accumulate in ascending order.
-  constexpr std::size_t kRowTile = 64;
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c + t0 * n, c + t1 * n, cfloat{});
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const cfloat* brow = b + kk * n;
-      for (std::size_t t = t0; t < t1; ++t) {
-        const cfloat atk = a[t * k + kk];
-        cfloat* crow = c + t * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          crow[j] += atk * brow[j];
-        }
-      }
-    }
-  }
+  block_planar(a_re, a_im, m, k, b_re, b_im, n, c);
 }
 
 void multiply_block_planar(const float* a_re, const float* a_im,
                            std::size_t m, std::size_t k, const float* b_re,
                            const float* b_im, std::size_t n, cfloat* c) {
-  constexpr std::size_t kRowTile = 64;
-  std::vector<float> c_re(kRowTile * n);
-  std::vector<float> c_im(kRowTile * n);
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c_re.begin(), c_re.begin() + (t1 - t0) * n, 0.0f);
-    std::fill(c_im.begin(), c_im.begin() + (t1 - t0) * n, 0.0f);
-    planar_gemm_tile_f32(a_re + t0 * k, a_im + t0 * k, t1 - t0, k, b_re,
-                         b_im, n, c_re.data(), c_im.data());
-    for (std::size_t t = t0; t < t1; ++t) {
-      const float* crr = c_re.data() + (t - t0) * n;
-      const float* cri = c_im.data() + (t - t0) * n;
-      cfloat* crow = c + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] = cfloat(crr[j], cri[j]);
-      }
-    }
-  }
+  block_planar(a_re, a_im, m, k, b_re, b_im, n, c);
 }
 
 namespace {
 
-/// Crossfade kernel on the raw interleaved re/im doubles (std::complex
-/// is array-layout-compatible), multiversioned like planar_gemm_tile; no
-/// FMA in any clone (contract off for this TU), so every clone keeps the
+/// Crossfade on the raw interleaved re/im values (std::complex is
+/// array-layout-compatible), multiversioned like the planar GEMM; no FMA
+/// in any clone (contract off for this TU), so every clone keeps the
 /// scalar bit pattern w0*p + w1*c.
-RFADE_TARGET_CLONES_WIDE
-void crossfade_kernel(const double* __restrict w0,
-                      const double* __restrict w1,
-                      const double* __restrict prev,
-                      const double* __restrict cur, std::size_t count,
-                      double* __restrict out) {
+template <typename T>
+RFADE_CLONE_BODY void crossfade_body(const T* __restrict w0,
+                                     const T* __restrict w1,
+                                     const T* __restrict prev,
+                                     const T* __restrict cur,
+                                     std::size_t count, T* __restrict out) {
   for (std::size_t i = 0; i < count; ++i) {
-    const double a = w0[i];
-    const double b = w1[i];
+    const T a = w0[i];
+    const T b = w1[i];
     out[2 * i] = a * prev[2 * i] + b * cur[2 * i];
     out[2 * i + 1] = a * prev[2 * i + 1] + b * cur[2 * i + 1];
   }
 }
 
-RFADE_TARGET_CLONES_WIDE
-void scale_strided_kernel(const double* __restrict u, std::size_t count,
-                          double scale, double* __restrict out,
-                          std::size_t stride) {
+template <typename T>
+RFADE_CLONE_BODY void scale_strided_body(const T* __restrict u,
+                                         std::size_t count, T scale,
+                                         T* __restrict out,
+                                         std::size_t stride) {
   for (std::size_t l = 0; l < count; ++l) {
     out[l * stride] = u[2 * l] * scale;
     out[l * stride + 1] = u[2 * l + 1] * scale;
@@ -324,27 +298,27 @@ void scale_strided_kernel(const double* __restrict u, std::size_t count,
 }
 
 RFADE_TARGET_CLONES_WIDE
-void crossfade_kernel_f32(const float* __restrict w0,
-                          const float* __restrict w1,
-                          const float* __restrict prev,
-                          const float* __restrict cur, std::size_t count,
-                          float* __restrict out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float a = w0[i];
-    const float b = w1[i];
-    out[2 * i] = a * prev[2 * i] + b * cur[2 * i];
-    out[2 * i + 1] = a * prev[2 * i + 1] + b * cur[2 * i + 1];
-  }
+void crossfade_kernel(const double* w0, const double* w1, const double* prev,
+                      const double* cur, std::size_t count, double* out) {
+  crossfade_body(w0, w1, prev, cur, count, out);
 }
 
 RFADE_TARGET_CLONES_WIDE
-void scale_strided_kernel_f32(const float* __restrict u, std::size_t count,
-                              float scale, float* __restrict out,
-                              std::size_t stride) {
-  for (std::size_t l = 0; l < count; ++l) {
-    out[l * stride] = u[2 * l] * scale;
-    out[l * stride + 1] = u[2 * l + 1] * scale;
-  }
+void crossfade_kernel(const float* w0, const float* w1, const float* prev,
+                      const float* cur, std::size_t count, float* out) {
+  crossfade_body(w0, w1, prev, cur, count, out);
+}
+
+RFADE_TARGET_CLONES_WIDE
+void scale_strided_kernel(const double* u, std::size_t count, double scale,
+                          double* out, std::size_t stride) {
+  scale_strided_body(u, count, scale, out, stride);
+}
+
+RFADE_TARGET_CLONES_WIDE
+void scale_strided_kernel(const float* u, std::size_t count, float scale,
+                          float* out, std::size_t stride) {
+  scale_strided_body(u, count, scale, out, stride);
 }
 
 }  // namespace
@@ -358,25 +332,24 @@ void crossfade_block(const double* fade_out, const double* fade_in,
                    reinterpret_cast<double*>(out));
 }
 
+void crossfade_block(const float* fade_out, const float* fade_in,
+                     const cfloat* previous, const cfloat* current,
+                     std::size_t count, cfloat* out) {
+  crossfade_kernel(fade_out, fade_in, reinterpret_cast<const float*>(previous),
+                   reinterpret_cast<const float*>(current), count,
+                   reinterpret_cast<float*>(out));
+}
+
 void scale_into_strided(const cdouble* u, std::size_t count, double scale,
                         cdouble* out, std::size_t stride) {
   scale_strided_kernel(reinterpret_cast<const double*>(u), count, scale,
                        reinterpret_cast<double*>(out), 2 * stride);
 }
 
-void crossfade_block(const float* fade_out, const float* fade_in,
-                     const cfloat* previous, const cfloat* current,
-                     std::size_t count, cfloat* out) {
-  crossfade_kernel_f32(fade_out, fade_in,
-                       reinterpret_cast<const float*>(previous),
-                       reinterpret_cast<const float*>(current), count,
-                       reinterpret_cast<float*>(out));
-}
-
 void scale_into_strided(const cfloat* u, std::size_t count, float scale,
                         cfloat* out, std::size_t stride) {
-  scale_strided_kernel_f32(reinterpret_cast<const float*>(u), count, scale,
-                           reinterpret_cast<float*>(out), 2 * stride);
+  scale_strided_kernel(reinterpret_cast<const float*>(u), count, scale,
+                       reinterpret_cast<float*>(out), 2 * stride);
 }
 
 CMatrix add(const CMatrix& a, const CMatrix& b) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "rfade/random/engine.hpp"
 #include "rfade/random/philox.hpp"
@@ -16,6 +17,7 @@ namespace rfade::random {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+constexpr float kTwoPiF = 6.28318530717958647692f;
 
 /// Tile length: u/v/r scratch stays L1-resident while the vectorized
 /// transcendental loops stream over it.
@@ -23,18 +25,20 @@ constexpr std::size_t kTile = 1024;
 
 /// The Box-Muller transform over one tile, multiversioned so the libmvec
 /// calls use the widest vector ISA the machine has (zmm log/sin/cos on
-/// avx512f).  Cross-ISA the contract is ulp-level, not bitwise: libmvec's
-/// vector transcendentals differ by a few ulp between the xmm/ymm/zmm
-/// variants (the multiplies here have no adds, so FMA contraction is moot).
-/// Within one process the ifunc resolves a single clone, so purity across
-/// rfade's code paths stays exact.
-RFADE_TARGET_CLONES_WIDE
-void box_muller_tile(const double* __restrict u, const double* __restrict v,
-                     double* __restrict radius, double sigma_per_dim,
-                     std::size_t m, double* __restrict out_re,
-                     double* __restrict out_im) {
+/// avx512f; twice the lanes in float).  Cross-ISA the contract is
+/// ulp-level, not bitwise: libmvec's vector transcendentals differ by a
+/// few ulp between the xmm/ymm/zmm variants (the multiplies here have no
+/// adds, so FMA contraction is moot).  Within one process the ifunc
+/// resolves a single clone, so purity across rfade's code paths stays
+/// exact.
+template <typename T>
+RFADE_CLONE_BODY void box_muller_body(const T* __restrict u,
+                                      const T* __restrict v,
+                                      T* __restrict radius, T sigma_per_dim,
+                                      std::size_t m, T* __restrict out_re,
+                                      T* __restrict out_im) {
   for (std::size_t t = 0; t < m; ++t) {
-    radius[t] = sigma_per_dim * std::sqrt(-2.0 * std::log(u[t]));
+    radius[t] = sigma_per_dim * std::sqrt(T{-2} * std::log(u[t]));
   }
   for (std::size_t t = 0; t < m; ++t) {
     out_re[t] = radius[t] * std::cos(v[t]);
@@ -44,48 +48,34 @@ void box_muller_tile(const double* __restrict u, const double* __restrict v,
   }
 }
 
-constexpr float kTwoPiF = 6.28318530717958647692f;
-
-/// Float Box-Muller tile: identical loop structure to box_muller_tile at
-/// twice the lanes per vector (zmm sincosf/logf on avx512f).  Same
-/// cross-ISA caveat — ulp-level between clone widths, exact within one
-/// process — and the padding in the caller keeps every real element on
-/// the full-width path.
 RFADE_TARGET_CLONES_WIDE
-void box_muller_tile_f32(const float* __restrict u, const float* __restrict v,
-                         float* __restrict radius, float sigma_per_dim,
-                         std::size_t m, float* __restrict out_re,
-                         float* __restrict out_im) {
-  for (std::size_t t = 0; t < m; ++t) {
-    radius[t] = sigma_per_dim * std::sqrt(-2.0f * std::log(u[t]));
-  }
-  for (std::size_t t = 0; t < m; ++t) {
-    out_re[t] = radius[t] * std::cos(v[t]);
-  }
-  for (std::size_t t = 0; t < m; ++t) {
-    out_im[t] = radius[t] * std::sin(v[t]);
-  }
+void box_muller_tile(const double* u, const double* v, double* radius,
+                     double sigma_per_dim, std::size_t m, double* out_re,
+                     double* out_im) {
+  box_muller_body(u, v, radius, sigma_per_dim, m, out_re, out_im);
 }
 
-}  // namespace
-
-void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
-                                   double variance, std::size_t count,
-                                   double* re, double* im) {
-  fill_complex_gaussians_planar(seed, stream, variance, /*first_sample=*/0,
-                                count, re, im);
+RFADE_TARGET_CLONES_WIDE
+void box_muller_tile(const float* u, const float* v, float* radius,
+                     float sigma_per_dim, std::size_t m, float* out_re,
+                     float* out_im) {
+  box_muller_body(u, v, radius, sigma_per_dim, m, out_re, out_im);
 }
 
-void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
-                                   double variance,
-                                   std::uint64_t first_sample,
-                                   std::size_t count, double* re, double* im) {
+/// Samples first_sample..first_sample+count-1 of the substream in
+/// precision \p T.
+template <typename T>
+void fill_planar(std::uint64_t seed, std::uint64_t stream, double variance,
+                 std::uint64_t first_sample, std::size_t count, T* re,
+                 T* im) {
   const std::array<std::uint32_t, 2> key = {
       static_cast<std::uint32_t>(seed),
       static_cast<std::uint32_t>(seed >> 32)};
   const auto stream_lo = static_cast<std::uint32_t>(stream);
   const auto stream_hi = static_cast<std::uint32_t>(stream >> 32);
-  const double sigma_per_dim = std::sqrt(0.5 * variance);
+  const T sigma_per_dim = static_cast<T>(std::sqrt(0.5 * variance));
+  // The widest clone's vector width: one zmm, 8 doubles or 16 floats.
+  constexpr std::size_t kLanes = 64 / sizeof(T);
 
   // 64-byte-aligned tile-local buffers: the vectorized loops must never
   // peel for alignment or fall into a narrower-width epilogue, because
@@ -93,36 +83,47 @@ void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
   // element computed at a different width would break the positional
   // purity contract (the value at an absolute sample index must not
   // depend on how the enclosing fill calls are partitioned).
-  alignas(64) double u[kTile];
-  alignas(64) double v[kTile];
-  alignas(64) double radius[kTile];
-  alignas(64) double tile_re[kTile];
-  alignas(64) double tile_im[kTile];
+  alignas(64) T u[kTile];
+  alignas(64) T v[kTile];
+  alignas(64) T radius[kTile];
+  alignas(64) T tile_re[kTile];
+  alignas(64) T tile_im[kTile];
 
   for (std::size_t base = 0; base < count; base += kTile) {
     const std::size_t m = std::min(kTile, count - base);
-    // Counter -> uniforms: block t gives u in (0, 1] (log-safe) and the
-    // angle uniform v in [0, 1), exactly as Rng's Box-Muller consumes them.
     for (std::size_t t = 0; t < m; ++t) {
       const std::uint64_t index = first_sample + base + t;
       const std::array<std::uint32_t, 4> words = detail::philox_block(
           key, {static_cast<std::uint32_t>(index),
                 static_cast<std::uint32_t>(index >> 32), stream_lo,
                 stream_hi});
-      const std::uint64_t bits01 =
-          (static_cast<std::uint64_t>(words[1]) << 32) | words[0];
-      const std::uint64_t bits23 =
-          (static_cast<std::uint64_t>(words[3]) << 32) | words[2];
-      u[t] = 1.0 - to_unit_double(bits01);
-      v[t] = kTwoPi * to_unit_double(bits23);
+      if constexpr (std::is_same_v<T, double>) {
+        // Counter -> uniforms: block t gives u in (0, 1] (log-safe) and
+        // the angle uniform v in [0, 1), exactly as Rng's Box-Muller
+        // consumes them.
+        const std::uint64_t bits01 =
+            (static_cast<std::uint64_t>(words[1]) << 32) | words[0];
+        const std::uint64_t bits23 =
+            (static_cast<std::uint64_t>(words[3]) << 32) | words[2];
+        u[t] = 1.0 - to_unit_double(bits01);
+        v[t] = kTwoPi * to_unit_double(bits23);
+      } else {
+        // Counter -> float uniforms: one 32-bit word per uniform.
+        // (words[0] + 1) * 2^-32 lands in (0, 1] after rounding (log-safe,
+        // the float analogue of 1 - to_unit_double), and words[2] * 2^-32
+        // in [0, 1) scales to the angle.
+        u[t] = static_cast<float>(static_cast<std::uint64_t>(words[0]) + 1) *
+               0x1p-32f;
+        v[t] = kTwoPiF * (static_cast<float>(words[2]) * 0x1p-32f);
+      }
     }
-    // Pad the tile to the widest clone's vector width (8 doubles, one zmm)
-    // with log-safe dummies, so every real element goes through the
-    // full-width loop body — see the purity note above.
-    const std::size_t padded = (m + 7) & ~std::size_t{7};
+    // Pad the tile to the widest clone's vector width with log-safe
+    // dummies, so every real element goes through the full-width loop
+    // body — see the purity note above.
+    const std::size_t padded = (m + kLanes - 1) & ~(kLanes - 1);
     for (std::size_t t = m; t < padded; ++t) {
-      u[t] = 1.0;
-      v[t] = 0.0;
+      u[t] = T{1};
+      v[t] = T{0};
     }
     // Split loops: each maps 1:1 onto a libmvec vector call.
     box_muller_tile(u, v, radius, sigma_per_dim, padded, tile_re, tile_im);
@@ -131,62 +132,26 @@ void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
   }
 }
 
-void fill_complex_gaussians_planar_f32(std::uint64_t seed,
-                                       std::uint64_t stream, double variance,
-                                       std::size_t count, float* re,
-                                       float* im) {
-  fill_complex_gaussians_planar_f32(seed, stream, variance,
-                                    /*first_sample=*/0, count, re, im);
+}  // namespace
+
+void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
+                                   double variance, std::size_t count,
+                                   double* re, double* im) {
+  fill_planar(seed, stream, variance, /*first_sample=*/0, count, re, im);
 }
 
-void fill_complex_gaussians_planar_f32(std::uint64_t seed,
-                                       std::uint64_t stream, double variance,
-                                       std::uint64_t first_sample,
-                                       std::size_t count, float* re,
-                                       float* im) {
-  const std::array<std::uint32_t, 2> key = {
-      static_cast<std::uint32_t>(seed),
-      static_cast<std::uint32_t>(seed >> 32)};
-  const auto stream_lo = static_cast<std::uint32_t>(stream);
-  const auto stream_hi = static_cast<std::uint32_t>(stream >> 32);
-  const float sigma_per_dim =
-      static_cast<float>(std::sqrt(0.5 * variance));
+void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
+                                   double variance,
+                                   std::uint64_t first_sample,
+                                   std::size_t count, double* re, double* im) {
+  fill_planar(seed, stream, variance, first_sample, count, re, im);
+}
 
-  alignas(64) float u[kTile];
-  alignas(64) float v[kTile];
-  alignas(64) float radius[kTile];
-  alignas(64) float tile_re[kTile];
-  alignas(64) float tile_im[kTile];
-
-  for (std::size_t base = 0; base < count; base += kTile) {
-    const std::size_t m = std::min(kTile, count - base);
-    // Counter -> float uniforms: one 32-bit word per uniform.
-    // (words[0] + 1) * 2^-32 lands in (0, 1] after rounding (log-safe,
-    // the float analogue of 1 - to_unit_double), and words[2] * 2^-32
-    // in [0, 1) scales to the angle.
-    for (std::size_t t = 0; t < m; ++t) {
-      const std::uint64_t index = first_sample + base + t;
-      const std::array<std::uint32_t, 4> words = detail::philox_block(
-          key, {static_cast<std::uint32_t>(index),
-                static_cast<std::uint32_t>(index >> 32), stream_lo,
-                stream_hi});
-      u[t] = static_cast<float>(static_cast<std::uint64_t>(words[0]) + 1) *
-             0x1p-32f;
-      v[t] = kTwoPiF * (static_cast<float>(words[2]) * 0x1p-32f);
-    }
-    // Pad to the widest clone's float vector width (16 floats, one zmm)
-    // with log-safe dummies — same positional-purity argument as the
-    // double fill.
-    const std::size_t padded = (m + 15) & ~std::size_t{15};
-    for (std::size_t t = m; t < padded; ++t) {
-      u[t] = 1.0f;
-      v[t] = 0.0f;
-    }
-    box_muller_tile_f32(u, v, radius, sigma_per_dim, padded, tile_re,
-                        tile_im);
-    std::copy(tile_re, tile_re + m, re + base);
-    std::copy(tile_im, tile_im + m, im + base);
-  }
+void fill_complex_gaussians_planar(std::uint64_t seed, std::uint64_t stream,
+                                   double variance,
+                                   std::uint64_t first_sample,
+                                   std::size_t count, float* re, float* im) {
+  fill_planar(seed, stream, variance, first_sample, count, re, im);
 }
 
 }  // namespace rfade::random

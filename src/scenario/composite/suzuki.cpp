@@ -121,10 +121,14 @@ core::EnvelopeValidationReport validate_suzuki(
                                           std::uint64_t seed,
                                           std::uint64_t block_index) {
         const std::size_t dense = count * instant_stride;
+        // block_index * chunk * instant_stride, checked like every keyed
+        // entry point: the dense block's last row instant must fit.
+        const std::uint64_t first = core::checked_first_instant(
+            core::checked_first_instant(block_index, chunk, 1),
+            instant_stride, dense);
         const numeric::CMatrix z =
-            generator.make_pipeline(seed).sample_block(
-                dense, seed, block_index,
-                block_index * chunk * instant_stride);
+            generator.make_pipeline(seed).sample_block(dense, seed,
+                                                       block_index, first);
         numeric::RMatrix envelopes(count, z.cols());
         for (std::size_t t = 0; t < count; ++t) {
           for (std::size_t j = 0; j < z.cols(); ++j) {

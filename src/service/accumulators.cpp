@@ -15,7 +15,9 @@ EnvelopeMomentAccumulator::EnvelopeMomentAccumulator(std::size_t dimension)
   RFADE_EXPECTS(dimension > 0, "accumulator needs at least one branch");
 }
 
-void EnvelopeMomentAccumulator::accumulate(const numeric::CMatrix& block) {
+template <typename T>
+void EnvelopeMomentAccumulator::accumulate(
+    const numeric::Matrix<std::complex<T>>& block) {
   RFADE_EXPECTS(block.cols() == dimension_,
                 "block branch count must match accumulator dimension");
   const std::size_t rows = block.rows();
@@ -34,26 +36,8 @@ void EnvelopeMomentAccumulator::accumulate(const numeric::CMatrix& block) {
   count_ += rows;
 }
 
-void EnvelopeMomentAccumulator::accumulate(const numeric::CMatrixF& block) {
-  RFADE_EXPECTS(block.cols() == dimension_,
-                "block branch count must match accumulator dimension");
-  const std::size_t rows = block.rows();
-  for (std::size_t t = 0; t < rows; ++t) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      // Widen first (exact), then run the same double arithmetic as the
-      // CMatrix path so float shards stay bit-exactly mergeable.
-      const numeric::cfloat z = block(t, j);
-      const double re = static_cast<double>(z.real());
-      const double im = static_cast<double>(z.imag());
-      const double r2 = re * re + im * im;
-      const double r = std::sqrt(r2);
-      sum_r_[j].add(r);
-      sum_r2_[j].add(r2);
-      sum_r4_[j].add(r2 * r2);
-    }
-  }
-  count_ += rows;
-}
+template void EnvelopeMomentAccumulator::accumulate(const numeric::CMatrix&);
+template void EnvelopeMomentAccumulator::accumulate(const numeric::CMatrixF&);
 
 void EnvelopeMomentAccumulator::accumulate_envelopes(
     const numeric::RMatrix& envelopes) {
@@ -115,7 +99,9 @@ ComplexCovarianceAccumulator::ComplexCovarianceAccumulator(
   RFADE_EXPECTS(dimension > 0, "accumulator needs at least one branch");
 }
 
-void ComplexCovarianceAccumulator::accumulate(const numeric::CMatrix& block) {
+template <typename T>
+void ComplexCovarianceAccumulator::accumulate(
+    const numeric::Matrix<std::complex<T>>& block) {
   RFADE_EXPECTS(block.cols() == dimension_,
                 "block branch count must match accumulator dimension");
   const std::size_t rows = block.rows();
@@ -123,25 +109,7 @@ void ComplexCovarianceAccumulator::accumulate(const numeric::CMatrix& block) {
     for (std::size_t k = 0; k < dimension_; ++k) {
       const numeric::cdouble zk = block(t, k);
       for (std::size_t j = 0; j < dimension_; ++j) {
-        const numeric::cdouble p = zk * std::conj(block(t, j));
-        real_[k * dimension_ + j].add(p.real());
-        imag_[k * dimension_ + j].add(p.imag());
-      }
-    }
-  }
-  count_ += rows;
-}
-
-void ComplexCovarianceAccumulator::accumulate(
-    const numeric::CMatrixF& block) {
-  RFADE_EXPECTS(block.cols() == dimension_,
-                "block branch count must match accumulator dimension");
-  const std::size_t rows = block.rows();
-  for (std::size_t t = 0; t < rows; ++t) {
-    for (std::size_t k = 0; k < dimension_; ++k) {
-      const numeric::cdouble zk(block(t, k).real(), block(t, k).imag());
-      for (std::size_t j = 0; j < dimension_; ++j) {
-        const numeric::cdouble zj(block(t, j).real(), block(t, j).imag());
+        const numeric::cdouble zj = block(t, j);
         const numeric::cdouble p = zk * std::conj(zj);
         real_[k * dimension_ + j].add(p.real());
         imag_[k * dimension_ + j].add(p.imag());
@@ -150,6 +118,10 @@ void ComplexCovarianceAccumulator::accumulate(
   }
   count_ += rows;
 }
+
+template void ComplexCovarianceAccumulator::accumulate(const numeric::CMatrix&);
+template void ComplexCovarianceAccumulator::accumulate(
+    const numeric::CMatrixF&);
 
 void ComplexCovarianceAccumulator::merge(
     const ComplexCovarianceAccumulator& other) {

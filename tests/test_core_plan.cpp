@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/generator.hpp"
@@ -291,6 +293,48 @@ TEST(SamplePipeline, RejectsInvalidArguments) {
   EXPECT_THROW((void)pipeline.color_block(CMatrix(4, 2), 1.0),
                ContractViolation);
   EXPECT_THROW((void)pipeline.color_block(CMatrix(4, 3), 0.0),
+               ContractViolation);
+}
+
+TEST(SamplePipeline, KeyedBlockIndexOverflowIsAContractViolation) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  core::PipelineOptions options;
+  options.block_size = 4;
+  const SamplePipeline pipeline(ColoringPlan::create(CMatrix::identity(2)),
+                                options);
+  // The last block whose every row instant fits in 64 bits: rows
+  // [kMax - 3, kMax].  One block later wraps, and so does a block of the
+  // same index that is longer than the block size.
+  const std::uint64_t last = kMax / 4;
+  const CMatrix z = pipeline.sample_block(4, 7, last);
+  EXPECT_EQ(z.rows(), 4u);
+  EXPECT_EQ(z, pipeline.sample_block(4, 7, last, last * 4));
+  EXPECT_THROW((void)pipeline.sample_block(4, 7, last + 1), ContractViolation);
+  EXPECT_THROW((void)pipeline.sample_block(5, 7, last), ContractViolation);
+  EXPECT_THROW((void)pipeline.sample_block(4, 7, kMax), ContractViolation);
+}
+
+TEST(SamplePipeline, CheckedFirstInstantBoundsTheLastRow) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(core::checked_first_instant(3, 5, 5), 15u);
+  EXPECT_EQ(core::checked_first_instant(0, kMax, kMax), 0u);
+  EXPECT_EQ(core::checked_first_instant(kMax / 8, 8, 8), kMax - 7);
+  EXPECT_THROW((void)core::checked_first_instant(kMax / 8, 8, 9),
+               ContractViolation);
+  EXPECT_THROW((void)core::checked_first_instant(kMax / 8 + 1, 8, 1),
+               ContractViolation);
+  // A chained product (block * chunk * stride, as the thinned Suzuki
+  // validation source keys its dense blocks) overflows at either factor.
+  const std::uint64_t chunk = std::uint64_t{1} << 40;
+  const std::uint64_t last = (kMax >> 40) / 16;
+  EXPECT_EQ(core::checked_first_instant(
+                core::checked_first_instant(last, chunk, 1), 16, 16),
+            last * chunk * 16);
+  EXPECT_THROW((void)core::checked_first_instant(
+                   core::checked_first_instant(last + 1, chunk, 1), 16, 16),
+               ContractViolation);
+  EXPECT_THROW((void)core::checked_first_instant(
+                   core::checked_first_instant(kMax, chunk, 1), 16, 16),
                ContractViolation);
 }
 

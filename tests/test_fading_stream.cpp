@@ -361,63 +361,72 @@ TEST(FadingStream, OverlapSaveIsStationaryAcrossManyBoundaries) {
   }
 }
 
-TEST(FadingStream, BatchedFillBitIdenticalToPerBranchForEveryBackend) {
-  // The batched overlap-save sweep (one planar multi-lane FFT over the
-  // shared plan) must reproduce the per-branch PR-4/5 output bit for bit,
-  // and the flag must be a pure no-op on the other backends.  N = 3
-  // exercises a partial lane group; the 10-branch case below a full
-  // 8-lane group plus a 2-lane tail.
-  for (const StreamBackend backend :
-       {StreamBackend::IndependentBlock, StreamBackend::WindowedOverlapAdd,
-        StreamBackend::OverlapSaveFir}) {
-    FadingStreamOptions batched;
-    batched.backend = backend;
-    batched.idft_size = 64;
-    batched.normalized_doppler = 0.1;
-    batched.overlap = backend == StreamBackend::WindowedOverlapAdd ? 16 : 0;
-    batched.seed = 0xBA7C;
-    batched.batched_fill = true;
-    FadingStreamOptions per_branch = batched;
-    per_branch.batched_fill = false;
-
-    FadingStream a(paper_k(), batched);
-    FadingStream b(paper_k(), per_branch);
-    for (int block = 0; block < 4; ++block) {
-      EXPECT_EQ(a.next_block(), b.next_block())
-          << doppler::stream_backend_name(backend) << " block " << block;
-    }
-    // Seeks reset the batch's cached input windows too.
-    a.seek(1);
-    b.seek(1);
-    EXPECT_EQ(a.next_block(), b.next_block())
-        << doppler::stream_backend_name(backend);
-    a.seek(6);
-    b.seek(6);
-    EXPECT_EQ(a.next_block(), b.next_block())
-        << doppler::stream_backend_name(backend);
-  }
-
-  // Ten branches: one full zmm-width lane group plus a two-lane tail.
-  CMatrix k10 = CMatrix::identity(10);
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (std::size_t j = 0; j < 10; ++j) {
+/// Equicorrelated K (unit diagonal, rho off-diagonal) of dimension n.
+CMatrix equicorrelated(std::size_t n, double rho) {
+  CMatrix k = CMatrix::identity(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (i != j) {
-        k10(i, j) = cdouble(0.3, 0.0);
+        k(i, j) = cdouble(rho, 0.0);
       }
     }
   }
-  FadingStreamOptions batched;
-  batched.backend = StreamBackend::OverlapSaveFir;
-  batched.idft_size = 64;
-  batched.normalized_doppler = 0.1;
-  batched.seed = 0xBA7D;
-  FadingStreamOptions per_branch = batched;
-  per_branch.batched_fill = false;
-  FadingStream a(k10, batched);
-  FadingStream b(k10, per_branch);
-  for (int block = 0; block < 3; ++block) {
-    EXPECT_EQ(a.next_block(), b.next_block()) << "block " << block;
+  return k;
+}
+
+/// The stateful cursor (the batched planar sweep on the overlap-save
+/// backend) must reproduce the keyed generate_block path (always the
+/// per-branch sources) bit for bit — in order, and after seeks, which
+/// also reset the batch's cached input windows.
+void expect_cursor_matches_keyed(const CMatrix& k,
+                                 const FadingStreamOptions& options) {
+  FadingStream cursor(k, options);
+  const FadingStream keyed(k, options);
+  const std::string label = std::string(doppler::stream_backend_name(
+                                options.backend)) +
+                            " " + core::precision_name(options.precision) +
+                            " N=" + std::to_string(k.rows());
+  const auto expect_block = [&](std::uint64_t b) {
+    if (options.precision == core::Precision::Float32) {
+      EXPECT_EQ(cursor.next_block_f32(),
+                keyed.generate_block_f32(options.seed, b))
+          << label << " block " << b;
+    } else {
+      EXPECT_EQ(cursor.next_block(), keyed.generate_block(options.seed, b))
+          << label << " block " << b;
+    }
+  };
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    expect_block(b);
   }
+  cursor.seek(1);
+  expect_block(1);
+  cursor.seek(6);
+  expect_block(6);
+}
+
+TEST(FadingStream, BatchedCursorBitIdenticalToKeyedForEveryBackend) {
+  FadingStreamOptions options;
+  options.idft_size = 64;
+  options.normalized_doppler = 0.1;
+  options.seed = 0xBA7C;
+  // N = 3 on every backend: a partial lane group on overlap-save, and a
+  // pure cursor-vs-keyed identity on the others.
+  for (const StreamBackend backend :
+       {StreamBackend::IndependentBlock, StreamBackend::WindowedOverlapAdd,
+        StreamBackend::OverlapSaveFir}) {
+    options.backend = backend;
+    options.overlap = backend == StreamBackend::WindowedOverlapAdd ? 16 : 0;
+    expect_cursor_matches_keyed(paper_k(), options);
+  }
+  // Overlap-save N = 10: one full 8-lane double group plus a 2-lane tail.
+  options.backend = StreamBackend::OverlapSaveFir;
+  options.overlap = 0;
+  options.seed = 0xBA7D;
+  expect_cursor_matches_keyed(equicorrelated(10, 0.3), options);
+  // Float32 N = 17: one full 16-lane float group plus a 1-lane tail.
+  options.precision = core::Precision::Float32;
+  expect_cursor_matches_keyed(equicorrelated(17, 0.3), options);
 }
 
 TEST(FadingStream, NonPowerOfTwoOverlapSaveKeyedEqualsCursorAndSeek) {

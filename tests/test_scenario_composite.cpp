@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -412,6 +414,23 @@ TEST(Suzuki, MarginalsPassKsAgainstLognormalMixture) {
   EXPECT_LT(report.max_mean_rel_error, 0.02);
   EXPECT_LT(report.max_second_moment_rel_error, 0.05);
   EXPECT_GT(report.worst_ks_p_value, 1e-3);
+}
+
+TEST(Suzuki, KeyedBlockIndexOverflowIsAContractViolation) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  scenario::composite::SuzukiOptions options;
+  options.block_size = 64;
+  const SuzukiGenerator generator(tridiagonal_covariance(2), fast_shadowing(),
+                                  options);
+  // Block b covers instants [64 b, 64 b + 63]: the last one ends at kMax.
+  const std::uint64_t last = kMax / 64;
+  const CMatrix z = generator.sample_block(64, 11, last);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(std::abs(z.data()[i])));
+  }
+  EXPECT_THROW((void)generator.sample_block(64, 11, last + 1),
+               ContractViolation);
+  EXPECT_THROW((void)generator.sample_block(65, 11, last), ContractViolation);
 }
 
 TEST(Suzuki, MomentsHoldUnderPhysicalSlowShadowing) {
