@@ -2,11 +2,12 @@
 # Strict-FP contract on the multiversioned kernel bodies.
 #
 # fft.cpp and matrix_ops.cpp are compiled with -ffp-contract=off and carry
-# target_clones("default", "avx2", "avx512f") wrappers around one shared
-# template body per kernel.  Their objects must contain no fused
-# multiply-add (contraction would change the bits of the planar kernels
-# against the std::complex reference paths) and must contain zmm
-# instructions (the avx512f clones still vectorise at full width).
+# target_clones("default", "avx2", "avx512f") wrappers (or, for the
+# coloring GEMM, per-ISA target versions) around one shared template body
+# per kernel.  Their objects must contain no fused multiply-add, vfmaddsub
+# included (contraction would change the bits of the kernels against the
+# std::complex reference paths), and must contain zmm instructions (the
+# avx512f clones still vectorise at full width).
 #
 # Usage: bench/check_strict_fp_objects.sh [build-dir]   (default: build)
 set -eu

@@ -14,7 +14,10 @@
 /// by exactly this value (paper Sec. 5, step 6); baselines that skip the
 /// correction inherit a large power bias (experiment E7).
 
+#include <memory>
+
 #include "rfade/doppler/filter.hpp"
+#include "rfade/fft/fft.hpp"
 #include "rfade/numeric/matrix.hpp"
 #include "rfade/random/rng.hpp"
 
@@ -38,7 +41,8 @@ class IdftRayleighBranch {
   [[nodiscard]] numeric::CVector draw_spectrum(random::Rng& rng) const;
 
   /// The deterministic half: u = IDFT(spectrum).  Pure (no rng, no mutable
-  /// state) — safe to run on any thread.
+  /// state) — safe to run on any thread.  A power-of-two M runs on the
+  /// branch's cached Pow2Plan, built once at construction.
   [[nodiscard]] numeric::CVector synthesize(
       const numeric::CVector& spectrum) const;
 
@@ -77,6 +81,10 @@ class IdftRayleighBranch {
   DopplerFilterDesign design_;
   double input_variance_per_dim_;
   double output_variance_;
+  /// M-point transform plan (bit-identical to fft_pow2_inplace); null
+  /// when M is not a power of two (Bluestein through fft::idft).  Shared
+  /// and immutable, so copies of the branch reuse it.
+  std::shared_ptr<const fft::Pow2Plan> plan_;
 };
 
 }  // namespace rfade::doppler

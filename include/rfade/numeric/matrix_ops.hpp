@@ -66,10 +66,16 @@ namespace rfade::numeric {
 
 /// Raw kernel behind multiply_block: c = a * b with a (m x k), b (k x n) and
 /// c (m x n), all dense row-major.  The accumulation over k is strictly
-/// ascending for every output element, so the result is bit-identical to a
-/// naive dot product (and hence to the per-sample matvec loops it replaces);
-/// the loop nest is row-tiled so one tile of c and one row of b stay
-/// cache-resident while a is streamed.  \p c must not alias \p a or \p b.
+/// ascending from a (+0, +0) start for every output element, so the result
+/// is bit-identical to a naive std::complex dot product (and hence to the
+/// per-sample matvec loops it replaces) for finite operands; non-finite
+/// products follow the plain formula, without std::complex's Annex G
+/// infinity recovery.  A register-blocked kernel (one version per ISA, at
+/// that ISA's vector width) keeps a 4-row tile of c in vector registers
+/// across the whole k loop and stores it once, interleaved; b is repacked
+/// per call into a per-thread buffer (4kn scalars) that only grows, so
+/// steady-state calls allocate nothing.
+/// \p c must not alias \p a or \p b.
 ///
 /// Every batched kernel below comes in a double and a float overload
 /// sharing one body: same accumulation order and contraction discipline
@@ -84,17 +90,19 @@ void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
 /// out = a * b via the blocked kernel; \p out is resized/overwritten.
 void multiply_block_into(const CMatrix& a, const CMatrix& b, CMatrix& out);
 
-/// Blocked GEMM a * b — same contract (and bit pattern) as multiply(a, b),
-/// but tiled for block-of-draws workloads where a has thousands of rows.
+/// Blocked GEMM a * b: the multiply_block_raw contract on Matrix operands,
+/// for block-of-draws workloads where a has thousands of rows.  Equal to
+/// multiply(a, b) bit for bit on finite operands whenever a has no zero
+/// entries (multiply skips those terms, which can flip a zero's sign).
 [[nodiscard]] CMatrix multiply_block(const CMatrix& a, const CMatrix& b);
 
 /// Planar-operand variant of multiply_block_raw: a is given as split
 /// real/imaginary planes a_re/a_im (each m x k row-major), b as planes
 /// b_re/b_im (each k x n), and c is written interleaved (m x n complex,
-/// row-major).  Same ascending-k accumulation — bit-identical to the
-/// std::complex kernels — but the four plane updates are independent
-/// stride-1 loops the compiler can vectorize without the complex-multiply
-/// NaN-recovery branch.  \p c must not alias any input plane.
+/// row-major).  The same register-blocked kernel reads a through a unit
+/// stride instead of the interleaved stride 2, so the result is
+/// bit-identical to multiply_block_raw on the same values.  \p c must not
+/// alias any input plane.
 void multiply_block_planar(const double* a_re, const double* a_im,
                            std::size_t m, std::size_t k, const double* b_re,
                            const double* b_im, std::size_t n, cdouble* c);
@@ -108,7 +116,7 @@ void multiply_block_planar(const float* a_re, const float* a_im,
 /// windowed-overlap-add branch source):
 ///   out[i] = fade_out[i] * previous[i] + fade_in[i] * current[i],
 /// with real weight vectors applied to complex samples.  Multiversioned
-/// (target_clones, like the planar GEMM) with no FMA, so every clone
+/// (target_clones, like the coloring GEMM) with no FMA, so every clone
 /// reproduces the scalar mul/add bit pattern.  \p out must not alias
 /// any input.
 void crossfade_block(const double* fade_out, const double* fade_in,

@@ -31,11 +31,36 @@
 /// a function template marked RFADE_CLONE_BODY (always_inline), and each
 /// element type gets a thin non-template entry point carrying
 /// RFADE_TARGET_CLONES_WIDE whose body only forwards to it (e.g.
-/// planar_gemm_body<T> behind the double and float planar_gemm_tile in
+/// crossfade_body<T> behind the double and float crossfade_kernel in
 /// numeric/matrix_ops.cpp).  target_clones itself never touches a
 /// template: the body is inlined into every clone of every wrapper, so
 /// each clone compiles it for its own ISA (zmm on avx512f) under the
 /// TU's FP flags — the same code a hand-written per-type copy produces.
+///
+/// Explicit vectors for register-blocked complex arithmetic: a kernel
+/// that keeps complex accumulators in registers is written in GCC/Clang
+/// vector_size types (every width it uses, tails included), never in
+/// fixed-size scalar arrays of accumulators.  -ffp-contract=off does not
+/// reach GCC's SLP complex-multiply pattern: a scalar array of interleaved
+/// accumulators updated as acc[2q] += ar*br - ai*bi,
+/// acc[2q+1] += ar*bi + ai*br compiles under GCC 12 to vfmaddsub (fused,
+/// single rounding) in the avx512f clone, which changes the bits.
+/// Explicit vectors hand the vectorizer nothing to pattern-match.
+/// bench/check_strict_fp_objects.sh (run by CI) rejects any fused
+/// multiply-add, vfmaddsub included, in the strict-FP objects.
+///
+/// Such a kernel cannot sit behind target_clones: every clone would
+/// compile the same vector width, and a vector wider than the clone's
+/// registers is lowered through memory (64-byte vectors in the avx2 and
+/// default clones ran 4-7x slower than the scalar loop they replace).
+/// It uses RFADE_TARGET_VERSION instead — GCC/Clang target-attribute
+/// multiversioning, resolved by the same ifunc machinery — with one
+/// non-template entry point per ISA forwarding to the body instantiated
+/// at that ISA's register width: a "default" version (16-byte vectors:
+/// SSE2, or NEON on aarch64), then, under RFADE_HAS_TARGET_VERSIONS,
+/// "avx2" (32 bytes) and "avx512f" (64 bytes) versions (the coloring GEMM
+/// in numeric/matrix_ops.cpp).  Where multiversioning is unavailable the
+/// macro expands to nothing and only the default version is compiled.
 
 // Sanitizers and ifunc-based multiversioning do not mix: the clone
 // resolver runs during dynamic relocation, before the sanitizer runtime
@@ -56,9 +81,13 @@
 #define RFADE_TARGET_CLONES_AVX2 __attribute__((target_clones("default", "avx2")))
 #define RFADE_TARGET_CLONES_WIDE \
   __attribute__((target_clones("default", "avx2", "avx512f")))
+#define RFADE_HAS_TARGET_VERSIONS 1
+#define RFADE_TARGET_VERSION(isa) __attribute__((target(isa)))
 #else
 #define RFADE_TARGET_CLONES_AVX2
 #define RFADE_TARGET_CLONES_WIDE
+#define RFADE_HAS_TARGET_VERSIONS 0
+#define RFADE_TARGET_VERSION(isa)
 #endif
 
 /// Marks the shared template body of a multiversioned kernel (see the

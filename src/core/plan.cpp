@@ -223,7 +223,7 @@ void SamplePipeline::fill_colored_rows_bulk(std::uint64_t seed,
   }
   random::fill_complex_gaussians_planar(seed, block_index + 1, 1.0, rows * n,
                                         w_re.data(), w_im.data());
-  // Step 7, bulk: Z_block = W_block * L^T as a vectorized planar GEMM.
+  // Step 7, bulk: Z_block = W_block * L^T, the GEMM reading W planar.
   numeric::multiply_block_planar(w_re.data(), w_im.data(), rows, n,
                                  plan_->coloring_transposed_re().data(),
                                  plan_->coloring_transposed_im().data(), n,

@@ -14,6 +14,9 @@ IdftRayleighBranch::IdftRayleighBranch(std::size_t m, double fm,
       output_variance_(post_filter_variance(design_, input_variance_per_dim)) {
   RFADE_EXPECTS(input_variance_per_dim > 0.0,
                 "IdftRayleighBranch: input variance must be positive");
+  if (fft::is_power_of_two(m)) {
+    plan_ = std::make_shared<const fft::Pow2Plan>(m);
+  }
 }
 
 numeric::CVector IdftRayleighBranch::draw_spectrum(random::Rng& rng) const {
@@ -36,27 +39,28 @@ numeric::CVector IdftRayleighBranch::draw_spectrum(random::Rng& rng) const {
 
 numeric::CVector IdftRayleighBranch::synthesize(
     const numeric::CVector& spectrum) const {
-  RFADE_EXPECTS(spectrum.size() == design_.size(),
-                "synthesize: spectrum length != IDFT size");
-  return fft::idft(spectrum);  // u[l] = (1/M) sum_k U[k] e^{i 2 pi k l / M}
+  numeric::CVector out;
+  synthesize_into(spectrum, out);
+  return out;
 }
 
 void IdftRayleighBranch::synthesize_into(const numeric::CVector& spectrum,
                                          numeric::CVector& out) const {
   RFADE_EXPECTS(spectrum.size() == design_.size(),
                 "synthesize: spectrum length != IDFT size");
-  if (fft::is_power_of_two(spectrum.size())) {
-    // The exact fft::idft value sequence (copy, in-place inverse, 1/M
-    // scale), but into the caller's warm buffer.
-    out = spectrum;
-    fft::fft_pow2_inplace(out, fft::Direction::Inverse);
-    const double scale = 1.0 / static_cast<double>(out.size());
-    for (numeric::cdouble& value : out) {
-      value *= scale;
-    }
+  if (plan_ == nullptr) {
+    out = fft::idft(spectrum);
     return;
   }
-  out = fft::idft(spectrum);
+  // The exact fft::idft value sequence (copy, inverse transform, 1/M
+  // scale) — the plan replays fft_pow2_inplace's twiddles verbatim — into
+  // the caller's warm buffer.
+  out = spectrum;
+  plan_->transform(out, fft::Direction::Inverse);
+  const double scale = 1.0 / static_cast<double>(out.size());
+  for (numeric::cdouble& value : out) {
+    value *= scale;
+  }
 }
 
 numeric::CVector IdftRayleighBranch::generate_block(random::Rng& rng) const {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "rfade/support/simd.hpp"
 
@@ -9,101 +11,207 @@ namespace rfade::numeric {
 
 namespace {
 
-/// One row tile of the planar GEMM (m <= tile rows), multiversioned for
-/// wider vectors; no clone enables FMA via its target set, and this TU is
-/// compiled with -ffp-contract=off (see CMakeLists.txt) so the avx512f
-/// clone — whose base feature set includes 512-bit FMA — cannot contract
-/// either: every clone produces the bit pattern of the scalar mul/add
-/// sequence, at twice the lanes per vector in float.
-template <typename T>
-RFADE_CLONE_BODY void planar_gemm_body(const T* __restrict a_re,
-                                       const T* __restrict a_im,
-                                       std::size_t m, std::size_t k,
-                                       const T* __restrict b_re,
-                                       const T* __restrict b_im,
-                                       std::size_t n, T* __restrict c_re,
-                                       T* __restrict c_im) {
+/// GCC/Clang generic vector of Bytes / sizeof(T) lanes.  The coloring
+/// GEMM is written in these explicit vectors rather than in scalar arrays
+/// the vectorizer may pattern-match (see support/simd.hpp).
+template <typename T, std::size_t Bytes>
+struct VectorOf {
+  typedef T type __attribute__((vector_size(Bytes)));
+};
+template <typename T, std::size_t Bytes>
+using Vector = typename VectorOf<T, Bytes>::type;
+
+/// One R-row x (Cols vectors of Bytes) register tile of the coloring GEMM
+/// c = a * b, for the interleaved scalar columns [j, j + Cols * lanes) of
+/// rows 0..R-1.  Every accumulator stays in a register across the whole
+/// kk loop and is stored once, interleaved, straight into c.
+///
+/// b1 holds b's (re, im) pairs and b2 the pairs (-im, re), both row-major
+/// with n2 = 2n scalars per row.  Per kk, lane 2p (a real part) computes
+///   acc + (ar*br + ai*(-bi))  ==  acc + (ar*br - ai*bi)
+/// and lane 2p+1 (its imaginary part)
+///   acc + (ar*bi + ai*br),
+/// because x + (-y) is x - y in IEEE 754 and a sign flip is exact.  With
+/// kk ascending from zero and acc starting at +0, that is the value
+/// sequence of the scalar std::complex loop c += a*b for every output
+/// element, at every vector width.
+template <std::size_t R, std::size_t Cols, std::size_t Bytes, typename T>
+RFADE_CLONE_BODY void gemm_tile(const T* __restrict a_re,
+                                const T* __restrict a_im,
+                                std::size_t a_stride, std::size_t k,
+                                const T* __restrict b1,
+                                const T* __restrict b2, std::size_t n2,
+                                std::size_t j, T* __restrict c) {
+  using V = Vector<T, Bytes>;
+  constexpr std::size_t kLanes = Bytes / sizeof(T);
+  V acc[R][Cols] = {};
   for (std::size_t kk = 0; kk < k; ++kk) {
-    const T* brr = b_re + kk * n;
-    const T* bri = b_im + kk * n;
-    for (std::size_t t = 0; t < m; ++t) {
-      const T ar = a_re[t * k + kk];
-      const T ai = a_im[t * k + kk];
-      T* crr = c_re + t * n;
-      T* cri = c_im + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crr[j] += ar * brr[j] - ai * bri[j];
-        cri[j] += ar * bri[j] + ai * brr[j];
+    V x[Cols];
+    V y[Cols];
+    for (std::size_t q = 0; q < Cols; ++q) {
+      std::memcpy(&x[q], b1 + kk * n2 + j + q * kLanes, sizeof(V));
+      std::memcpy(&y[q], b2 + kk * n2 + j + q * kLanes, sizeof(V));
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const T ar = a_re[(r * k + kk) * a_stride];
+      const T ai = a_im[(r * k + kk) * a_stride];
+      for (std::size_t q = 0; q < Cols; ++q) {
+        acc[r][q] = acc[r][q] + (ar * x[q] + ai * y[q]);
       }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < Cols; ++q) {
+      std::memcpy(c + r * n2 + j + q * kLanes, &acc[r][q], sizeof(V));
     }
   }
 }
 
-RFADE_TARGET_CLONES_WIDE
-void planar_gemm_tile(const double* a_re, const double* a_im, std::size_t m,
-                      std::size_t k, const double* b_re, const double* b_im,
-                      std::size_t n, double* c_re, double* c_im) {
-  planar_gemm_body(a_re, a_im, m, k, b_re, b_im, n, c_re, c_im);
+/// The columns a whole-width tile leaves (fewer than 2 * Bytes / sizeof(T)
+/// scalars): one tile at each halving width down to one complex element,
+/// so every tile covers whole output elements with no padding or masking.
+template <std::size_t R, std::size_t Bytes, typename T>
+RFADE_CLONE_BODY void gemm_tail(const T* a_re, const T* a_im,
+                                std::size_t a_stride, std::size_t k,
+                                const T* b1, const T* b2, std::size_t n2,
+                                std::size_t j, T* c) {
+  constexpr std::size_t kLanes = Bytes / sizeof(T);
+  if (j + kLanes <= n2) {
+    gemm_tile<R, 1, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
+    j += kLanes;
+  }
+  if constexpr (kLanes > 2) {
+    gemm_tail<R, Bytes / 2>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
+  }
 }
 
-RFADE_TARGET_CLONES_WIDE
-void planar_gemm_tile(const float* a_re, const float* a_im, std::size_t m,
-                      std::size_t k, const float* b_re, const float* b_im,
-                      std::size_t n, float* c_re, float* c_im) {
-  planar_gemm_body(a_re, a_im, m, k, b_re, b_im, n, c_re, c_im);
+/// R rows of c, two Bytes-wide vectors of columns per tile.
+template <std::size_t R, std::size_t Bytes, typename T>
+RFADE_CLONE_BODY void gemm_rows(const T* a_re, const T* a_im,
+                                std::size_t a_stride, std::size_t k,
+                                const T* b1, const T* b2, std::size_t n2,
+                                T* c) {
+  constexpr std::size_t kLanes = Bytes / sizeof(T);
+  std::size_t j = 0;
+  for (; j + 2 * kLanes <= n2; j += 2 * kLanes) {
+    gemm_tile<R, 2, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
+  }
+  gemm_tail<R, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
 }
 
-/// Row-tile size of the blocked GEMMs: one tile of c (kRowTile x n) plus
-/// one row of b fit in L1 for every dimension rfade uses (n is the
-/// envelope count, <= a few hundred).
-constexpr std::size_t kRowTile = 64;
+/// Rows of the register tile: 4 rows x 2 vectors is 8 accumulators, which
+/// with the 4 b vectors and 2 broadcasts fits in 16 registers.
+constexpr std::size_t kTileRows = 4;
 
-/// c = a * b on interleaved complex operands.  Within a tile the kk loop
-/// is outermost, so each output element accumulates its k-terms in
-/// ascending order — the bit pattern of the naive dot product.
+/// c (m x n, interleaved) = a (m x k) * b in Bytes-wide vectors, with a
+/// read through (a_re, a_im, a_stride): element (t, kk) is
+/// a_re[(t*k + kk) * a_stride] — stride 2 for interleaved std::complex
+/// rows, 1 for split planes.
+template <std::size_t Bytes, typename T>
+RFADE_CLONE_BODY void coloring_gemm_body(const T* a_re, const T* a_im,
+                                         std::size_t a_stride, std::size_t m,
+                                         std::size_t k, const T* b1,
+                                         const T* b2, std::size_t n, T* c) {
+  const std::size_t n2 = 2 * n;
+  std::size_t t = 0;
+  for (; t + kTileRows <= m; t += kTileRows) {
+    gemm_rows<kTileRows, Bytes>(a_re + t * k * a_stride,
+                                a_im + t * k * a_stride, a_stride, k, b1, b2,
+                                n2, c + t * n2);
+  }
+  for (; t < m; ++t) {
+    gemm_rows<1, Bytes>(a_re + t * k * a_stride, a_im + t * k * a_stride,
+                        a_stride, k, b1, b2, n2, c + t * n2);
+  }
+}
+
+// One version per ISA, each at its register width: 16-byte vectors in the
+// baseline (SSE2 / NEON), 32 in avx2, 64 in avx512f.
+RFADE_TARGET_VERSION("default")
+void coloring_gemm_kernel(const double* a_re, const double* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const double* b1, const double* b2, std::size_t n,
+                          double* c) {
+  coloring_gemm_body<16>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+
+RFADE_TARGET_VERSION("default")
+void coloring_gemm_kernel(const float* a_re, const float* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const float* b1, const float* b2, std::size_t n,
+                          float* c) {
+  coloring_gemm_body<16>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+
+#if RFADE_HAS_TARGET_VERSIONS
+RFADE_TARGET_VERSION("avx2")
+void coloring_gemm_kernel(const double* a_re, const double* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const double* b1, const double* b2, std::size_t n,
+                          double* c) {
+  coloring_gemm_body<32>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+
+RFADE_TARGET_VERSION("avx2")
+void coloring_gemm_kernel(const float* a_re, const float* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const float* b1, const float* b2, std::size_t n,
+                          float* c) {
+  coloring_gemm_body<32>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+
+RFADE_TARGET_VERSION("avx512f")
+void coloring_gemm_kernel(const double* a_re, const double* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const double* b1, const double* b2, std::size_t n,
+                          double* c) {
+  coloring_gemm_body<64>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+
+RFADE_TARGET_VERSION("avx512f")
+void coloring_gemm_kernel(const float* a_re, const float* a_im,
+                          std::size_t a_stride, std::size_t m, std::size_t k,
+                          const float* b1, const float* b2, std::size_t n,
+                          float* c) {
+  coloring_gemm_body<64>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
+}
+#endif
+
+/// Both public GEMMs: pack b (read like a, through b_re/b_im/b_stride)
+/// into the kernel's (re, im) / (-im, re) rows — O(k n) against the
+/// O(m k n) product — in a per-thread buffer that only ever grows, so
+/// steady-state calls allocate nothing.
+template <typename T>
+void coloring_gemm(const T* a_re, const T* a_im, std::size_t a_stride,
+                   std::size_t m, std::size_t k, const T* b_re,
+                   const T* b_im, std::size_t b_stride, std::size_t n,
+                   std::complex<T>* c) {
+  thread_local std::vector<T> packed;
+  if (packed.size() < 4 * k * n) {
+    packed.resize(4 * k * n);
+  }
+  T* b1 = packed.data();
+  T* b2 = b1 + 2 * k * n;
+  for (std::size_t i = 0; i < k * n; ++i) {
+    const T re = b_re[i * b_stride];
+    const T im = b_im[i * b_stride];
+    b1[2 * i] = re;
+    b1[2 * i + 1] = im;
+    b2[2 * i] = -im;
+    b2[2 * i + 1] = re;
+  }
+  coloring_gemm_kernel(a_re, a_im, a_stride, m, k, b1, b2, n,
+                       reinterpret_cast<T*>(c));
+}
+
+/// The interleaved operands of multiply_block_raw as (re, im, stride 2)
+/// views (std::complex<T> is array-layout-compatible with T[2]).
 template <typename T>
 void block_raw(const std::complex<T>* a, std::size_t m, std::size_t k,
                const std::complex<T>* b, std::size_t n, std::complex<T>* c) {
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c + t0 * n, c + t1 * n, std::complex<T>{});
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const std::complex<T>* brow = b + kk * n;
-      for (std::size_t t = t0; t < t1; ++t) {
-        const std::complex<T> atk = a[t * k + kk];
-        std::complex<T>* crow = c + t * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          crow[j] += atk * brow[j];
-        }
-      }
-    }
-  }
-}
-
-/// c = a * b on split-plane operands, interleaved complex output: the
-/// planar tile kernel into per-tile re/im accumulators, then one
-/// interleave pass per tile.
-template <typename T>
-void block_planar(const T* a_re, const T* a_im, std::size_t m, std::size_t k,
-                  const T* b_re, const T* b_im, std::size_t n,
-                  std::complex<T>* c) {
-  std::vector<T> c_re(kRowTile * n);
-  std::vector<T> c_im(kRowTile * n);
-  for (std::size_t t0 = 0; t0 < m; t0 += kRowTile) {
-    const std::size_t t1 = std::min(m, t0 + kRowTile);
-    std::fill(c_re.begin(), c_re.begin() + (t1 - t0) * n, T{});
-    std::fill(c_im.begin(), c_im.begin() + (t1 - t0) * n, T{});
-    planar_gemm_tile(a_re + t0 * k, a_im + t0 * k, t1 - t0, k, b_re, b_im, n,
-                     c_re.data(), c_im.data());
-    for (std::size_t t = t0; t < t1; ++t) {
-      const T* crr = c_re.data() + (t - t0) * n;
-      const T* cri = c_im.data() + (t - t0) * n;
-      std::complex<T>* crow = c + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] = std::complex<T>(crr[j], cri[j]);
-      }
-    }
-  }
+  const T* a_re = reinterpret_cast<const T*>(a);
+  const T* b_re = reinterpret_cast<const T*>(b);
+  coloring_gemm(a_re, a_re + 1, 2, m, k, b_re, b_re + 1, 2, n, c);
 }
 
 template <typename T>
@@ -257,19 +365,19 @@ CMatrix multiply_block(const CMatrix& a, const CMatrix& b) {
 void multiply_block_planar(const double* a_re, const double* a_im,
                            std::size_t m, std::size_t k, const double* b_re,
                            const double* b_im, std::size_t n, cdouble* c) {
-  block_planar(a_re, a_im, m, k, b_re, b_im, n, c);
+  coloring_gemm(a_re, a_im, 1, m, k, b_re, b_im, 1, n, c);
 }
 
 void multiply_block_planar(const float* a_re, const float* a_im,
                            std::size_t m, std::size_t k, const float* b_re,
                            const float* b_im, std::size_t n, cfloat* c) {
-  block_planar(a_re, a_im, m, k, b_re, b_im, n, c);
+  coloring_gemm(a_re, a_im, 1, m, k, b_re, b_im, 1, n, c);
 }
 
 namespace {
 
 /// Crossfade on the raw interleaved re/im values (std::complex is
-/// array-layout-compatible), multiversioned like the planar GEMM; no FMA
+/// array-layout-compatible), multiversioned like the coloring GEMM; no FMA
 /// in any clone (contract off for this TU), so every clone keeps the
 /// scalar bit pattern w0*p + w1*c.
 template <typename T>

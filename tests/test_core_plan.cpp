@@ -2,14 +2,17 @@
 // generators is bit-identical to the per-class construction paths, blocked
 // draws agree with per-sample draws bit-for-bit, the bulk batched paths are
 // deterministic and thread-count/order independent, and the blocked GEMM
-// kernels reproduce the naive reference products exactly.
+// kernels reproduce the naive reference products exactly (this file is
+// compiled with -ffp-contract=off so the scalar reference is unfused).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/generator.hpp"
@@ -346,28 +349,115 @@ TEST(MatrixOps, MultiplyBlockBitIdenticalToNaive) {
   EXPECT_EQ(naive, blocked);
 }
 
-TEST(MatrixOps, MultiplyBlockPlanarBitIdentical) {
-  const std::size_t m = 150;
-  const std::size_t k = 11;
-  const std::size_t n = 11;
-  const CMatrix a = random_matrix(m, k, 41);
-  const CMatrix b = random_matrix(k, n, 42);
-  std::vector<double> a_re(m * k);
-  std::vector<double> a_im(m * k);
-  std::vector<double> b_re(k * n);
-  std::vector<double> b_im(k * n);
-  for (std::size_t i = 0; i < m * k; ++i) {
-    a_re[i] = a.data()[i].real();
-    a_im[i] = a.data()[i].imag();
+/// GEMM operand entries: unit Gaussians with signed zeros and subnormals
+/// mixed in, so the kernels' +0 accumulator start, sign handling and
+/// subnormal arithmetic are pinned along with the ordinary values.
+template <typename T>
+std::vector<std::complex<T>> gemm_operand(std::size_t count,
+                                          std::uint64_t seed) {
+  random::Rng rng(seed);
+  const T tiny = std::numeric_limits<T>::denorm_min();
+  std::vector<std::complex<T>> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const cdouble g = rng.complex_gaussian(1.0);
+    T re = static_cast<T>(g.real());
+    T im = static_cast<T>(g.imag());
+    switch (i % 9) {
+      case 2:
+        re = T(-0.0);
+        break;
+      case 4:
+        im = T(0.0);
+        break;
+      case 5:
+        re = T(-0.0);
+        im = T(-0.0);
+        break;
+      case 7:
+        re = tiny * static_cast<T>(1 + i % 5);
+        im = -tiny * static_cast<T>(3 + i % 7);
+        break;
+      default:
+        break;
+    }
+    v[i] = std::complex<T>(re, im);
   }
-  for (std::size_t i = 0; i < k * n; ++i) {
-    b_re[i] = b.data()[i].real();
-    b_im[i] = b.data()[i].imag();
+  return v;
+}
+
+/// Scalar reference: c(t, j) = sum over ascending kk of a(t, kk) * b(kk, j)
+/// with std::complex arithmetic from a (+0, +0) start — the value
+/// sequence both blocked GEMMs promise (this TU is built with
+/// -ffp-contract=off, so the reference itself is never fused).
+template <typename T>
+std::vector<std::complex<T>> reference_gemm(
+    const std::vector<std::complex<T>>& a, std::size_t m, std::size_t k,
+    const std::vector<std::complex<T>>& b, std::size_t n) {
+  std::vector<std::complex<T>> c(m * n);
+  for (std::size_t t = 0; t < m; ++t) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::complex<T> acc{};
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        acc += a[t * k + kk] * b[kk * n + j];
+      }
+      c[t * n + j] = acc;
+    }
   }
-  CMatrix planar(m, n);
-  numeric::multiply_block_planar(a_re.data(), a_im.data(), m, k, b_re.data(),
-                                 b_im.data(), n, planar.data());
-  EXPECT_EQ(numeric::multiply_block(a, b), planar);
+  return c;
+}
+
+template <typename T>
+void split_planes(const std::vector<std::complex<T>>& v, std::vector<T>& re,
+                  std::vector<T>& im) {
+  re.resize(v.size());
+  im.resize(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    re[i] = v[i].real();
+    im[i] = v[i].imag();
+  }
+}
+
+/// Both GEMM entry points, bit for bit against the scalar reference, over
+/// every column tail width of the register tile (n), single and long
+/// inner loops (k), and a row count that leaves a partial row tile.
+template <typename T>
+void check_gemm_matrix() {
+  const std::size_t m = 4 * 3 + 3;
+  std::uint64_t seed = 100;
+  for (const std::size_t k : {1u, 16u, 64u}) {
+    for (const std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 64u,
+          65u}) {
+      const auto a = gemm_operand<T>(m * k, ++seed);
+      const auto b = gemm_operand<T>(k * n, ++seed);
+      const auto expected = reference_gemm(a, m, k, b, n);
+      const std::size_t bytes = expected.size() * sizeof(std::complex<T>);
+
+      std::vector<std::complex<T>> raw(m * n, std::complex<T>(T(7), T(7)));
+      numeric::multiply_block_raw(a.data(), m, k, b.data(), n, raw.data());
+      EXPECT_EQ(std::memcmp(raw.data(), expected.data(), bytes), 0)
+          << "multiply_block_raw k=" << k << " n=" << n;
+
+      std::vector<T> a_re, a_im, b_re, b_im;
+      split_planes(a, a_re, a_im);
+      split_planes(b, b_re, b_im);
+      std::vector<std::complex<T>> planar(m * n,
+                                          std::complex<T>(T(7), T(7)));
+      numeric::multiply_block_planar(a_re.data(), a_im.data(), m, k,
+                                     b_re.data(), b_im.data(), n,
+                                     planar.data());
+      EXPECT_EQ(std::memcmp(planar.data(), expected.data(), bytes), 0)
+          << "multiply_block_planar k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST(MatrixOps, BlockedGemmsBitIdenticalToScalarReferenceF64) {
+  check_gemm_matrix<double>();
+}
+
+TEST(MatrixOps, BlockedGemmsBitIdenticalToScalarReferenceF32) {
+  check_gemm_matrix<float>();
 }
 
 TEST(BulkGaussian, ConsumesExactPhiloxCounterBlocks) {
