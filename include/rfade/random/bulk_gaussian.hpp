@@ -19,6 +19,16 @@
 /// but not the same bit-stream as — driving an Rng over the same engine
 /// substream.  Use Rng/block_substream when bit-compatibility with the
 /// per-draw paths is required; use this when throughput is.
+///
+/// Cross-ISA contract.  The counter -> uniform stage (Philox4x32-10 and
+/// the (u, v) construction) is exact integer and exactly representable
+/// arithmetic, vectorised per ISA (scalar default, 4 counters per ymm on
+/// avx2, 8 per zmm on avx512f) and bit-identical at every width and in
+/// every split between vector lanes and scalar tail.  Only the Box-Muller
+/// transform's libmvec log/sin/cos are ulp-level across ISA widths, so
+/// fills on machines of different vector width agree to a few ulp, not
+/// bit for bit.  Within one process every fill is bit-exact and
+/// positionally pure.
 
 #include <cstddef>
 #include <cstdint>

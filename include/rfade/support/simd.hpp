@@ -20,12 +20,14 @@
 /// the bit pattern of the planar kernels against the std::complex
 /// reference paths, and the hot paths promise bit-identical results
 /// across code paths and clone tiers.  The one exception is the bulk
-/// Box-Muller fill, whose transcendental calls go through libmvec: vector
-/// variants of log/sin/cos differ across ISA widths by a few ulp, so that
-/// kernel's cross-ISA contract is ulp-level (its within-process purity is
-/// still exact — ifunc resolves one clone per process).  On toolchains or
-/// targets without multiversioning support the macros expand to nothing
-/// and the baseline loop is used everywhere.
+/// Box-Muller tile (random/bulk_gaussian.cpp), whose transcendental calls
+/// go through libmvec: vector variants of log/sin/cos differ across ISA
+/// widths by a few ulp, so that kernel's cross-ISA contract is ulp-level
+/// (its within-process purity is still exact — ifunc resolves one clone
+/// per process).  The fill's counter -> uniform stage before it is exact
+/// and bit-identical at every width.  On toolchains or targets without
+/// multiversioning support the macros expand to nothing and the baseline
+/// loop is used everywhere.
 ///
 /// One body per kernel, both precisions: the loop nest is written once as
 /// a function template marked RFADE_CLONE_BODY (always_inline), and each
@@ -58,9 +60,23 @@
 /// non-template entry point per ISA forwarding to the body instantiated
 /// at that ISA's register width: a "default" version (16-byte vectors:
 /// SSE2, or NEON on aarch64), then, under RFADE_HAS_TARGET_VERSIONS,
-/// "avx2" (32 bytes) and "avx512f" (64 bytes) versions (the coloring GEMM
-/// in numeric/matrix_ops.cpp).  Where multiversioning is unavailable the
-/// macro expands to nothing and only the default version is compiled.
+/// "avx2" (32 bytes) and "avx512f" (64 bytes) versions.  Users:
+///  - the coloring GEMM in numeric/matrix_ops.cpp;
+///  - the bulk fill's Philox counter -> uniform stage in
+///    random/bulk_gaussian.cpp: the scalar loop in "default" (which the
+///    wider versions also run for their tails), 4 counters per ymm in
+///    "avx2" and 8 per zmm in "avx512f", written in intrinsics.
+/// Where multiversioning is unavailable the macro expands to nothing and
+/// only the default version is compiled.
+///
+/// The trap when a versioned function uses intrinsics: a target-specific
+/// function (an intrinsic, or a helper marked RFADE_TARGET_VERSION) cannot
+/// be inlined into a target-less always_inline body, so an
+/// RFADE_CLONE_BODY template cannot call one — GCC rejects the inline
+/// with "target specific option mismatch".  Give every helper on such a
+/// path its version's target (as the Philox helpers do), or mark the
+/// versioned entry point [[gnu::flatten]] so the intrinsics inline into
+/// it directly.
 
 // Sanitizers and ifunc-based multiversioning do not mix: the clone
 // resolver runs during dynamic relocation, before the sanitizer runtime

@@ -1,8 +1,10 @@
-// Allocation audit of the coloring GEMMs: after one warm-up call per
-// thread, multiply_block_raw and multiply_block_planar make no heap
-// allocation at the stream (N = 16) and instant (N = 64) shapes, in both
-// precisions.  A replaced global operator new counts allocations per
-// thread, so gtest's own bookkeeping on other threads never leaks in.
+// Allocation audit of the hot kernels.  After one warm-up call per
+// thread, the coloring GEMMs multiply_block_raw and multiply_block_planar
+// make no heap allocation at the stream (N = 16) and instant (N = 64)
+// shapes, in both precisions.  The bulk Gaussian fill
+// fill_complex_gaussians_planar makes none at all, warm-up or not.  A
+// replaced global operator new counts allocations per thread, so gtest's
+// own bookkeeping on other threads never leaks in.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "rfade/numeric/matrix_ops.hpp"
+#include "rfade/random/bulk_gaussian.hpp"
 
 namespace {
 
@@ -101,6 +104,43 @@ TEST(AllocGemm, SteadyStateGemmsAllocateNothingOnAFreshThread) {
   worker.join();
   EXPECT_EQ(f64, 0u);
   EXPECT_EQ(f32, 0u);
+}
+
+/// Heap allocations made by the calling thread while filling \p count
+/// samples (the instant N = 64 block's 262,144, and a count that is not a
+/// multiple of any vector width), output buffers allocated up front.
+template <typename T>
+std::size_t fill_allocations(std::size_t count) {
+  std::vector<T> re(count);
+  std::vector<T> im(count);
+  const std::size_t before = t_allocations;
+  random::fill_complex_gaussians_planar(0xA110C, 3, 1.0, /*first_sample=*/5,
+                                        count, re.data(), im.data());
+  return t_allocations - before;
+}
+
+constexpr std::size_t kInstantSamples = 262144;
+constexpr std::size_t kRaggedSamples = 262147;
+
+TEST(AllocFill, BulkFillsAllocateNothing) {
+  for (const std::size_t count : {kInstantSamples, kRaggedSamples}) {
+    EXPECT_EQ(fill_allocations<double>(count), 0u) << count;
+    EXPECT_EQ(fill_allocations<float>(count), 0u) << count;
+  }
+}
+
+TEST(AllocFill, BulkFillsAllocateNothingOnAFreshThread) {
+  for (const std::size_t count : {kInstantSamples, kRaggedSamples}) {
+    std::size_t f64 = 1;
+    std::size_t f32 = 1;
+    std::thread worker([&] {
+      f64 = fill_allocations<double>(count);
+      f32 = fill_allocations<float>(count);
+    });
+    worker.join();
+    EXPECT_EQ(f64, 0u) << count;
+    EXPECT_EQ(f32, 0u) << count;
+  }
 }
 
 }  // namespace

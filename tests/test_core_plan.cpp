@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -460,42 +461,128 @@ TEST(MatrixOps, BlockedGemmsBitIdenticalToScalarReferenceF32) {
   check_gemm_matrix<float>();
 }
 
+/// Philox counter block \p index of the bulk substream (seed, stream).
+std::array<std::uint32_t, 4> bulk_block(std::uint64_t seed,
+                                        std::uint64_t stream,
+                                        std::uint64_t index) {
+  return random::PhiloxEngine::block(
+      {static_cast<std::uint32_t>(seed),
+       static_cast<std::uint32_t>(seed >> 32)},
+      {static_cast<std::uint32_t>(index),
+       static_cast<std::uint32_t>(index >> 32),
+       static_cast<std::uint32_t>(stream),
+       static_cast<std::uint32_t>(stream >> 32)});
+}
+
 TEST(BulkGaussian, ConsumesExactPhiloxCounterBlocks) {
   // Sample t of substream (seed, stream) must be the Box-Muller image of
   // counter block t — the contract that makes ranges order-independent.
+  // The second window straddles sample 2^32, where the counter carries
+  // into word 1.
   const std::uint64_t seed = 0x5EED;
   const std::uint64_t stream = 9;
   const std::size_t count = 64;
-  std::vector<double> re(count);
-  std::vector<double> im(count);
-  random::fill_complex_gaussians_planar(seed, stream, 1.0, count, re.data(),
-                                        im.data());
-  for (const std::size_t t : {0ul, 1ul, 31ul, 63ul}) {
-    const auto words = random::PhiloxEngine::block(
-        {static_cast<std::uint32_t>(seed),
-         static_cast<std::uint32_t>(seed >> 32)},
-        {static_cast<std::uint32_t>(t), 0u,
-         static_cast<std::uint32_t>(stream), 0u});
-    const std::uint64_t bits01 =
-        (static_cast<std::uint64_t>(words[1]) << 32) | words[0];
-    const std::uint64_t bits23 =
-        (static_cast<std::uint64_t>(words[3]) << 32) | words[2];
-    const double u = 1.0 - random::to_unit_double(bits01);
-    const double v = 6.283185307179586476925286766559 *
-                     random::to_unit_double(bits23);
-    const double radius = std::sqrt(0.5) * std::sqrt(-2.0 * std::log(u));
-    // The bulk kernel may evaluate log/sin/cos through vectorized libm
-    // variants; allow a few ulp.
-    EXPECT_NEAR(re[t], radius * std::cos(v), 1e-10);
-    EXPECT_NEAR(im[t], radius * std::sin(v), 1e-10);
+  for (const std::uint64_t first : {std::uint64_t{0},
+                                    (std::uint64_t{1} << 32) - 32}) {
+    std::vector<double> re(count);
+    std::vector<double> im(count);
+    random::fill_complex_gaussians_planar(seed, stream, 1.0, first, count,
+                                          re.data(), im.data());
+    for (const std::size_t t : {0ul, 1ul, 31ul, 32ul, 33ul, 63ul}) {
+      const auto words = bulk_block(seed, stream, first + t);
+      const std::uint64_t bits01 =
+          (static_cast<std::uint64_t>(words[1]) << 32) | words[0];
+      const std::uint64_t bits23 =
+          (static_cast<std::uint64_t>(words[3]) << 32) | words[2];
+      const double u = 1.0 - random::to_unit_double(bits01);
+      const double v = 6.283185307179586476925286766559 *
+                       random::to_unit_double(bits23);
+      const double radius = std::sqrt(0.5) * std::sqrt(-2.0 * std::log(u));
+      // The bulk kernel may evaluate log/sin/cos through vectorized libm
+      // variants; allow a few ulp.
+      EXPECT_NEAR(re[t], radius * std::cos(v), 1e-10) << first + t;
+      EXPECT_NEAR(im[t], radius * std::sin(v), 1e-10) << first + t;
+    }
+
+    // The float fill draws u = (words[0] + 1) 2^-32 and
+    // v = 2 pi words[2] 2^-32, each rounded to float.
+    std::vector<float> re_f(count);
+    std::vector<float> im_f(count);
+    random::fill_complex_gaussians_planar(seed, stream, 1.0, first, count,
+                                          re_f.data(), im_f.data());
+    for (const std::size_t t : {0ul, 1ul, 31ul, 32ul, 33ul, 63ul}) {
+      const auto words = bulk_block(seed, stream, first + t);
+      const float u =
+          static_cast<float>(static_cast<std::uint64_t>(words[0]) + 1) *
+          0x1p-32f;
+      const float v = 6.28318530717958647692f *
+                      (static_cast<float>(words[2]) * 0x1p-32f);
+      const double radius =
+          std::sqrt(0.5) * std::sqrt(-2.0 * std::log(double{u}));
+      EXPECT_NEAR(re_f[t], radius * std::cos(double{v}), 1e-5) << first + t;
+      EXPECT_NEAR(im_f[t], radius * std::sin(double{v}), 1e-5) << first + t;
+    }
   }
   // And the fill itself is a pure function of its key.
+  std::vector<double> re(count);
+  std::vector<double> im(count);
   std::vector<double> re2(count);
   std::vector<double> im2(count);
+  random::fill_complex_gaussians_planar(seed, stream, 1.0, count, re.data(),
+                                        im.data());
   random::fill_complex_gaussians_planar(seed, stream, 1.0, count, re2.data(),
                                         im2.data());
   EXPECT_EQ(re, re2);
   EXPECT_EQ(im, im2);
+}
+
+/// Fills windows of the 64 samples origin..origin+63 and checks each
+/// element against one fill of all 64, bit for bit.  The windows start
+/// at every offset 0..15 with lengths 1..40, and also end at origin + 63
+/// with lengths 1..40, so every sample is computed both in a vector lane
+/// and in a scalar tail, at every vector width the fill may use.
+template <typename T>
+void expect_windows_match_one_fill(std::uint64_t origin) {
+  const std::uint64_t seed = 0x0123456789ABCDEF;
+  const std::uint64_t stream = 0x00C0FFEE0000000B;
+  constexpr std::size_t kSpan = 64;
+  constexpr std::size_t kMaxLength = 40;
+  std::vector<T> ref_re(kSpan);
+  std::vector<T> ref_im(kSpan);
+  random::fill_complex_gaussians_planar(seed, stream, 1.3, origin, kSpan,
+                                        ref_re.data(), ref_im.data());
+  std::vector<T> re(kMaxLength);
+  std::vector<T> im(kMaxLength);
+  const auto check = [&](std::size_t offset, std::size_t length) {
+    random::fill_complex_gaussians_planar(seed, stream, 1.3, origin + offset,
+                                          length, re.data(), im.data());
+    EXPECT_EQ(std::memcmp(re.data(), ref_re.data() + offset,
+                          length * sizeof(T)),
+              0)
+        << "re, window [" << origin + offset << ", +" << length << ")";
+    EXPECT_EQ(std::memcmp(im.data(), ref_im.data() + offset,
+                          length * sizeof(T)),
+              0)
+        << "im, window [" << origin + offset << ", +" << length << ")";
+  };
+  for (std::size_t length = 1; length <= kMaxLength; ++length) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      check(offset, length);
+    }
+    check(kSpan - length, length);
+  }
+}
+
+TEST(BulkGaussian, WindowsMatchOneFillAcrossSplitsAndCarriesF64) {
+  expect_windows_match_one_fill<double>(0);
+  expect_windows_match_one_fill<double>((std::uint64_t{1} << 32) - 32);
+  expect_windows_match_one_fill<double>(std::uint64_t{0} - 64);
+}
+
+TEST(BulkGaussian, WindowsMatchOneFillAcrossSplitsAndCarriesF32) {
+  expect_windows_match_one_fill<float>(0);
+  expect_windows_match_one_fill<float>((std::uint64_t{1} << 32) - 32);
+  expect_windows_match_one_fill<float>(std::uint64_t{0} - 64);
 }
 
 TEST(BulkGaussian, BlockSubstreamHelperMatchesPhiloxStream) {
