@@ -3,11 +3,17 @@
 #
 # fft.cpp and matrix_ops.cpp are compiled with -ffp-contract=off and carry
 # target_clones("default", "avx2", "avx512f") wrappers (or, for the
-# coloring GEMM, per-ISA target versions) around one shared template body
-# per kernel.  Their objects must contain no fused multiply-add, vfmaddsub
-# included (contraction would change the bits of the kernels against the
-# std::complex reference paths), and must contain zmm instructions (the
-# avx512f clones still vectorise at full width).
+# coloring GEMM and the FFT butterflies, per-ISA target versions) around
+# one shared template body per kernel.  Their objects must contain no
+# fused multiply-add, vfmaddsub included (contraction would change the
+# bits of the kernels against the std::complex reference paths), and must
+# contain zmm instructions (the avx512f clones still vectorise at full
+# width).
+#
+# The FFT butterfly kernel (planar_kernel for transform_batched,
+# interleaved_kernel for transform) must have its avx512f version on zmm
+# and its avx2 version on ymm: without them the transforms fell back to
+# the 16-byte default version.
 #
 # bulk_gaussian.cpp stays relaxed-FP (its Box-Muller tile goes through
 # libmvec), so it gets no FMA check.  Its Philox counter stage has one
@@ -44,6 +50,34 @@ for name in fft.cpp.o matrix_ops.cpp.o; do
     status=1
   fi
 done
+
+# Lines holding register $3 inside the object $1's functions whose symbol
+# contains $2 and ends in ".$4" (one target version of one kernel).
+version_count() {
+  objdump -d "$1" | awk -v k="$2" -v reg="$3" -v isa="$4" '
+    />:$/ { inside = index($0, k) && index($0, "." isa ">:") }
+    inside && index($0, reg) { n++ }
+    END { print n + 0 }'
+}
+
+name=fft.cpp.o
+if obj=$(find_object "$name"); then
+  for kernel in planar_kernel interleaved_kernel; do
+    zmm=$(version_count "$obj" "$kernel" zmm avx512f)
+    ymm=$(version_count "$obj" "$kernel" ymm avx2)
+    echo "$name: $kernel avx512f zmm=$zmm avx2 ymm=$ymm"
+    if [ "$zmm" -eq 0 ]; then
+      echo "$name: no zmm in the avx512f $kernel — the version is gone or narrow" >&2
+      status=1
+    fi
+    if [ "$ymm" -eq 0 ]; then
+      echo "$name: no ymm in the avx2 $kernel — the version is gone or narrow" >&2
+      status=1
+    fi
+  done
+else
+  status=1
+fi
 
 name=bulk_gaussian.cpp.o
 if obj=$(find_object "$name"); then

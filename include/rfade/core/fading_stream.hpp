@@ -138,6 +138,15 @@ class FadingStream {
   FadingStream(std::shared_ptr<const ColoringPlan> plan,
                FadingStreamOptions options = {});
 
+  /// Share an existing plan and backend design (a compiled channel builds
+  /// its design once for every stream it opens).  \p design must be the
+  /// one options' backend / idft_size / normalized_doppler /
+  /// input_variance_per_dim / overlap describe
+  /// (doppler::BranchSourceDesign::matches).
+  FadingStream(std::shared_ptr<const ColoringPlan> plan,
+               FadingStreamOptions options,
+               std::shared_ptr<const doppler::BranchSourceDesign> design);
+
   /// Number of envelopes N.
   [[nodiscard]] std::size_t dimension() const noexcept {
     return pipeline_.dimension();

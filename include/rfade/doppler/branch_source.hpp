@@ -161,6 +161,12 @@ class BranchSourceDesign {
   /// WOLA crossfade length (0 unless the WOLA backend).
   [[nodiscard]] std::size_t overlap() const noexcept { return overlap_; }
 
+  /// True when this design is the one the constructor builds from these
+  /// arguments (overlap 0 meaning the WOLA default, as there).
+  [[nodiscard]] bool matches(StreamBackend backend, std::size_t m, double fm,
+                             double input_variance_per_dim,
+                             std::size_t overlap) const noexcept;
+
   /// A fresh source.  \p branch_seed keys the overlap-save backend's
   /// persistent bulk-Philox input substream (ignored by the rng-driven
   /// backends); derive it per branch with input_seed.

@@ -69,20 +69,8 @@ void fft_pow2_inplace(CVector& data, Direction direction);
 /// O(N^2) reference DFT used by the test suite to validate the FFT.
 [[nodiscard]] CVector naive_dft(const CVector& data, Direction direction);
 
-/// Pointwise complex product of a batch of planar spectra with one shared
-/// spectrum: for every point k and lane b,
-///   (re, im)[k*batch + b] *= h[k]
-/// with the exact operand order of std::complex operator*= — the kernel
-/// multiply of the batched overlap-save sweep, multiversioned for wide
-/// vectors and bit-identical to the scalar loop per lane.  The float
-/// overload runs the same body at twice the lanes per vector.
-void multiply_batched_pointwise(double* re, double* im, std::size_t n,
-                                std::size_t batch, const cdouble* h);
-void multiply_batched_pointwise(float* re, float* im, std::size_t n,
-                                std::size_t batch, const cfloat* h);
-
-/// Precomputed power-of-two FFT plan: the bit-reversal swap list and the
-/// per-stage twiddle tables of fft_pow2_inplace, built once and reused
+/// Precomputed power-of-two FFT plan: the bit-reversal permutation and
+/// the per-stage twiddle tables of fft_pow2_inplace, built once and reused
 /// for every transform of the same length.  The tables are generated by
 /// the *exact* incremental-with-resync recurrence the ad-hoc path runs,
 /// so transform() is bit-identical to fft_pow2_inplace — just without
@@ -92,6 +80,28 @@ void multiply_batched_pointwise(float* re, float* im, std::size_t n,
 /// block after block, against one immutable plan shared by all N
 /// branches (transform() only mutates the caller's buffer, so concurrent
 /// use across branches is safe).
+///
+/// Schedule.  Both forms (interleaved transform() and planar
+/// transform_batched()) run one butterfly kernel: stages (s, s+1) fused
+/// in pairs on 4 points held in registers, plus one leading radix-2 stage
+/// when log2(n) is odd.  Passes whose butterflies stay within a
+/// cache-sized block of points run block by block; the rest sweep all
+/// n points.  The kernel has one version per ISA at its register width
+/// (support/simd.hpp): the planar form vectorises across lanes (a group
+/// narrower than a register runs the widest vector its lane count
+/// fills, then halving widths for the rest), the interleaved form across
+/// consecutive points using (re, im) / (-im, re) twiddle pairs derived in
+/// registers.
+///
+/// Bit contract.  Only the schedule differs from fft_pow2_inplace: every
+/// butterfly keeps its operands, its twiddle from the tables and its
+/// per-lane operation order, odd = (xr*wr - xi*wi, xr*wi + xi*wr), then
+/// even + odd / even - odd (the pairing form adds xi*(-wi), which is
+/// exact: a sign flip and x + (-y) == x - y in IEEE 754).  The transform
+/// TU is compiled with -ffp-contract=off, so no version fuses a
+/// multiply-add; every ISA version, every vector width and both forms
+/// give the same bits per lane for finite input (the std::complex
+/// reference recovers infinities from inf*0 NaNs, the kernel does not).
 ///
 /// One class template serves both emission precisions: Pow2Plan (double)
 /// and Pow2PlanF (float).  The float plan's twiddles come from the same
@@ -117,15 +127,32 @@ class BasicPow2Plan {
   /// distinct buffers.
   void transform(ComplexVector& data, Direction direction) const;
 
-  /// \p batch independent size()-point transforms advanced through every
-  /// butterfly stage in lockstep, on planar data: lane b of point p lives
-  /// at re[p * batch + b] / im[p * batch + b] (the multiply_block_planar
-  /// layout convention, contiguous across lanes so the butterflies SIMD
-  /// across transforms).  Unnormalised in both directions; every lane's
-  /// value sequence is the scalar transform()'s, so each lane is
-  /// bit-identical to transforming it alone.  Const and allocation-free.
+  /// transform() of \p in into \p out (size() elements each; \p in may
+  /// equal \p out).  Out of place, the bit-reversal permutation is the
+  /// gather that copies \p in.  A non-null \p multiply_by (size()
+  /// points) multiplies the result pointwise, out[k] *= multiply_by[k]
+  /// with std::complex operator*='s operands, inside the last butterfly
+  /// pass — the same values as a separate multiply loop.
+  void transform(const Complex* in, Complex* out, Direction direction,
+                 const Complex* multiply_by = nullptr) const;
+
+  /// \p batch independent size()-point transforms on planar data: lane b
+  /// of point p lives at re[p * batch + b] / im[p * batch + b] (the
+  /// multiply_block_planar layout convention, contiguous across lanes so
+  /// the butterflies SIMD across transforms).  Unnormalised in both
+  /// directions; every lane's value sequence is the scalar transform()'s,
+  /// so each lane is bit-identical to transforming it alone.  Const and
+  /// allocation-free.
   void transform_batched(T* re, T* im, std::size_t batch,
                          Direction direction) const;
+
+  /// transform_batched() of the planar input (\p in_re, \p in_im) into
+  /// (\p re, \p im) — the input may be the output — with the same
+  /// gather and optional pointwise \p multiply_by (one point shared by
+  /// every lane) as the out-of-place transform().
+  void transform_batched(const T* in_re, const T* in_im, T* re, T* im,
+                         std::size_t batch, Direction direction,
+                         const Complex* multiply_by = nullptr) const;
 
   /// Forward DFT into a fresh vector (unnormalised).
   [[nodiscard]] CVector dft(const CVector& data) const
@@ -157,9 +184,13 @@ class BasicPow2Plan {
     requires std::same_as<T, double>;
 
  private:
+  /// Bit-reversal permutation of the interleaved form (the planar one
+  /// runs inside its kernel): point p of the butterfly input is input
+  /// point bit_reversed_[p].
+  void permute(const Complex* in, Complex* out) const;
+
   std::size_t n_;
-  /// Bit-reversal swaps (i < j pairs), flattened.
-  std::vector<std::uint32_t> swaps_;
+  std::vector<std::uint32_t> bit_reversed_;
   /// Per-stage twiddles, stages concatenated: stage len contributes
   /// len/2 entries (total n - 1), in the exact value sequence of the
   /// resynchronised incremental recurrence.

@@ -125,9 +125,13 @@ class SuzukiGenerator {
   /// A FadingStream with this scenario's shadowing gain injected
   /// (keyed off \p options.seed); every backend works, and
   /// next_block()/seek() remain equivalent to generate_block(seed(), b).
-  /// \p options.gain and \p options.coloring are overwritten.
+  /// \p options.gain and \p options.coloring are overwritten.  A
+  /// non-null \p design is shared instead of built (see
+  /// core::FadingStream).
   [[nodiscard]] core::FadingStream make_stream(
-      core::FadingStreamOptions options = {}) const;
+      core::FadingStreamOptions options = {},
+      std::shared_ptr<const doppler::BranchSourceDesign> design =
+          nullptr) const;
 
   // --- theory / validation ---------------------------------------------------
 

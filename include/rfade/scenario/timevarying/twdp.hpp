@@ -220,11 +220,13 @@ class TwdpGenerator {
 /// \p first_wave_doppler / \p second_wave_doppler), threaded by absolute
 /// stream instant so the wave phases — and, with a continuous backend,
 /// the diffuse autocorrelation — are seamless across blocks.  Any
-/// los_mean already set in \p options is replaced.  \pre the plan's
+/// los_mean already set in \p options is replaced.  A non-null \p design
+/// is shared instead of built (see core::FadingStream).  \pre the plan's
 /// dimension matches the spec's.
 [[nodiscard]] core::FadingStream twdp_fading_stream(
     std::shared_ptr<const core::ColoringPlan> plan, const TwdpSpec& spec,
     double first_wave_doppler, double second_wave_doppler,
-    core::FadingStreamOptions options = {});
+    core::FadingStreamOptions options = {},
+    std::shared_ptr<const doppler::BranchSourceDesign> design = nullptr);
 
 }  // namespace rfade::scenario

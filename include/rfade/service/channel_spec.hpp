@@ -420,6 +420,9 @@ class CompiledChannel {
   std::optional<scenario::CascadedRayleighGenerator> cascaded_generator_;
   std::optional<scenario::composite::SuzukiGenerator> suzuki_generator_;
   std::shared_ptr<const scenario::composite::CopulaMarginalTransform> copula_;
+  /// The Doppler backend design every make_stream() session shares
+  /// (stream-mode Rayleigh / Rician / Twdp / Suzuki; null otherwise).
+  std::shared_ptr<const doppler::BranchSourceDesign> stream_design_;
 };
 
 }  // namespace rfade::service

@@ -48,13 +48,26 @@ FadingStream::FadingStream(numeric::CMatrix desired_covariance,
 
 FadingStream::FadingStream(std::shared_ptr<const ColoringPlan> plan,
                            FadingStreamOptions options)
+    : FadingStream(std::move(plan), options,
+                   std::make_shared<const doppler::BranchSourceDesign>(
+                       options.backend, options.idft_size,
+                       options.normalized_doppler,
+                       options.input_variance_per_dim, options.overlap)) {}
+
+FadingStream::FadingStream(
+    std::shared_ptr<const ColoringPlan> plan, FadingStreamOptions options,
+    std::shared_ptr<const doppler::BranchSourceDesign> design)
     : pipeline_(std::move(plan), stream_pipeline_options(options)),
-      design_(std::make_shared<const doppler::BranchSourceDesign>(
-          options.backend, options.idft_size, options.normalized_doppler,
-          options.input_variance_per_dim, options.overlap)),
+      design_(std::move(design)),
       parallel_branches_(options.parallel_branches),
       precision_(options.precision),
       seed_(options.seed) {
+  RFADE_EXPECTS(design_ != nullptr &&
+                    design_->matches(options.backend, options.idft_size,
+                                     options.normalized_doppler,
+                                     options.input_variance_per_dim,
+                                     options.overlap),
+                "FadingStream: design does not match the options");
   // Proposed (Sec. 5 step 6): divide by the Eq. (19) post-filter variance.
   // Flawed mode (ref. [6]): divide by the input complex variance
   // 2 sigma_orig^2, as if the Doppler filter did not change the power.

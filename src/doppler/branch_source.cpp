@@ -388,6 +388,18 @@ BranchSourceDesign::BranchSourceDesign(StreamBackend backend, std::size_t m,
   }
 }
 
+bool BranchSourceDesign::matches(StreamBackend backend, std::size_t m,
+                                 double fm, double input_variance_per_dim,
+                                 std::size_t overlap) const noexcept {
+  const std::size_t expected_overlap =
+      backend == StreamBackend::WindowedOverlapAdd && overlap == 0 ? m / 8
+                                                                   : overlap;
+  return backend == backend_ && m == branch_.block_size() &&
+         fm == branch_.filter().normalized_doppler &&
+         input_variance_per_dim == branch_.input_variance_per_dim() &&
+         expected_overlap == overlap_;
+}
+
 std::size_t BranchSourceDesign::continuity_horizon() const noexcept {
   switch (backend_) {
     case StreamBackend::IndependentBlock:
@@ -483,7 +495,9 @@ struct OverlapSaveBatch::LaneGroup {
   }
 
   /// Batched convolution of every lane's window and extraction into the
-  /// output columns: forward batch FFT, shared-spectrum multiply, inverse
+  /// output columns: forward batch FFT (its bit-reversal permutation is
+  /// the gather that copies the cached windows into the workspace, and
+  /// its last pass multiplies by the shared kernel spectrum), inverse
   /// batch FFT, then w(l, first + b) = (wrap-free sample * 1/(2M)) *
   /// post_scale — the same two componentwise multiplies, in the same
   /// order, as the per-branch extract + scale_into_strided passes.
@@ -491,15 +505,12 @@ struct OverlapSaveBatch::LaneGroup {
                  numeric::Matrix<std::complex<T>>& w) {
     const std::size_t m = design.block_size();
     const std::size_t m2 = 2 * m;
-    std::copy(in_re.begin(), in_re.end(), work_re.begin());
-    std::copy(in_im.begin(), in_im.end(), work_im.begin());
     const fft::BasicRealConvolver<T>& convolver =
         *design.operators<T>().convolver;
     const fft::BasicPow2Plan<T>& plan = *convolver.plan();
-    plan.transform_batched(work_re.data(), work_im.data(), lanes,
-                           fft::Direction::Forward);
-    fft::multiply_batched_pointwise(work_re.data(), work_im.data(), m2, lanes,
-                                    convolver.kernel_spectrum().data());
+    plan.transform_batched(in_re.data(), in_im.data(), work_re.data(),
+                           work_im.data(), lanes, fft::Direction::Forward,
+                           convolver.kernel_spectrum().data());
     plan.transform_batched(work_re.data(), work_im.data(), lanes,
                            fft::Direction::Inverse);
     const T scale = T{1} / static_cast<T>(m2);
@@ -566,13 +577,18 @@ void OverlapSaveBatch::fill_block(std::uint64_t block_index, T post_scale,
   // Lane groups are independent (disjoint state, disjoint output
   // columns): the group sweep parallelises exactly like the per-branch
   // fills, with identical output either way.
+  const auto fill_group = [&](std::size_t g) {
+    groups[g].ensure_inputs(*design_, branch_seeds_.data(), block_index);
+    groups[g].fill_into(*design_, post_scale, w);
+  };
+  // The chunk body captures one pointer, so its std::function stores it
+  // inline: a steady-state sweep allocates nothing.
   support::parallel_for_chunked(
       groups.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
+      [body = &fill_group](std::size_t begin, std::size_t end,
+                           std::size_t /*chunk*/) {
         for (std::size_t g = begin; g < end; ++g) {
-          groups[g].ensure_inputs(*design_, branch_seeds_.data(),
-                                  block_index);
-          groups[g].fill_into(*design_, post_scale, w);
+          (*body)(g);
         }
       },
       {/*chunk_size=*/1, /*serial=*/!parallel});

@@ -52,11 +52,11 @@ void IdftRayleighBranch::synthesize_into(const numeric::CVector& spectrum,
     out = fft::idft(spectrum);
     return;
   }
-  // The exact fft::idft value sequence (copy, inverse transform, 1/M
-  // scale) — the plan replays fft_pow2_inplace's twiddles verbatim — into
-  // the caller's warm buffer.
-  out = spectrum;
-  plan_->transform(out, fft::Direction::Inverse);
+  // The exact fft::idft value sequence (inverse transform, 1/M scale) —
+  // the plan replays fft_pow2_inplace's twiddles verbatim — into the
+  // caller's warm buffer.
+  out.resize(spectrum.size());
+  plan_->transform(spectrum.data(), out.data(), fft::Direction::Inverse);
   const double scale = 1.0 / static_cast<double>(out.size());
   for (numeric::cdouble& value : out) {
     value *= scale;

@@ -1,15 +1,18 @@
 #include "rfade/fft/fft.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/simd.hpp"
 
 // NOTE: this translation unit is compiled with -ffp-contract=off (see
-// CMakeLists.txt).  The batched planar kernels below promise bit-identical
-// results per lane against the std::complex scalar paths, and the avx512f
-// clone tier would otherwise be free to contract mul+add into 512-bit FMAs
+// CMakeLists.txt).  The butterfly kernel below promises the bits of the
+// std::complex scalar reference at every ISA version, and the avx2 /
+// avx512f versions would otherwise be free to contract mul+add into FMAs
 // and break that promise.
 
 namespace rfade::fft {
@@ -141,105 +144,407 @@ CVector idft(const CVector& data) {
   return result;
 }
 
-// --- Batched planar kernels --------------------------------------------------
+// --- Butterfly kernel --------------------------------------------------------
 
 namespace {
 
-/// All butterfly stages of \p batch lockstep transforms on planar data
-/// (lane b of point p at [p * batch + b]).  The per-lane arithmetic is
-/// written to mirror the std::complex operations of the scalar transform
-/// exactly — odd = x * w as (xr*wr - xi*wi, xr*wi + xi*wr), then sum and
-/// difference — so each lane's value sequence is bit-identical to the
-/// scalar path.  The inner lane loops run over contiguous memory, which
-/// is what the clone tier vectorises (zmm on avx512f).
+/// GCC/Clang generic vector of Bytes / sizeof(T) lanes.  The butterflies
+/// are written in these explicit vectors (see support/simd.hpp).
+template <typename T, std::size_t Bytes>
+struct VectorOf {
+  typedef T type __attribute__((vector_size(Bytes)));
+};
+template <typename T, std::size_t Bytes>
+using Vector = typename VectorOf<T, Bytes>::type;
+
+/// Planar data: point p, lane b at re[p * stride + b] / im[p * stride + b].
 template <typename T>
-RFADE_CLONE_BODY void butterfly_stages_body(T* __restrict re,
-                                            T* __restrict im, std::size_t n,
-                                            std::size_t batch,
-                                            const std::complex<T>* twiddles) {
-  std::size_t offset = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::complex<T>* w = twiddles + offset;
-    const std::size_t half = len / 2;
-    for (std::size_t start = 0; start < n; start += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const T wr = w[k].real();
-        const T wi = w[k].imag();
-        T* __restrict er = re + (start + k) * batch;
-        T* __restrict ei = im + (start + k) * batch;
-        T* __restrict xr = re + (start + k + half) * batch;
-        T* __restrict xi = im + (start + k + half) * batch;
-        for (std::size_t b = 0; b < batch; ++b) {
-          const T odd_r = xr[b] * wr - xi[b] * wi;
-          const T odd_i = xr[b] * wi + xi[b] * wr;
-          const T even_r = er[b];
-          const T even_i = ei[b];
-          er[b] = even_r + odd_r;
-          ei[b] = even_i + odd_i;
-          xr[b] = even_r - odd_r;
-          xi[b] = even_i - odd_i;
-        }
+struct PlanarBuffer {
+  T* re;
+  T* im;
+  std::size_t stride;
+};
+
+/// One vector of Bytes / sizeof(T) lanes of every point of a planar
+/// buffer (the buffer already offset to the slice's first lane): a unit
+/// is one point's lanes, and a twiddle is one scalar, broadcast.
+template <typename T, std::size_t Bytes>
+struct PlanarSlice {
+  using Buffer = PlanarBuffer<T>;
+  using V = Vector<T, Bytes>;
+  struct Unit {
+    V re;
+    V im;
+  };
+  using Twiddle = std::complex<T>;
+  static constexpr std::size_t kPoints = 1;  ///< points per unit
+
+  Buffer buffer;
+
+  [[gnu::always_inline]] Unit load(std::size_t p) const {
+    Unit u;
+    std::memcpy(&u.re, buffer.re + p * buffer.stride, sizeof(V));
+    std::memcpy(&u.im, buffer.im + p * buffer.stride, sizeof(V));
+    return u;
+  }
+  [[gnu::always_inline]] void store(std::size_t p, const Unit& u) const {
+    std::memcpy(buffer.re + p * buffer.stride, &u.re, sizeof(V));
+    std::memcpy(buffer.im + p * buffer.stride, &u.im, sizeof(V));
+  }
+  [[gnu::always_inline]] static Twiddle twiddle(const std::complex<T>* w) {
+    return *w;
+  }
+  /// x * w with std::complex's operands: (xr*wr - xi*wi, xr*wi + xi*wr).
+  [[gnu::always_inline]] static Unit mul(const Unit& x, const Twiddle& w) {
+    const T wr = w.real();
+    const T wi = w.imag();
+    return {x.re * wr - x.im * wi, x.re * wi + x.im * wr};
+  }
+  [[gnu::always_inline]] static Unit add(const Unit& a, const Unit& b) {
+    return {a.re + b.re, a.im + b.im};
+  }
+  [[gnu::always_inline]] static Unit sub(const Unit& a, const Unit& b) {
+    return {a.re - b.re, a.im - b.im};
+  }
+};
+
+/// Interleaved data: point p at data[2p] (re), data[2p + 1] (im).
+template <typename T>
+struct InterleavedBuffer {
+  T* data;
+};
+
+/// Bytes / (2 sizeof(T)) consecutive points of an interleaved buffer per
+/// unit.  A twiddle unit is the table's (wr, wi) pairs w plus the
+/// (-wi, wr) pairs derived from them in registers, so
+///   x * w = (xr, xr) * (wr, wi) + (xi, xi) * (-wi, wr)
+/// is, lane by lane, (xr*wr - xi*wi, xr*wi + xi*wr): the sign flip is
+/// exact and x + (-y) == x - y.
+template <typename T, std::size_t Bytes>
+struct InterleavedRun {
+  using Buffer = InterleavedBuffer<T>;
+  using V = Vector<T, Bytes>;
+  /// Vectors travel wrapped in structs between the (always inlined)
+  /// helpers: a bare vector return trips GCC's -Wpsabi note.
+  struct Unit {
+    V v;
+  };
+  struct Twiddle {
+    V w;
+    V swapped;
+  };
+  static constexpr std::size_t kLanes = Bytes / sizeof(T);
+  static constexpr std::size_t kPoints = kLanes / 2;
+  using Lanes = std::make_index_sequence<kLanes>;
+
+  Buffer buffer;
+
+  [[gnu::always_inline]] Unit load(std::size_t p) const {
+    Unit u;
+    std::memcpy(&u.v, buffer.data + 2 * p, sizeof(V));
+    return u;
+  }
+  [[gnu::always_inline]] void store(std::size_t p, const Unit& u) const {
+    std::memcpy(buffer.data + 2 * p, &u.v, sizeof(V));
+  }
+  [[gnu::always_inline]] static Twiddle twiddle(const std::complex<T>* w) {
+    Twiddle t;
+    std::memcpy(&t.w, w, sizeof(V));
+    t.swapped = swap_negate(t.w, Lanes{}).v;
+    return t;
+  }
+  [[gnu::always_inline]] static Unit mul(const Unit& x, const Twiddle& w) {
+    return {duplicate<false>(x.v, Lanes{}).v * w.w +
+            duplicate<true>(x.v, Lanes{}).v * w.swapped};
+  }
+  [[gnu::always_inline]] static Unit add(const Unit& a, const Unit& b) {
+    return {a.v + b.v};
+  }
+  [[gnu::always_inline]] static Unit sub(const Unit& a, const Unit& b) {
+    return {a.v - b.v};
+  }
+  /// Lane l of the result is x[l & ~1] (Odd = false) or x[l | 1] (Odd =
+  /// true): each point's real or imaginary part in both of its lanes.
+  template <bool Odd, std::size_t... I>
+  [[gnu::always_inline]] static Unit duplicate(V x,
+                                               std::index_sequence<I...>) {
+    return {__builtin_shufflevector(
+        x, x, (Odd ? (I | 1) : (I & ~std::size_t{1}))...)};
+  }
+  /// (re, im) pairs -> (-im, re) pairs: a lane swap and an exact sign flip.
+  template <std::size_t... I>
+  [[gnu::always_inline]] static Unit swap_negate(V w,
+                                                 std::index_sequence<I...>) {
+    return {__builtin_shufflevector(
+        w, -w, ((I & 1) != 0 ? I - 1 : kLanes + I + 1)...)};
+  }
+};
+
+/// One radix-2 stage of half-size h over points [first, first + count):
+/// (p, p + h) with twiddle w[k] for p = block start + k.  With Post, each
+/// result is then multiplied by post[p].
+template <bool Post, typename K, typename T>
+RFADE_CLONE_BODY void radix2_pass(const K& kernel, std::size_t h,
+                                  std::size_t first, std::size_t count,
+                                  const std::complex<T>* w,
+                                  const std::complex<T>* post) {
+  for (std::size_t s = first; s < first + count; s += 2 * h) {
+    for (std::size_t k = 0; k < h; k += K::kPoints) {
+      const std::size_t a = s + k;
+      const auto x0 = kernel.load(a);
+      const auto odd = K::mul(kernel.load(a + h), K::twiddle(w + k));
+      auto y0 = K::add(x0, odd);
+      auto y1 = K::sub(x0, odd);
+      if constexpr (Post) {
+        y0 = K::mul(y0, K::twiddle(post + a));
+        y1 = K::mul(y1, K::twiddle(post + a + h));
+      }
+      kernel.store(a, y0);
+      kernel.store(a + h, y1);
+    }
+  }
+}
+
+/// Stages of half-size h and 2h fused over points [first, first + count):
+/// per block of 4h points and k < h, the four points a, a+h, a+2h, a+3h
+/// (a = block start + k) stay in registers through both stages — first
+/// (a, a+h) and (a+2h, a+3h) with twiddle w1[k], then (a, a+2h) with
+/// w2[k] and (a+h, a+3h) with w2[k+h] — exactly the butterflies the two
+/// separate stages run.  With Post, each result is then multiplied by
+/// post at its point.
+template <bool Post, typename K, typename T>
+RFADE_CLONE_BODY void pair_pass(const K& kernel, std::size_t h,
+                                std::size_t first, std::size_t count,
+                                const std::complex<T>* w1,
+                                const std::complex<T>* w2,
+                                const std::complex<T>* post) {
+  for (std::size_t s = first; s < first + count; s += 4 * h) {
+    for (std::size_t k = 0; k < h; k += K::kPoints) {
+      const std::size_t a = s + k;
+      const auto t1 = K::twiddle(w1 + k);
+      const auto x0 = kernel.load(a);
+      const auto x2 = kernel.load(a + 2 * h);
+      auto odd = K::mul(kernel.load(a + h), t1);
+      const auto y0 = K::add(x0, odd);
+      const auto y1 = K::sub(x0, odd);
+      odd = K::mul(kernel.load(a + 3 * h), t1);
+      const auto y2 = K::add(x2, odd);
+      const auto y3 = K::sub(x2, odd);
+      odd = K::mul(y2, K::twiddle(w2 + k));
+      auto z0 = K::add(y0, odd);
+      auto z2 = K::sub(y0, odd);
+      odd = K::mul(y3, K::twiddle(w2 + k + h));
+      auto z1 = K::add(y1, odd);
+      auto z3 = K::sub(y1, odd);
+      if constexpr (Post) {
+        z0 = K::mul(z0, K::twiddle(post + a));
+        z1 = K::mul(z1, K::twiddle(post + a + h));
+        z2 = K::mul(z2, K::twiddle(post + a + 2 * h));
+        z3 = K::mul(z3, K::twiddle(post + a + 3 * h));
+      }
+      kernel.store(a, z0);
+      kernel.store(a + h, z1);
+      kernel.store(a + 2 * h, z2);
+      kernel.store(a + 3 * h, z3);
+    }
+  }
+}
+
+/// One pass (a radix-2 stage, or the stage pair h / 2h) over points
+/// [first, first + count), at Bytes or — when a unit spans more points
+/// than the stage's half-size — the widest narrower vector that fits.
+/// Stage len's twiddles start at tw + len/2 - 1.
+template <template <typename, std::size_t> class K, typename T,
+          std::size_t Bytes, bool Post>
+RFADE_CLONE_BODY void run_pass(const typename K<T, Bytes>::Buffer& buffer,
+                               bool radix2, std::size_t h, std::size_t first,
+                               std::size_t count, const std::complex<T>* tw,
+                               const std::complex<T>* post) {
+  using Kernel = K<T, Bytes>;
+  if constexpr (Kernel::kPoints > 1) {
+    if (h < Kernel::kPoints) {
+      run_pass<K, T, Bytes / 2, Post>(buffer, radix2, h, first, count, tw,
+                                      post);
+      return;
+    }
+  }
+  const Kernel kernel{buffer};
+  if (radix2) {
+    radix2_pass<Post>(kernel, h, first, count, tw + h - 1, post);
+  } else {
+    pair_pass<Post>(kernel, h, first, count, tw + h - 1, tw + 2 * h - 1,
+                    post);
+  }
+}
+
+template <template <typename, std::size_t> class K, typename T,
+          std::size_t Bytes>
+RFADE_CLONE_BODY void pass(const typename K<T, Bytes>::Buffer& buffer,
+                           bool radix2, std::size_t h, std::size_t first,
+                           std::size_t count, std::size_t n,
+                           const std::complex<T>* tw,
+                           const std::complex<T>* post) {
+  // The pass that completes the transform applies the pointwise multiply.
+  if (post != nullptr && (radix2 ? 2 * h : 4 * h) == n) {
+    run_pass<K, T, Bytes, true>(buffer, radix2, h, first, count, tw, post);
+  } else {
+    run_pass<K, T, Bytes, false>(buffer, radix2, h, first, count, tw, post);
+  }
+}
+
+/// Every butterfly stage of an n-point transform whose input is already
+/// in bit-reversed order: a leading radix-2 stage when log2(n) is odd,
+/// then stage pairs.  Passes whose blocks of 4h points fit in \p block
+/// points run one block at a time (the block stays in L1); the others
+/// sweep all n points.  Butterflies in disjoint blocks are independent,
+/// so this only reorders them.
+template <template <typename, std::size_t> class K, typename T,
+          std::size_t Bytes>
+RFADE_CLONE_BODY void butterfly_stages(const typename K<T, Bytes>::Buffer& buffer,
+                                       std::size_t n, std::size_t block,
+                                       const std::complex<T>* tw,
+                                       const std::complex<T>* post) {
+  if (n < 2) {
+    return;
+  }
+  block = std::min(block, n);
+  const bool odd = (std::countr_zero(n) & 1) != 0;
+  const std::size_t first_h = odd ? 2 : 1;
+  for (std::size_t base = 0; base < n; base += block) {
+    if (odd) {
+      pass<K, T, Bytes>(buffer, true, 1, base, block, n, tw, post);
+    }
+    for (std::size_t h = first_h; 4 * h <= block; h *= 4) {
+      pass<K, T, Bytes>(buffer, false, h, base, block, n, tw, post);
+    }
+  }
+  for (std::size_t h = first_h; 4 * h <= n; h *= 4) {
+    if (4 * h > block) {
+      pass<K, T, Bytes>(buffer, false, h, 0, n, n, tw, post);
+    }
+  }
+}
+
+/// Points per cache-resident block for \p point_bytes of data per point:
+/// the largest power of two whose block fits in 32 KiB (L1 data caches
+/// are 32-48 KiB), at least 4.
+std::size_t block_points(std::size_t point_bytes) {
+  std::size_t points = 4;
+  while (2 * points * point_bytes <= (std::size_t{32} << 10)) {
+    points *= 2;
+  }
+  return points;
+}
+
+/// The bit-reversal permutation of one lane slice of a planar buffer:
+/// point p of \p out is point rev[p] of \p in, moved one vector per
+/// point (swapped in place when \p in is \p out).
+template <typename T, std::size_t Bytes>
+RFADE_CLONE_BODY void permute_slice(const T* in, T* out, std::size_t n,
+                                    std::size_t stride,
+                                    const std::uint32_t* rev) {
+  using V = Vector<T, Bytes>;
+  V x;
+  V y;
+  if (in == out) {
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::size_t q = rev[p];
+      if (p < q) {
+        std::memcpy(&x, out + p * stride, sizeof(V));
+        std::memcpy(&y, out + q * stride, sizeof(V));
+        std::memcpy(out + p * stride, &y, sizeof(V));
+        std::memcpy(out + q * stride, &x, sizeof(V));
       }
     }
-    offset += half;
+    return;
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    std::memcpy(&x, in + rev[p] * stride, sizeof(V));
+    std::memcpy(out + p * stride, &x, sizeof(V));
   }
 }
 
-/// Pointwise planar multiply by a shared spectrum, mirroring the operand
-/// order of std::complex operator*= (work[k] *= h[k]) per lane.
-template <typename T>
-RFADE_CLONE_BODY void pointwise_body(T* __restrict re, T* __restrict im,
-                                     std::size_t n, std::size_t batch,
-                                     const std::complex<T>* h) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const T hr = h[k].real();
-    const T hi = h[k].imag();
-    T* __restrict r = re + k * batch;
-    T* __restrict i = im + k * batch;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const T xr = r[b];
-      const T xi = i[b];
-      r[b] = xr * hr - xi * hi;
-      i[b] = xr * hi + xi * hr;
-    }
+/// Planar form: every lane slice [j, j + Bytes / sizeof(T)) of the batch
+/// is permuted and runs the stages in one vector per point; the lanes a
+/// whole-width slice leaves run at each halving width down to one lane.
+template <typename T, std::size_t Bytes>
+RFADE_CLONE_BODY void planar_slices(const T* in_re, const T* in_im, T* re,
+                                    T* im, std::size_t n, std::size_t batch,
+                                    std::size_t j, std::size_t block,
+                                    const std::uint32_t* rev,
+                                    const std::complex<T>* tw,
+                                    const std::complex<T>* post) {
+  constexpr std::size_t kLanes = Bytes / sizeof(T);
+  for (; j + kLanes <= batch; j += kLanes) {
+    permute_slice<T, Bytes>(in_re + j, re + j, n, batch, rev);
+    permute_slice<T, Bytes>(in_im + j, im + j, n, batch, rev);
+    butterfly_stages<PlanarSlice, T, Bytes>({re + j, im + j, batch}, n,
+                                            block, tw, post);
+  }
+  if constexpr (kLanes > 1) {
+    planar_slices<T, Bytes / 2>(in_re, in_im, re, im, n, batch, j, block,
+                                rev, tw, post);
   }
 }
 
-RFADE_TARGET_CLONES_WIDE
-void batched_butterfly_stages(double* re, double* im, std::size_t n,
-                              std::size_t batch, const cdouble* twiddles) {
-  butterfly_stages_body(re, im, n, batch, twiddles);
+template <typename T, std::size_t Bytes>
+RFADE_CLONE_BODY void planar_body(const T* in_re, const T* in_im, T* re,
+                                  T* im, std::size_t n, std::size_t batch,
+                                  const std::uint32_t* rev,
+                                  const std::complex<T>* tw,
+                                  const std::complex<T>* post) {
+  planar_slices<T, Bytes>(in_re, in_im, re, im, n, batch, 0,
+                          block_points(2 * batch * sizeof(T)), rev, tw,
+                          post);
 }
 
-RFADE_TARGET_CLONES_WIDE
-void batched_butterfly_stages(float* re, float* im, std::size_t n,
-                              std::size_t batch, const cfloat* twiddles) {
-  butterfly_stages_body(re, im, n, batch, twiddles);
+template <typename T, std::size_t Bytes>
+RFADE_CLONE_BODY void interleaved_body(std::complex<T>* data, std::size_t n,
+                                       const std::complex<T>* tw,
+                                       const std::complex<T>* post) {
+  butterfly_stages<InterleavedRun, T, Bytes>(
+      {reinterpret_cast<T*>(data)}, n, block_points(sizeof(std::complex<T>)),
+      tw, post);
 }
 
-RFADE_TARGET_CLONES_WIDE
-void batched_pointwise_kernel(double* re, double* im, std::size_t n,
-                              std::size_t batch, const cdouble* h) {
-  pointwise_body(re, im, n, batch, h);
-}
+// One version per ISA, each at its register width: 16-byte vectors in the
+// baseline (SSE2 / NEON), 32 in avx2, 64 in avx512f.
+#define RFADE_FFT_KERNELS(isa, bytes)                                        \
+  RFADE_TARGET_VERSION(isa)                                                  \
+  void planar_kernel(const double* in_re, const double* in_im, double* re,   \
+                     double* im, std::size_t n, std::size_t batch,           \
+                     const std::uint32_t* rev, const cdouble* tw,            \
+                     const cdouble* post) {                                  \
+    planar_body<double, bytes>(in_re, in_im, re, im, n, batch, rev, tw,      \
+                               post);                                        \
+  }                                                                          \
+  RFADE_TARGET_VERSION(isa)                                                  \
+  void planar_kernel(const float* in_re, const float* in_im, float* re,      \
+                     float* im, std::size_t n, std::size_t batch,            \
+                     const std::uint32_t* rev, const cfloat* tw,             \
+                     const cfloat* post) {                                   \
+    planar_body<float, bytes>(in_re, in_im, re, im, n, batch, rev, tw,       \
+                              post);                                         \
+  }                                                                          \
+  RFADE_TARGET_VERSION(isa)                                                  \
+  void interleaved_kernel(cdouble* data, std::size_t n, const cdouble* tw,   \
+                          const cdouble* post) {                             \
+    interleaved_body<double, bytes>(data, n, tw, post);                      \
+  }                                                                          \
+  RFADE_TARGET_VERSION(isa)                                                  \
+  void interleaved_kernel(cfloat* data, std::size_t n, const cfloat* tw,     \
+                          const cfloat* post) {                              \
+    interleaved_body<float, bytes>(data, n, tw, post);                       \
+  }
 
-RFADE_TARGET_CLONES_WIDE
-void batched_pointwise_kernel(float* re, float* im, std::size_t n,
-                              std::size_t batch, const cfloat* h) {
-  pointwise_body(re, im, n, batch, h);
-}
+RFADE_FFT_KERNELS("default", 16)
+#if RFADE_HAS_TARGET_VERSIONS
+RFADE_FFT_KERNELS("avx2", 32)
+RFADE_FFT_KERNELS("avx512f", 64)
+#endif
+#undef RFADE_FFT_KERNELS
 
 }  // namespace
-
-void multiply_batched_pointwise(double* re, double* im, std::size_t n,
-                                std::size_t batch, const cdouble* h) {
-  batched_pointwise_kernel(re, im, n, batch, h);
-}
-
-void multiply_batched_pointwise(float* re, float* im, std::size_t n,
-                                std::size_t batch, const cfloat* h) {
-  batched_pointwise_kernel(re, im, n, batch, h);
-}
 
 // --- BasicPow2Plan -----------------------------------------------------------
 
@@ -268,13 +573,11 @@ template <typename T>
 BasicPow2Plan<T>::BasicPow2Plan(std::size_t n) : n_(n) {
   RFADE_EXPECTS(is_power_of_two(n), "Pow2Plan: size must be 2^k");
   RFADE_EXPECTS(n <= (std::size_t{1} << 32), "Pow2Plan: size exceeds 2^32");
-  // Bit-reversal permutation as an explicit swap list (i < j only).
+  // Bit-reversal permutation.
+  bit_reversed_.resize(n);
   std::size_t j = 0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (i < j) {
-      swaps_.push_back(static_cast<std::uint32_t>(i));
-      swaps_.push_back(static_cast<std::uint32_t>(j));
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    bit_reversed_[i] = static_cast<std::uint32_t>(j);
     std::size_t mask = n >> 1;
     while (j & mask) {
       j ^= mask;
@@ -304,51 +607,74 @@ BasicPow2Plan<T>::BasicPow2Plan(std::size_t n) : n_(n) {
 }
 
 template <typename T>
+void BasicPow2Plan<T>::permute(const Complex* in, Complex* out) const {
+  if (in == out) {
+    for (std::size_t p = 0; p < n_; ++p) {
+      const std::size_t q = bit_reversed_[p];
+      if (p < q) {
+        std::swap(out[p], out[q]);
+      }
+    }
+    return;
+  }
+  for (std::size_t p = 0; p < n_; ++p) {
+    out[p] = in[bit_reversed_[p]];
+  }
+}
+
+template <typename T>
 void BasicPow2Plan<T>::transform(ComplexVector& data,
                                  Direction direction) const {
   RFADE_EXPECTS(data.size() == n_, "Pow2Plan: data size mismatch");
+  transform(data.data(), data.data(), direction);
+}
+
+template <typename T>
+void BasicPow2Plan<T>::transform(const Complex* in, Complex* out,
+                                 Direction direction,
+                                 const Complex* multiply_by) const {
+  RFADE_EXPECTS(in != nullptr && out != nullptr, "Pow2Plan: null data");
+  permute(in, out);
   if (n_ == 1) {
+    if (multiply_by != nullptr) {
+      out[0] *= multiply_by[0];
+    }
     return;
-  }
-  for (std::size_t s = 0; s + 1 < swaps_.size(); s += 2) {
-    std::swap(data[swaps_[s]], data[swaps_[s + 1]]);
   }
   const ComplexVector& twiddles =
       direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
-  std::size_t offset = 0;
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const Complex* w = twiddles.data() + offset;
-    for (std::size_t start = 0; start < n_; start += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex even = data[start + k];
-        const Complex odd = data[start + k + len / 2] * w[k];
-        data[start + k] = even + odd;
-        data[start + k + len / 2] = even - odd;
-      }
-    }
-    offset += len / 2;
-  }
+  interleaved_kernel(out, n_, twiddles.data(), multiply_by);
 }
 
 template <typename T>
 void BasicPow2Plan<T>::transform_batched(T* re, T* im, std::size_t batch,
                                          Direction direction) const {
-  RFADE_EXPECTS(re != nullptr && im != nullptr,
+  transform_batched(re, im, re, im, batch, direction);
+}
+
+template <typename T>
+void BasicPow2Plan<T>::transform_batched(const T* in_re, const T* in_im,
+                                         T* re, T* im, std::size_t batch,
+                                         Direction direction,
+                                         const Complex* multiply_by) const {
+  RFADE_EXPECTS(in_re != nullptr && in_im != nullptr && re != nullptr &&
+                    im != nullptr,
                 "Pow2Plan::transform_batched: null data");
-  if (n_ == 1 || batch == 0) {
+  if (n_ == 1) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      Complex x(in_re[b], in_im[b]);
+      if (multiply_by != nullptr) {
+        x *= multiply_by[0];
+      }
+      re[b] = x.real();
+      im[b] = x.imag();
+    }
     return;
-  }
-  // Bit-reversal permutation: each swap exchanges one planar row (batch
-  // contiguous lanes) — pure data movement, no rounding involved.
-  for (std::size_t s = 0; s + 1 < swaps_.size(); s += 2) {
-    const std::size_t i = std::size_t{swaps_[s]} * batch;
-    const std::size_t j = std::size_t{swaps_[s + 1]} * batch;
-    std::swap_ranges(re + i, re + i + batch, re + j);
-    std::swap_ranges(im + i, im + i + batch, im + j);
   }
   const ComplexVector& twiddles =
       direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
-  batched_butterfly_stages(re, im, n_, batch, twiddles.data());
+  planar_kernel(in_re, in_im, re, im, n_, batch, bit_reversed_.data(),
+                twiddles.data(), multiply_by);
 }
 
 template <typename T>
@@ -547,11 +873,9 @@ void BasicRealConvolver<T>::convolve_packed(const ComplexVector& in,
                                             ComplexVector& work) const {
   RFADE_EXPECTS(in.size() == plan_->size(),
                 "RealConvolver: input size must match plan size");
-  work = in;
-  plan_->transform(work, Direction::Forward);
-  for (std::size_t k = 0; k < work.size(); ++k) {
-    work[k] *= spectrum_[k];
-  }
+  work.resize(in.size());
+  plan_->transform(in.data(), work.data(), Direction::Forward,
+                   spectrum_.data());
   plan_->transform(work, Direction::Inverse);
 }
 
@@ -566,10 +890,8 @@ void BasicRealConvolver<T>::convolve_pair(const double* x, const double* y,
   for (std::size_t j = 0; j < n; ++j) {
     work[j] = cdouble(x[j], y[j]);
   }
-  plan_->transform(work, Direction::Forward);
-  for (std::size_t k = 0; k < n; ++k) {
-    work[k] *= spectrum_[k];
-  }
+  plan_->transform(work.data(), work.data(), Direction::Forward,
+                   spectrum_.data());
   plan_->transform(work, Direction::Inverse);
   const double scale = 1.0 / static_cast<double>(n);
   for (std::size_t j = 0; j < n; ++j) {

@@ -76,8 +76,12 @@ numeric::RMatrix SuzukiGenerator::sample_envelope_stream(
 }
 
 core::FadingStream SuzukiGenerator::make_stream(
-    core::FadingStreamOptions options) const {
+    core::FadingStreamOptions options,
+    std::shared_ptr<const doppler::BranchSourceDesign> design) const {
   options.gain = shadowing_gain(options.seed);
+  if (design != nullptr) {
+    return core::FadingStream(plan_, options, std::move(design));
+  }
   return core::FadingStream(plan_, options);
 }
 

@@ -255,7 +255,8 @@ core::EnvelopeValidationReport validate_twdp(
 core::FadingStream twdp_fading_stream(
     std::shared_ptr<const core::ColoringPlan> plan, const TwdpSpec& spec,
     double first_wave_doppler, double second_wave_doppler,
-    core::FadingStreamOptions options) {
+    core::FadingStreamOptions options,
+    std::shared_ptr<const doppler::BranchSourceDesign> design) {
   RFADE_EXPECTS(plan != nullptr, "twdp_fading_stream: plan must not be null");
   RFADE_EXPECTS(plan->dimension() == spec.dimension(),
                 "twdp_fading_stream: plan dimension must match the spec");
@@ -264,6 +265,10 @@ core::FadingStream twdp_fading_stream(
   // pure-Rayleigh spec takes the meanless fast path bit-for-bit.
   options.los_mean =
       spec.realtime_mean(*plan, first_wave_doppler, second_wave_doppler);
+  if (design != nullptr) {
+    return core::FadingStream(std::move(plan), std::move(options),
+                              std::move(design));
+  }
   return core::FadingStream(std::move(plan), std::move(options));
 }
 

@@ -745,6 +745,12 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
   block_size_ = instant ? s.block_size()
                         : stream_block_rows(s.backend(), s.idft_size(),
                                             s.overlap());
+  if (!instant && s.family() != FadingFamily::CascadedRayleigh &&
+      s.family() != FadingFamily::CopulaMarginals) {
+    stream_design_ = std::make_shared<const doppler::BranchSourceDesign>(
+        s.backend(), s.idft_size(), s.normalized_doppler(),
+        s.input_variance_per_dim(), s.overlap());
+  }
 }
 
 core::FadingStreamOptions CompiledChannel::stream_options(
@@ -771,13 +777,14 @@ core::FadingStream CompiledChannel::make_stream(std::uint64_t seed) const {
   switch (spec_.family()) {
     case FadingFamily::Rayleigh:
     case FadingFamily::Rician:
-      return core::FadingStream(plan_, stream_options(seed));
+      return core::FadingStream(plan_, stream_options(seed), stream_design_);
     case FadingFamily::Twdp:
       return scenario::twdp_fading_stream(
           plan_, *twdp_spec_, spec_.first_wave_doppler(),
-          spec_.second_wave_doppler(), stream_options(seed));
+          spec_.second_wave_doppler(), stream_options(seed), stream_design_);
     case FadingFamily::Suzuki:
-      return suzuki_generator_->make_stream(stream_options(seed));
+      return suzuki_generator_->make_stream(stream_options(seed),
+                                            stream_design_);
     case FadingFamily::CascadedRayleigh:
     case FadingFamily::CopulaMarginals:
       break;

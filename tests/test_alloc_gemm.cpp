@@ -1,7 +1,9 @@
 // Allocation audit of the hot kernels.  After one warm-up call per
 // thread, the coloring GEMMs multiply_block_raw and multiply_block_planar
 // make no heap allocation at the stream (N = 16) and instant (N = 64)
-// shapes, in both precisions.  The bulk Gaussian fill
+// shapes, in both precisions; neither do the FFT plan's transform /
+// transform_batched nor the batched overlap-save sweep
+// OverlapSaveBatch::fill_block.  The bulk Gaussian fill
 // fill_complex_gaussians_planar makes none at all, warm-up or not.  A
 // replaced global operator new counts allocations per thread, so gtest's
 // own bookkeeping on other threads never leaks in.
@@ -12,9 +14,13 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "rfade/doppler/branch_source.hpp"
+#include "rfade/fft/fft.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/bulk_gaussian.hpp"
 
@@ -140,6 +146,82 @@ TEST(AllocFill, BulkFillsAllocateNothingOnAFreshThread) {
     worker.join();
     EXPECT_EQ(f64, 0u) << count;
     EXPECT_EQ(f32, 0u) << count;
+  }
+}
+
+/// Heap allocations made by the calling thread during steady-state
+/// transforms of every form at n = 8192, after one warm-up of each.
+template <typename T>
+std::size_t transform_allocations() {
+  constexpr std::size_t kN = 8192;
+  constexpr std::size_t kLanes = 8;
+  const fft::BasicPow2Plan<T> plan(kN);
+  std::vector<std::complex<T>> x(kN, std::complex<T>(T(0.5), T(-1)));
+  std::vector<std::complex<T>> y(kN);
+  const std::vector<std::complex<T>> h(kN, std::complex<T>(T(2), T(1)));
+  std::vector<T> re(kN * kLanes, T(1));
+  std::vector<T> im(kN * kLanes, T(-2));
+  std::vector<T> out_re(kN * kLanes);
+  std::vector<T> out_im(kN * kLanes);
+  const auto run = [&] {
+    plan.transform(x, fft::Direction::Forward);
+    plan.transform(x.data(), y.data(), fft::Direction::Inverse, h.data());
+    plan.transform_batched(re.data(), im.data(), kLanes,
+                           fft::Direction::Forward);
+    plan.transform_batched(re.data(), im.data(), out_re.data(),
+                           out_im.data(), kLanes, fft::Direction::Inverse,
+                           h.data());
+  };
+  run();
+  const std::size_t before = t_allocations;
+  run();
+  run();
+  return t_allocations - before;
+}
+
+/// Heap allocations made by the calling thread during steady-state
+/// overlap-save sweeps (N = 16, M = 1024): in-order blocks (the shift
+/// path) and a jump (both halves regenerated), after one warm-up block.
+template <typename T>
+std::size_t sweep_allocations() {
+  constexpr std::size_t kBranches = 16;
+  const auto design = std::make_shared<const doppler::BranchSourceDesign>(
+      doppler::StreamBackend::OverlapSaveFir, 1024, 0.05, 0.5);
+  std::vector<std::uint64_t> seeds(kBranches);
+  for (std::size_t j = 0; j < kBranches; ++j) {
+    seeds[j] = doppler::BranchSourceDesign::input_seed(99, j);
+  }
+  doppler::OverlapSaveBatch batch(design, seeds, std::is_same_v<T, float>);
+  numeric::Matrix<std::complex<T>> w(design->block_size(), kBranches);
+  batch.fill_block<T>(0, T(1), w, /*parallel=*/false);
+  const std::size_t before = t_allocations;
+  for (const std::uint64_t block : {1u, 2u, 9u, 10u}) {
+    batch.fill_block<T>(block, T(1), w, /*parallel=*/false);
+  }
+  return t_allocations - before;
+}
+
+TEST(AllocFft, SteadyStateTransformsAllocateNothing) {
+  EXPECT_EQ(transform_allocations<double>(), 0u);
+  EXPECT_EQ(transform_allocations<float>(), 0u);
+}
+
+TEST(AllocFft, SteadyStateOverlapSaveSweepsAllocateNothing) {
+  EXPECT_EQ(sweep_allocations<double>(), 0u);
+  EXPECT_EQ(sweep_allocations<float>(), 0u);
+}
+
+TEST(AllocFft, SteadyStateAllocateNothingOnAFreshThread) {
+  std::size_t counts[4] = {1, 1, 1, 1};
+  std::thread worker([&] {
+    counts[0] = transform_allocations<double>();
+    counts[1] = transform_allocations<float>();
+    counts[2] = sweep_allocations<double>();
+    counts[3] = sweep_allocations<float>();
+  });
+  worker.join();
+  for (const std::size_t count : counts) {
+    EXPECT_EQ(count, 0u);
   }
 }
 

@@ -429,6 +429,26 @@ TEST(FadingStream, BatchedCursorBitIdenticalToKeyedForEveryBackend) {
   expect_cursor_matches_keyed(equicorrelated(17, 0.3), options);
 }
 
+TEST(FadingStream, BatchedCursorBitIdenticalToKeyedAtServingShapes) {
+  // The shapes the serving workloads run: overlap-save M = 4096, N = 16
+  // in double (two full 8-lane groups of 8192-point transforms), and
+  // M = 1024, N = 4 / 8 in float (one partial group each, on narrower
+  // vectors than a full 16-lane group).  The keyed path convolves each
+  // branch through the single interleaved transform, the cursor through
+  // the planar batch.
+  FadingStreamOptions options;
+  options.backend = StreamBackend::OverlapSaveFir;
+  options.normalized_doppler = 0.05;
+  options.idft_size = 4096;
+  options.seed = 0x5E7E;
+  expect_cursor_matches_keyed(equicorrelated(16, 0.3), options);
+  options.idft_size = 1024;
+  options.precision = core::Precision::Float32;
+  for (const std::size_t n : {4u, 8u}) {
+    expect_cursor_matches_keyed(equicorrelated(n, 0.3), options);
+  }
+}
+
 TEST(FadingStream, NonPowerOfTwoOverlapSaveKeyedEqualsCursorAndSeek) {
   // M = 12 makes 2M = 24 non-power-of-two: the overlap-save fallback runs
   // the design's preallocated Bluestein plan (the batched sweep opts

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "rfade/fft/fft.hpp"
 #include "rfade/random/rng.hpp"
@@ -329,68 +336,208 @@ TEST(FftReal, TransformRealRejectsWrongLength) {
 
 // --- batched planar transforms -----------------------------------------------
 
-TEST(Fft, BatchedTransformBitIdenticalPerLane) {
-  // Every lane of the planar batch must reproduce the scalar planned
-  // transform bit for bit — this equivalence is what lets the batched
-  // overlap-save sweep replace the per-branch fills without changing a
-  // single output bit.
-  for (std::size_t n : {1u, 2u, 8u, 256u, 4096u}) {
-    const fft::Pow2Plan plan(n);
-    for (std::size_t batch : {1u, 3u, 8u}) {
-      std::vector<CVector> lanes(batch);
-      std::vector<double> re(n * batch);
-      std::vector<double> im(n * batch);
-      for (std::size_t b = 0; b < batch; ++b) {
-        lanes[b] = random_signal(n, 7000 + 31 * n + b);
+/// The bit pattern of every component, so -0 != +0 in comparisons.
+template <typename T>
+auto bits(T x) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::bit_cast<std::uint64_t>(x);
+  } else {
+    return std::bit_cast<std::uint32_t>(x);
+  }
+}
+
+/// Scalar std::complex reference in precision T: fft_pow2_inplace's
+/// exact steps, with each stage's twiddles from its double recurrence
+/// narrowed once (what a float plan's tables hold).  For T = double this
+/// is fft_pow2_inplace itself (checked below).
+template <typename T>
+void reference_fft(std::vector<std::complex<T>>& data, Direction direction) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 0, j = 0; i + 1 < n; ++i) {
+    if (i < j) {
+      std::swap(data[i], data[j]);
+    }
+    std::size_t mask = n >> 1;
+    while (j & mask) {
+      j ^= mask;
+      mask >>= 1;
+    }
+    j |= mask;
+  }
+  const double sign = direction == Direction::Forward ? -1.0 : 1.0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = sign * 2.0 * kPi / static_cast<double>(len);
+    const cdouble w_len = std::polar(1.0, angle);
+    cdouble w(1.0, 0.0);
+    std::vector<std::complex<T>> tw(len / 2);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      if ((k & 63u) == 0u && k != 0u) {
+        w = std::polar(1.0, angle * static_cast<double>(k));
+      }
+      tw[k] = std::complex<T>(w);
+      w *= w_len;
+    }
+    for (std::size_t start = 0; start < n; start += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const std::complex<T> even = data[start + k];
+        const std::complex<T> odd = data[start + k + len / 2] * tw[k];
+        data[start + k] = even + odd;
+        data[start + k + len / 2] = even - odd;
+      }
+    }
+  }
+}
+
+/// Gaussian points with the edge cases mixed in: +-0, subnormals and
+/// huge magnitudes (+-1e300 in double, +-1e30 in float), small enough
+/// that no 2^14-point transform overflows.
+template <typename T>
+std::vector<std::complex<T>> edge_signal(std::size_t n, std::uint64_t seed) {
+  random::Rng rng(seed);
+  const T huge = std::is_same_v<T, double> ? T(1e300) : T(1e30);
+  const T tiny = std::numeric_limits<T>::denorm_min();
+  const auto pick = [&](std::uint64_t kind) -> T {
+    switch (kind % 8) {
+      case 0:
+        return T(0);
+      case 1:
+        return -T(0);
+      case 2:
+        return tiny * T(1 + kind % 5);
+      case 3:
+        return -std::numeric_limits<T>::min() / T(3);
+      case 4:
+        return kind % 16 < 8 ? huge : -huge;
+      default:
+        return static_cast<T>(rng.gaussian());
+    }
+  };
+  std::vector<std::complex<T>> x(n);
+  for (auto& v : x) {
+    const std::uint64_t r = rng.next_u64();
+    v = std::complex<T>(pick(r & 0xFFFF), pick(r >> 16));
+  }
+  return x;
+}
+
+constexpr std::size_t kMaxLog2 = 14;
+constexpr std::size_t kLaneCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17};
+constexpr std::size_t kMaxLanes = 17;
+
+/// Compares \p got against \p want bit for bit; reports the first
+/// mismatch only and returns whether all matched.
+template <typename T>
+bool same_bits(const std::vector<std::complex<T>>& got,
+               const std::vector<std::complex<T>>& want,
+               const std::string& label) {
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    if (bits(got[p].real()) != bits(want[p].real()) ||
+        bits(got[p].imag()) != bits(want[p].imag())) {
+      ADD_FAILURE() << label << " point " << p << ": got " << got[p]
+                    << " want " << want[p];
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every form of the plan against the scalar reference, bit for bit, at
+/// n = 2^0..2^14 in both directions: the single transform in place and
+/// out of place with a pointwise multiply, and the planar batch at every
+/// lane count, in place and out of place with the multiply.
+template <typename T>
+void expect_plan_matches_reference() {
+  using Complex = std::complex<T>;
+  for (std::size_t log2n = 0; log2n <= kMaxLog2; ++log2n) {
+    const std::size_t n = std::size_t{1} << log2n;
+    const fft::BasicPow2Plan<T> plan(n);
+    // A Gaussian multiplier: edge-case magnitudes there would overflow.
+    const CVector h_wide = random_signal(n, 40 + log2n);
+    const std::vector<Complex> h(h_wide.begin(), h_wide.end());
+    std::vector<std::vector<Complex>> lanes(kMaxLanes);
+    for (std::size_t b = 0; b < kMaxLanes; ++b) {
+      lanes[b] = edge_signal<T>(n, 1000 * log2n + b);
+    }
+    for (const Direction direction :
+         {Direction::Forward, Direction::Inverse}) {
+      const std::string at = "n=" + std::to_string(n) +
+                             (direction == Direction::Forward ? " fwd"
+                                                              : " inv");
+      // Per-lane references, plain and multiplied by h.
+      std::vector<std::vector<Complex>> want(kMaxLanes);
+      std::vector<std::vector<Complex>> want_h(kMaxLanes);
+      for (std::size_t b = 0; b < kMaxLanes; ++b) {
+        want[b] = lanes[b];
+        reference_fft(want[b], direction);
+        want_h[b] = want[b];
         for (std::size_t p = 0; p < n; ++p) {
-          re[p * batch + b] = lanes[b][p].real();
-          im[p * batch + b] = lanes[b][p].imag();
+          want_h[b][p] *= h[p];
         }
       }
-      for (const Direction direction :
-           {Direction::Forward, Direction::Inverse}) {
-        std::vector<double> bre = re;
-        std::vector<double> bim = im;
-        plan.transform_batched(bre.data(), bim.data(), batch, direction);
+      std::vector<Complex> got = lanes[0];
+      plan.transform(got, direction);
+      ASSERT_TRUE(same_bits(got, want[0], "single " + at));
+      plan.transform(lanes[1].data(), got.data(), direction, h.data());
+      ASSERT_TRUE(same_bits(got, want_h[1], "single*h " + at));
+
+      for (const std::size_t batch : kLaneCounts) {
+        std::vector<T> in_re(n * batch);
+        std::vector<T> in_im(n * batch);
         for (std::size_t b = 0; b < batch; ++b) {
-          CVector scalar = lanes[b];
-          plan.transform(scalar, direction);
           for (std::size_t p = 0; p < n; ++p) {
-            EXPECT_EQ(bre[p * batch + b], scalar[p].real())
-                << "n=" << n << " batch=" << batch << " lane=" << b;
-            EXPECT_EQ(bim[p * batch + b], scalar[p].imag())
-                << "n=" << n << " batch=" << batch << " lane=" << b;
+            in_re[p * batch + b] = lanes[b][p].real();
+            in_im[p * batch + b] = lanes[b][p].imag();
           }
+        }
+        std::vector<T> re = in_re;
+        std::vector<T> im = in_im;
+        std::vector<T> out_re(n * batch);
+        std::vector<T> out_im(n * batch);
+        plan.transform_batched(re.data(), im.data(), batch, direction);
+        plan.transform_batched(in_re.data(), in_im.data(), out_re.data(),
+                               out_im.data(), batch, direction, h.data());
+        for (std::size_t b = 0; b < batch; ++b) {
+          std::vector<Complex> lane(n);
+          std::vector<Complex> lane_h(n);
+          for (std::size_t p = 0; p < n; ++p) {
+            lane[p] = Complex(re[p * batch + b], im[p * batch + b]);
+            lane_h[p] = Complex(out_re[p * batch + b], out_im[p * batch + b]);
+          }
+          const std::string label = at + " batch=" + std::to_string(batch) +
+                                    " lane=" + std::to_string(b);
+          ASSERT_TRUE(same_bits(lane, want[b], "batched " + label));
+          ASSERT_TRUE(same_bits(lane_h, want_h[b], "batched*h " + label));
         }
       }
     }
   }
 }
 
-TEST(Fft, MultiplyBatchedPointwiseMatchesComplexMultiply) {
-  const std::size_t n = 257;  // odd, exercises the vector epilogue
-  const CVector h = random_signal(n, 51);
-  for (std::size_t batch : {1u, 5u, 8u}) {
-    std::vector<CVector> lanes(batch);
-    std::vector<double> re(n * batch);
-    std::vector<double> im(n * batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      lanes[b] = random_signal(n, 600 + b);
-      for (std::size_t p = 0; p < n; ++p) {
-        re[p * batch + b] = lanes[b][p].real();
-        im[p * batch + b] = lanes[b][p].imag();
-      }
-    }
-    fft::multiply_batched_pointwise(re.data(), im.data(), n, batch, h.data());
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t p = 0; p < n; ++p) {
-        cdouble expected = lanes[b][p];
-        expected *= h[p];  // the exact scalar operation the kernel mirrors
-        EXPECT_EQ(re[p * batch + b], expected.real());
-        EXPECT_EQ(im[p * batch + b], expected.imag());
-      }
+TEST(Fft, ReferenceFftIsFftPow2Inplace) {
+  for (std::size_t n : {1u, 2u, 8u, 512u, 4096u}) {
+    const CVector x = edge_signal<double>(n, 3 + n);
+    for (const Direction direction :
+         {Direction::Forward, Direction::Inverse}) {
+      CVector want = x;
+      fft::fft_pow2_inplace(want, direction);
+      CVector got = x;
+      reference_fft(got, direction);
+      EXPECT_TRUE(same_bits(got, want, "n=" + std::to_string(n)));
     }
   }
+}
+
+TEST(Fft, BatchedTransformBitIdenticalPerLane) {
+  // Every form of the plan — the single interleaved transform and every
+  // lane of the planar batch, with and without the fused gather and
+  // spectrum multiply — reproduces the scalar reference bit for bit.
+  // This is what lets the batched overlap-save sweep replace the
+  // per-branch fills, and the per-branch fills keep the keyed bits.
+  expect_plan_matches_reference<double>();
+}
+
+TEST(Fft, BatchedTransformBitIdenticalPerLaneF32) {
+  expect_plan_matches_reference<float>();
 }
 
 // --- Bluestein plan ----------------------------------------------------------

@@ -274,6 +274,37 @@ TEST(Session, StreamWalkMatchesKeyedFadingStreamAllBackends) {
   }
 }
 
+TEST(CompiledChannel, StreamsShareOneDopplerDesign) {
+  // make_stream hands every stream the compiled channel's one immutable
+  // backend design instead of rebuilding it per session open; the
+  // StreamWalk tests above pin that the output bits are those of a
+  // freshly designed stream.
+  const CMatrix k = paper_covariance();
+  scenario::composite::ShadowingSpec shadowing;
+  shadowing.sigma_db = 3.0;
+  shadowing.decorrelation_samples = 256.0;
+  for (const ChannelSpec& spec :
+       {ChannelSpec::Builder().rayleigh(k).idft_size(256).build(),
+        ChannelSpec::Builder().suzuki(k, shadowing).idft_size(256).build(),
+        ChannelSpec::Builder().twdp(k, 5.0, 0.6).idft_size(256).build()}) {
+    const auto channel = CompiledChannel::create(spec);
+    const core::FadingStream a = channel->make_stream(1);
+    const core::FadingStream b = channel->make_stream(2);
+    EXPECT_EQ(&a.design(), &b.design());
+  }
+  // A design that does not match the options is rejected.
+  const auto channel =
+      CompiledChannel::create(ChannelSpec::Builder().rayleigh(k).build());
+  core::FadingStreamOptions options = channel->stream_options(3);
+  const auto design = std::make_shared<const doppler::BranchSourceDesign>(
+      options.backend, options.idft_size, options.normalized_doppler,
+      options.input_variance_per_dim, options.overlap);
+  EXPECT_NO_THROW(core::FadingStream(channel->plan(), options, design));
+  options.normalized_doppler *= 0.5;
+  EXPECT_THROW(core::FadingStream(channel->plan(), options, design),
+               ContractViolation);
+}
+
 TEST(Session, RicianAndSuzukiStreamsMatchTheirEngines) {
   const CMatrix k = paper_covariance();
   ChannelService svc;
