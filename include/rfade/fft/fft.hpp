@@ -184,12 +184,9 @@ class BasicPow2Plan {
     requires std::same_as<T, double>;
 
  private:
-  /// Bit-reversal permutation of the interleaved form (the planar one
-  /// runs inside its kernel): point p of the butterfly input is input
-  /// point bit_reversed_[p].
-  void permute(const Complex* in, Complex* out) const;
-
   std::size_t n_;
+  /// Bit-reversal permutation: point p of the butterfly input is input
+  /// point bit_reversed_[p].
   std::vector<std::uint32_t> bit_reversed_;
   /// Per-stage twiddles, stages concatenated: stage len contributes
   /// len/2 entries (total n - 1), in the exact value sequence of the

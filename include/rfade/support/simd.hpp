@@ -62,6 +62,10 @@
 /// SSE2, or NEON on aarch64), then, under RFADE_HAS_TARGET_VERSIONS,
 /// "avx2" (32 bytes) and "avx512f" (64 bytes) versions.  Users:
 ///  - the coloring GEMM in numeric/matrix_ops.cpp;
+///  - the FFT butterfly kernel in fft/fft.cpp (fused stage pairs on 4
+///    points in registers): planar_kernel vectorises transform_batched
+///    across lanes, interleaved_kernel vectorises transform across
+///    consecutive points;
 ///  - the bulk fill's Philox counter -> uniform stage in
 ///    random/bulk_gaussian.cpp: the scalar loop in "default" (which the
 ///    wider versions also run for their tails), 4 counters per ymm in

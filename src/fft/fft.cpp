@@ -266,15 +266,15 @@ struct InterleavedRun {
   /// Lane l of the result is x[l & ~1] (Odd = false) or x[l | 1] (Odd =
   /// true): each point's real or imaginary part in both of its lanes.
   template <bool Odd, std::size_t... I>
-  [[gnu::always_inline]] static Unit duplicate(V x,
+  [[gnu::always_inline]] static Unit duplicate(const V& x,
                                                std::index_sequence<I...>) {
     return {__builtin_shufflevector(
         x, x, (Odd ? (I | 1) : (I & ~std::size_t{1}))...)};
   }
   /// (re, im) pairs -> (-im, re) pairs: a lane swap and an exact sign flip.
   template <std::size_t... I>
-  [[gnu::always_inline]] static Unit swap_negate(V w,
-                                                 std::index_sequence<I...>) {
+  [[gnu::always_inline]] static Unit swap_negate(
+      const V& w, std::index_sequence<I...>) {
     return {__builtin_shufflevector(
         w, -w, ((I & 1) != 0 ? I - 1 : kLanes + I + 1)...)};
   }
@@ -400,10 +400,10 @@ RFADE_CLONE_BODY void pass(const typename K<T, Bytes>::Buffer& buffer,
 /// so this only reorders them.
 template <template <typename, std::size_t> class K, typename T,
           std::size_t Bytes>
-RFADE_CLONE_BODY void butterfly_stages(const typename K<T, Bytes>::Buffer& buffer,
-                                       std::size_t n, std::size_t block,
-                                       const std::complex<T>* tw,
-                                       const std::complex<T>* post) {
+RFADE_CLONE_BODY void butterfly_stages(
+    const typename K<T, Bytes>::Buffer& buffer, std::size_t n,
+    std::size_t block, const std::complex<T>* tw,
+    const std::complex<T>* post) {
   if (n < 2) {
     return;
   }
@@ -550,6 +550,26 @@ RFADE_FFT_KERNELS("avx512f", 64)
 
 namespace {
 
+/// The interleaved form's bit-reversal permutation (the planar one runs
+/// inside its kernel): out[p] = in[rev[p]], swapped in place when \p in
+/// is \p out.
+template <typename T>
+void permute(const std::complex<T>* in, std::complex<T>* out,
+             const std::vector<std::uint32_t>& rev) {
+  if (in == out) {
+    for (std::size_t p = 0; p < rev.size(); ++p) {
+      const std::size_t q = rev[p];
+      if (p < q) {
+        std::swap(out[p], out[q]);
+      }
+    }
+    return;
+  }
+  for (std::size_t p = 0; p < rev.size(); ++p) {
+    out[p] = in[rev[p]];
+  }
+}
+
 /// The per-stage twiddle value sequence of fft_pow2_inplace, verbatim:
 /// incremental w *= w_len with a std::polar resynchronisation every 64
 /// steps — precomputing *these* values (not directly-evaluated polars)
@@ -607,22 +627,6 @@ BasicPow2Plan<T>::BasicPow2Plan(std::size_t n) : n_(n) {
 }
 
 template <typename T>
-void BasicPow2Plan<T>::permute(const Complex* in, Complex* out) const {
-  if (in == out) {
-    for (std::size_t p = 0; p < n_; ++p) {
-      const std::size_t q = bit_reversed_[p];
-      if (p < q) {
-        std::swap(out[p], out[q]);
-      }
-    }
-    return;
-  }
-  for (std::size_t p = 0; p < n_; ++p) {
-    out[p] = in[bit_reversed_[p]];
-  }
-}
-
-template <typename T>
 void BasicPow2Plan<T>::transform(ComplexVector& data,
                                  Direction direction) const {
   RFADE_EXPECTS(data.size() == n_, "Pow2Plan: data size mismatch");
@@ -634,7 +638,7 @@ void BasicPow2Plan<T>::transform(const Complex* in, Complex* out,
                                  Direction direction,
                                  const Complex* multiply_by) const {
   RFADE_EXPECTS(in != nullptr && out != nullptr, "Pow2Plan: null data");
-  permute(in, out);
+  permute(in, out, bit_reversed_);
   if (n_ == 1) {
     if (multiply_by != nullptr) {
       out[0] *= multiply_by[0];
