@@ -134,18 +134,15 @@ class FadingStream {
   FadingStream(numeric::CMatrix desired_covariance,
                FadingStreamOptions options = {});
 
-  /// Share an existing plan; options.coloring is ignored.
+  /// Share an existing plan; options.coloring is ignored.  A non-null
+  /// \p design is shared too (a compiled channel builds its design once
+  /// for every stream it opens); it must be the one options' backend /
+  /// idft_size / normalized_doppler / input_variance_per_dim / overlap
+  /// describe (doppler::BranchSourceDesign::matches).  Null builds it.
   FadingStream(std::shared_ptr<const ColoringPlan> plan,
-               FadingStreamOptions options = {});
-
-  /// Share an existing plan and backend design (a compiled channel builds
-  /// its design once for every stream it opens).  \p design must be the
-  /// one options' backend / idft_size / normalized_doppler /
-  /// input_variance_per_dim / overlap describe
-  /// (doppler::BranchSourceDesign::matches).
-  FadingStream(std::shared_ptr<const ColoringPlan> plan,
-               FadingStreamOptions options,
-               std::shared_ptr<const doppler::BranchSourceDesign> design);
+               FadingStreamOptions options = {},
+               std::shared_ptr<const doppler::BranchSourceDesign> design =
+                   nullptr);
 
   /// Number of envelopes N.
   [[nodiscard]] std::size_t dimension() const noexcept {

@@ -46,27 +46,23 @@ FadingStream::FadingStream(numeric::CMatrix desired_covariance,
                                         options.coloring),
                    options) {}
 
-FadingStream::FadingStream(std::shared_ptr<const ColoringPlan> plan,
-                           FadingStreamOptions options)
-    : FadingStream(std::move(plan), options,
-                   std::make_shared<const doppler::BranchSourceDesign>(
-                       options.backend, options.idft_size,
-                       options.normalized_doppler,
-                       options.input_variance_per_dim, options.overlap)) {}
-
 FadingStream::FadingStream(
     std::shared_ptr<const ColoringPlan> plan, FadingStreamOptions options,
     std::shared_ptr<const doppler::BranchSourceDesign> design)
     : pipeline_(std::move(plan), stream_pipeline_options(options)),
-      design_(std::move(design)),
+      design_(design != nullptr
+                  ? std::move(design)
+                  : std::make_shared<const doppler::BranchSourceDesign>(
+                        options.backend, options.idft_size,
+                        options.normalized_doppler,
+                        options.input_variance_per_dim, options.overlap)),
       parallel_branches_(options.parallel_branches),
       precision_(options.precision),
       seed_(options.seed) {
-  RFADE_EXPECTS(design_ != nullptr &&
-                    design_->matches(options.backend, options.idft_size,
-                                     options.normalized_doppler,
-                                     options.input_variance_per_dim,
-                                     options.overlap),
+  RFADE_EXPECTS(design_->matches(options.backend, options.idft_size,
+                                 options.normalized_doppler,
+                                 options.input_variance_per_dim,
+                                 options.overlap),
                 "FadingStream: design does not match the options");
   // Proposed (Sec. 5 step 6): divide by the Eq. (19) post-filter variance.
   // Flawed mode (ref. [6]): divide by the input complex variance

@@ -436,9 +436,10 @@ std::size_t block_points(std::size_t point_bytes) {
   return points;
 }
 
-/// The bit-reversal permutation of one lane slice of a planar buffer:
-/// point p of \p out is point rev[p] of \p in, moved one vector per
-/// point (swapped in place when \p in is \p out).
+/// The bit-reversal permutation of n points of Bytes each, \p stride
+/// scalars apart (one lane slice of a planar buffer, or interleaved
+/// complex points): point p of \p out is point rev[p] of \p in, moved
+/// one vector per point (swapped in place when \p in is \p out).
 template <typename T, std::size_t Bytes>
 RFADE_CLONE_BODY void permute_slice(const T* in, T* out, std::size_t n,
                                     std::size_t stride,
@@ -499,12 +500,16 @@ RFADE_CLONE_BODY void planar_body(const T* in_re, const T* in_im, T* re,
 }
 
 template <typename T, std::size_t Bytes>
-RFADE_CLONE_BODY void interleaved_body(std::complex<T>* data, std::size_t n,
+RFADE_CLONE_BODY void interleaved_body(const std::complex<T>* in,
+                                       std::complex<T>* out, std::size_t n,
+                                       const std::uint32_t* rev,
                                        const std::complex<T>* tw,
                                        const std::complex<T>* post) {
+  T* data = reinterpret_cast<T*>(out);
+  permute_slice<T, sizeof(std::complex<T>)>(reinterpret_cast<const T*>(in),
+                                            data, n, 2, rev);
   butterfly_stages<InterleavedRun, T, Bytes>(
-      {reinterpret_cast<T*>(data)}, n, block_points(sizeof(std::complex<T>)),
-      tw, post);
+      {data}, n, block_points(sizeof(std::complex<T>)), tw, post);
 }
 
 // One version per ISA, each at its register width: 16-byte vectors in the
@@ -527,14 +532,16 @@ RFADE_CLONE_BODY void interleaved_body(std::complex<T>* data, std::size_t n,
                               post);                                         \
   }                                                                          \
   RFADE_TARGET_VERSION(isa)                                                  \
-  void interleaved_kernel(cdouble* data, std::size_t n, const cdouble* tw,   \
+  void interleaved_kernel(const cdouble* in, cdouble* out, std::size_t n,    \
+                          const std::uint32_t* rev, const cdouble* tw,       \
                           const cdouble* post) {                             \
-    interleaved_body<double, bytes>(data, n, tw, post);                      \
+    interleaved_body<double, bytes>(in, out, n, rev, tw, post);              \
   }                                                                          \
   RFADE_TARGET_VERSION(isa)                                                  \
-  void interleaved_kernel(cfloat* data, std::size_t n, const cfloat* tw,     \
+  void interleaved_kernel(const cfloat* in, cfloat* out, std::size_t n,      \
+                          const std::uint32_t* rev, const cfloat* tw,        \
                           const cfloat* post) {                              \
-    interleaved_body<float, bytes>(data, n, tw, post);                       \
+    interleaved_body<float, bytes>(in, out, n, rev, tw, post);               \
   }
 
 RFADE_FFT_KERNELS("default", 16)
@@ -549,26 +556,6 @@ RFADE_FFT_KERNELS("avx512f", 64)
 // --- BasicPow2Plan -----------------------------------------------------------
 
 namespace {
-
-/// The interleaved form's bit-reversal permutation (the planar one runs
-/// inside its kernel): out[p] = in[rev[p]], swapped in place when \p in
-/// is \p out.
-template <typename T>
-void permute(const std::complex<T>* in, std::complex<T>* out,
-             const std::vector<std::uint32_t>& rev) {
-  if (in == out) {
-    for (std::size_t p = 0; p < rev.size(); ++p) {
-      const std::size_t q = rev[p];
-      if (p < q) {
-        std::swap(out[p], out[q]);
-      }
-    }
-    return;
-  }
-  for (std::size_t p = 0; p < rev.size(); ++p) {
-    out[p] = in[rev[p]];
-  }
-}
 
 /// The per-stage twiddle value sequence of fft_pow2_inplace, verbatim:
 /// incremental w *= w_len with a std::polar resynchronisation every 64
@@ -638,8 +625,8 @@ void BasicPow2Plan<T>::transform(const Complex* in, Complex* out,
                                  Direction direction,
                                  const Complex* multiply_by) const {
   RFADE_EXPECTS(in != nullptr && out != nullptr, "Pow2Plan: null data");
-  permute(in, out, bit_reversed_);
   if (n_ == 1) {
+    out[0] = in[0];
     if (multiply_by != nullptr) {
       out[0] *= multiply_by[0];
     }
@@ -647,7 +634,8 @@ void BasicPow2Plan<T>::transform(const Complex* in, Complex* out,
   }
   const ComplexVector& twiddles =
       direction == Direction::Forward ? forward_twiddles_ : inverse_twiddles_;
-  interleaved_kernel(out, n_, twiddles.data(), multiply_by);
+  interleaved_kernel(in, out, n_, bit_reversed_.data(), twiddles.data(),
+                     multiply_by);
 }
 
 template <typename T>

@@ -79,10 +79,7 @@ core::FadingStream SuzukiGenerator::make_stream(
     core::FadingStreamOptions options,
     std::shared_ptr<const doppler::BranchSourceDesign> design) const {
   options.gain = shadowing_gain(options.seed);
-  if (design != nullptr) {
-    return core::FadingStream(plan_, options, std::move(design));
-  }
-  return core::FadingStream(plan_, options);
+  return core::FadingStream(plan_, options, std::move(design));
 }
 
 stats::SuzukiDistribution SuzukiGenerator::branch_marginal(

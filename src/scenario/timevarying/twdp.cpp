@@ -265,11 +265,8 @@ core::FadingStream twdp_fading_stream(
   // pure-Rayleigh spec takes the meanless fast path bit-for-bit.
   options.los_mean =
       spec.realtime_mean(*plan, first_wave_doppler, second_wave_doppler);
-  if (design != nullptr) {
-    return core::FadingStream(std::move(plan), std::move(options),
-                              std::move(design));
-  }
-  return core::FadingStream(std::move(plan), std::move(options));
+  return core::FadingStream(std::move(plan), std::move(options),
+                            std::move(design));
 }
 
 }  // namespace rfade::scenario
