@@ -9,11 +9,17 @@
 //                    check_regression.py on its items/s ratio to
 //                    MetricsNoTap at matched M (baseline 1.0x): the
 //                    opt-out path must stay within noise;
-//   MetricsTapActive tap enabled — the informational price of streaming
-//                    LCR (2 thresholds) + complex ACF and MI
+//   MetricsTapActive tap enabled, no automatic publish — the price of
+//                    streaming LCR (2 thresholds) + complex ACF and MI
 //                    autocovariance (lags 1/2/4/8) accumulation with
-//                    exact superaccumulator sums, plus a gauge publish
-//                    every 16 blocks.
+//                    exact superaccumulator sums.  Gated on its items/s
+//                    ratio to MetricsNoTap at matched M: the enabled
+//                    tap's fold cost must not grow back;
+//   MetricsTapPublish as MetricsTapActive plus a gauge publish every 16
+//                    blocks — informational.  Each publish re-evaluates
+//                    the analytic health references (the Wang & Abdi MI
+//                    autocovariance series per branch and lag), which
+//                    dominates this entry.
 //
 // Smoke mode for CI: --benchmark_min_time=0.05.
 
@@ -43,7 +49,7 @@ CMatrix tridiagonal_covariance(std::size_t n) {
   return k;
 }
 
-enum class TapMode { None, Idle, Active };
+enum class TapMode { None, Idle, Active, Publish };
 
 void run_tap(benchmark::State& state, TapMode mode) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -65,7 +71,8 @@ void run_tap(benchmark::State& state, TapMode mode) {
     reference.rayleigh = true;
     metrics::MetricsTapConfig config;
     config.registry = &registry;
-    config.enabled = mode == TapMode::Active;
+    config.enabled = mode != TapMode::Idle;
+    config.publish_every_blocks = mode == TapMode::Publish ? 16 : 0;
     tap = std::make_shared<metrics::MetricsTap>(reference, config);
     stream.set_metrics_tap(tap);
   }
@@ -76,9 +83,10 @@ void run_tap(benchmark::State& state, TapMode mode) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stream.block_size()) *
                           static_cast<std::int64_t>(kBranches));
-  state.SetLabel(mode == TapMode::None   ? "no tap"
-                 : mode == TapMode::Idle ? "tap disabled"
-                                         : "tap enabled");
+  state.SetLabel(mode == TapMode::None     ? "no tap"
+                 : mode == TapMode::Idle   ? "tap disabled"
+                 : mode == TapMode::Active ? "tap enabled"
+                                           : "tap enabled, publishing");
 }
 
 void MetricsNoTap(benchmark::State& state) {
@@ -103,6 +111,15 @@ void MetricsTapActive(benchmark::State& state) {
   run_tap(state, TapMode::Active);
 }
 BENCHMARK(MetricsTapActive)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+void MetricsTapPublish(benchmark::State& state) {
+  run_tap(state, TapMode::Publish);
+}
+BENCHMARK(MetricsTapPublish)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond)

@@ -10,6 +10,12 @@
 # contain zmm instructions (the avx512f clones still vectorise at full
 # width).
 #
+# metrics/accumulators.cpp and support/exact_sum.cpp are compiled with
+# -ffp-contract=off too and must hold no fused multiply-add either: the
+# level-crossing |z|^2 band argument counts three roundings, and the lag
+# products and mutual-information terms must be the very products the
+# shard merges re-form.  They carry no clones, so no zmm is required.
+#
 # The FFT butterfly kernel (planar_kernel for transform_batched,
 # interleaved_kernel for transform) must have its avx512f version on zmm
 # and its avx2 version on ymm: without them the transforms fell back to
@@ -26,9 +32,11 @@ set -eu
 build=${1:-build}
 status=0
 
-# Prints the object's path, or reports it missing and returns nonzero.
+# Prints the path of the object whose path ends in /$1 (a file name, or
+# dir/file where the name alone is ambiguous), or reports it missing and
+# returns nonzero.
 find_object() {
-  obj=$(find "$build/CMakeFiles/rfade.dir" -name "$1" | head -n 1)
+  obj=$(find "$build/CMakeFiles/rfade.dir" -path "*/$1" | head -n 1)
   if [ -z "$obj" ]; then
     echo "$1: not found under $build/CMakeFiles/rfade.dir" >&2
     return 1
@@ -47,6 +55,16 @@ for name in fft.cpp.o matrix_ops.cpp.o; do
   fi
   if [ "$zmm" -eq 0 ]; then
     echo "$name: no zmm instructions — the avx512f clones stopped vectorising" >&2
+    status=1
+  fi
+done
+
+for name in metrics/accumulators.cpp.o support/exact_sum.cpp.o; do
+  obj=$(find_object "$name") || { status=1; continue; }
+  fma=$(objdump -d "$obj" | grep -cE 'vfn?m(add|sub)' || true)
+  echo "$name: fma=$fma"
+  if [ "$fma" -ne 0 ]; then
+    echo "$name: fused multiply-add instructions in a strict-FP TU" >&2
     status=1
   fi
 done

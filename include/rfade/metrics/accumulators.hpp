@@ -117,11 +117,18 @@ class LevelCrossingAccumulator {
     bool seen_above = false;
   };
 
+  static void step(Cell& cell, bool below) noexcept;
   void fold(std::size_t branch, double envelope);
 
   std::size_t dimension_;
   std::vector<double> thresholds_;
   std::vector<double> levels_;  ///< absolute levels, row-major N x T
+  /// |z|^2 decision band per level (see accumulate): below when
+  /// |z|^2 < band_low_, at-or-above when |z|^2 >= band_high_, std::abs in
+  /// between.  Both NaN for a level whose square the band cannot
+  /// represent, which sends every sample to std::abs.
+  std::vector<double> band_low_;
+  std::vector<double> band_high_;
   std::vector<Cell> cells_;     ///< row-major N x T
   std::uint64_t count_ = 0;
 };
@@ -183,6 +190,9 @@ class AcfAccumulator {
   /// Ring of the last max_lag samples per branch; sample at absolute
   /// index q lives at q % max_lag.
   std::vector<std::vector<numeric::cdouble>> ring_;
+  /// count_ % max_lag_: the slot the next sample goes to, kept by a
+  /// compare-and-wrap instead of a division per sample.
+  std::size_t slot_ = 0;
 };
 
 /// Streaming mean/variance/autocovariance of the instantaneous mutual
@@ -250,6 +260,7 @@ class MutualInformationAccumulator {
   std::vector<support::ExactSum> lag_sum_;   ///< row-major N x lags
   std::vector<std::vector<double>> head_;
   std::vector<std::vector<double>> ring_;
+  std::size_t slot_ = 0;  ///< count_ % max_lag_ (0 without lags)
 };
 
 }  // namespace rfade::metrics

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <string>
 
 #include "rfade/support/contracts.hpp"
@@ -19,6 +20,13 @@ namespace {
 /// doubles with the identical expression — the bit-exactness hinge.
 inline cdouble lag_product(cdouble later, cdouble earlier) {
   return later * std::conj(earlier);
+}
+
+/// Slot of the sample \p d (<= \p size) steps before the one that goes
+/// to \p slot in a ring of \p size: a compare, not a division.
+inline std::size_t slot_behind(std::size_t slot, std::size_t d,
+                               std::size_t size) {
+  return slot >= d ? slot - d : slot + size - d;
 }
 
 std::vector<std::size_t> canonical_lags(std::vector<std::size_t> lags,
@@ -67,28 +75,42 @@ LevelCrossingAccumulator::LevelCrossingAccumulator(
       levels_[j * thresholds_.size() + t] = thresholds_[t] * branch_rms[j];
     }
   }
+  // The |z|^2 band of each level (the argument is at accumulate).
+  constexpr double kBand = 0x1p-40;
+  band_low_.resize(levels_.size());
+  band_high_.resize(levels_.size());
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    const double square = levels_[i] * levels_[i];
+    const bool banded = square >= 0x1p-900 && square <= 0x1p900;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    band_low_[i] = banded ? square * (1.0 - kBand) : nan;
+    band_high_[i] = banded ? square * (1.0 + kBand) : nan;
+  }
   cells_.resize(dimension_ * thresholds_.size());
+}
+
+void LevelCrossingAccumulator::step(Cell& cell, bool below) noexcept {
+  if (below) {
+    ++cell.below;
+    ++cell.run;
+  } else {
+    if (cell.run > 0) {
+      ++cell.crossings;  // previous sample was below: an up-crossing
+      if (cell.seen_above) {
+        cell.longest = std::max(cell.longest, cell.run);
+      } else {
+        cell.leading = cell.run;  // edge run: censored, not a fade
+      }
+    }
+    cell.seen_above = true;
+    cell.run = 0;
+  }
 }
 
 void LevelCrossingAccumulator::fold(std::size_t branch, double envelope) {
   const std::size_t base = branch * thresholds_.size();
   for (std::size_t t = 0; t < thresholds_.size(); ++t) {
-    Cell& cell = cells_[base + t];
-    if (envelope < levels_[base + t]) {
-      ++cell.below;
-      ++cell.run;
-    } else {
-      if (cell.run > 0) {
-        ++cell.crossings;  // previous sample was below: an up-crossing
-        if (cell.seen_above) {
-          cell.longest = std::max(cell.longest, cell.run);
-        } else {
-          cell.leading = cell.run;  // edge run: censored, not a fade
-        }
-      }
-      cell.seen_above = true;
-      cell.run = 0;
-    }
+    step(cells_[base + t], envelope < levels_[base + t]);
   }
 }
 
@@ -100,9 +122,43 @@ void LevelCrossingAccumulator::accumulate(
                          std::to_string(block.cols()) + " branches, expected " +
                          std::to_string(dimension_));
   }
+  // Each decision equals std::abs(z) < level, but is read off
+  // s = re^2 + im^2 wherever s tells it apart.  This TU is built with
+  // -ffp-contract=off, so s is three roundings: s = |z|^2 (1 + e) with
+  // |e| <= 2u + u^2 (u = 2^-53, i.e. <= 2 ulp) when no square underflows;
+  // an underflowing square adds an absolute error below 2^-1074, nothing
+  // against a band edge >= 2^-900, and an overflowing one makes s = +inf
+  // only when |z| > 2^511 > level.  std::abs (hypot) is within 1 ulp:
+  // h = |z| (1 + n), |n| < 2^-52.  The band edges are level^2 (1 -/+ 2^-40)
+  // to within 2 ulp of their own, so
+  //   s <  low   =>  |z| < level (1 - 2^-41 + 4u)  =>  h <  level, and
+  //   s >= high  =>  |z| > level (1 + 2^-41 - 4u)  =>  h >= level,
+  // the same below/above decision as std::abs.  Infinite samples give
+  // s = +inf >= high and h = +inf >= level alike.  Only a sample within
+  // about 2^-40 of a level, a NaN s (both compares false), or a level
+  // whose square lies outside [2^-900, 2^900] (NaN edges) calls std::abs.
+  const std::size_t levels = thresholds_.size();
   for (std::size_t r = 0; r < block.rows(); ++r) {
     for (std::size_t j = 0; j < dimension_; ++j) {
-      fold(j, std::abs(cdouble(block(r, j))));
+      const cdouble z = block(r, j);
+      const double s = z.real() * z.real() + z.imag() * z.imag();
+      double envelope = 0.0;
+      bool have_envelope = false;
+      for (std::size_t i = j * levels; i < (j + 1) * levels; ++i) {
+        bool below;
+        if (s < band_low_[i]) {
+          below = true;
+        } else if (s >= band_high_[i]) {
+          below = false;
+        } else {
+          if (!have_envelope) {
+            envelope = std::abs(z);
+            have_envelope = true;
+          }
+          below = envelope < levels_[i];
+        }
+        step(cells_[i], below);
+      }
     }
     ++count_;
   }
@@ -238,19 +294,21 @@ void AcfAccumulator::accumulate(const numeric::Matrix<std::complex<T>>& block) {
     for (std::size_t j = 0; j < dimension_; ++j) {
       const cdouble z = block(r, j);
       const std::size_t base = j * lags_.size();
+      std::vector<cdouble>& ring = ring_[j];
       for (std::size_t k = 0; k < lags_.size(); ++k) {
         const std::size_t d = lags_[k];
         if (pos < d) break;  // lags sorted: later ones unreachable too
         const cdouble earlier =
-            d == 0 ? z : ring_[j][(pos - d) % max_lag_];
+            d == 0 ? z : ring[slot_behind(slot_, d, max_lag_)];
         const cdouble p = lag_product(z, earlier);
         re_[base + k].add(p.real());
         im_[base + k].add(p.imag());
       }
-      ring_[j][pos % max_lag_] = z;
+      ring[slot_] = z;
       if (head_[j].size() < max_lag_) head_[j].push_back(z);
     }
     ++count_;
+    if (++slot_ == max_lag_) slot_ = 0;
   }
 }
 
@@ -308,6 +366,7 @@ void AcfAccumulator::merge(const AcfAccumulator& other) {
     ring_[j] = std::move(ring);
   }
   count_ = n_left + n_right;
+  slot_ = static_cast<std::size_t>(count_ % max_lag_);
 }
 
 cdouble AcfAccumulator::correlation_sum(std::size_t branch,
@@ -381,14 +440,15 @@ void MutualInformationAccumulator::fold(std::size_t branch,
   sum_sq_[branch].add(information * information);
   const std::uint64_t pos = count_;  // caller increments after the row
   const std::size_t base = branch * lags_.size();
+  std::vector<double>& ring = ring_[branch];
   for (std::size_t k = 0; k < lags_.size(); ++k) {
     const std::size_t d = lags_[k];
     if (pos < d) break;
-    const double earlier = ring_[branch][(pos - d) % max_lag_];
+    const double earlier = ring[slot_behind(slot_, d, max_lag_)];
     lag_sum_[base + k].add(information * earlier);
   }
   if (max_lag_ > 0) {
-    ring_[branch][pos % max_lag_] = information;
+    ring[slot_] = information;
     if (head_[branch].size() < max_lag_) head_[branch].push_back(information);
   }
 }
@@ -407,6 +467,7 @@ void MutualInformationAccumulator::accumulate(
       fold(j, std::log2(1.0 + inv_power_[j] * power));
     }
     ++count_;
+    if (max_lag_ > 0 && ++slot_ == max_lag_) slot_ = 0;
   }
 }
 
@@ -460,6 +521,7 @@ void MutualInformationAccumulator::merge(
     }
   }
   count_ = n_left + n_right;
+  slot_ = max_lag_ == 0 ? 0 : static_cast<std::size_t>(count_ % max_lag_);
 }
 
 double MutualInformationAccumulator::sum(std::size_t branch) const {

@@ -15,38 +15,8 @@ void ExactSum::reset() noexcept {
   pending_ = 0;
 }
 
-void ExactSum::add(double x) {
-  if (!std::isfinite(x)) {
-    throw ValueError("ExactSum::add: input must be finite");
-  }
-  ++count_;
-  if (x == 0.0) {
-    return;
-  }
-  if (pending_ >= kNormalizeEvery) {
-    normalize();
-  }
-  ++pending_;
-
-  // x = M * 2^(e-53) with M an exact 53-bit signed integer.
-  int e = 0;
-  const double m = std::frexp(x, &e);
-  const auto significand = static_cast<std::int64_t>(std::ldexp(m, 53));
-
-  const int shift = e - 53 + kPointShift;
-  const int idx = shift >> 5;
-  const int rem = shift & 31;
-
-  // Deposit |M| << rem as up to three base-2^32 chunks, each < 2^32.
-  const bool negative = significand < 0;
-  auto magnitude = static_cast<unsigned __int128>(
-      negative ? -significand : significand);
-  magnitude <<= rem;
-  for (int i = idx; magnitude != 0; ++i, magnitude >>= 32) {
-    const auto chunk = static_cast<std::int64_t>(
-        static_cast<std::uint32_t>(magnitude & 0xffffffffu));
-    limbs_[i] += negative ? -chunk : chunk;
-  }
+void ExactSum::throw_non_finite() {
+  throw ValueError("ExactSum::add: input must be finite");
 }
 
 void ExactSum::normalize() const noexcept {

@@ -4,7 +4,9 @@
 // shapes, in both precisions; neither do the FFT plan's transform /
 // transform_batched nor the batched overlap-save sweep
 // OverlapSaveBatch::fill_block.  The bulk Gaussian fill
-// fill_complex_gaussians_planar makes none at all, warm-up or not.  A
+// fill_complex_gaussians_planar makes none at all, warm-up or not.  An
+// enabled metrics::MetricsTap's observe (level crossings, ACF and mutual
+// information, f64 and f32 blocks) makes none after one warm-up block.  A
 // replaced global operator new counts allocations per thread, so gtest's
 // own bookkeeping on other threads never leaks in.
 
@@ -21,8 +23,10 @@
 
 #include "rfade/doppler/branch_source.hpp"
 #include "rfade/fft/fft.hpp"
+#include "rfade/metrics/tap.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/bulk_gaussian.hpp"
+#include "rfade/telemetry/registry.hpp"
 
 namespace {
 
@@ -223,6 +227,51 @@ TEST(AllocFft, SteadyStateAllocateNothingOnAFreshThread) {
   for (const std::size_t count : counts) {
     EXPECT_EQ(count, 0u);
   }
+}
+
+/// Heap allocations made by the calling thread during steady-state
+/// observes of an enabled tap (N = 8, M = 1024, lags up to 8, no
+/// automatic publish), after one warm-up block.
+template <typename T>
+std::size_t tap_allocations() {
+  constexpr std::size_t kBranches = 8;
+  constexpr std::size_t kRows = 1024;
+  telemetry::Registry registry;
+  metrics::AnalyticReference reference;
+  reference.normalized_doppler = 0.05;
+  reference.branch_power.assign(kBranches, 1.0);
+  reference.rayleigh = true;
+  metrics::MetricsTapConfig config;
+  config.publish_every_blocks = 0;
+  config.registry = &registry;
+  metrics::MetricsTap tap(reference, config);
+  numeric::Matrix<std::complex<T>> block(kRows, kBranches);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block.data()[i] = std::complex<T>(T(0.001) * T(i % 997), T(-0.5));
+  }
+  tap.observe(block);
+  const std::size_t before = t_allocations;
+  for (int b = 0; b < 3; ++b) {
+    tap.observe(block);
+  }
+  return t_allocations - before;
+}
+
+TEST(AllocMetrics, SteadyStateTapObservesAllocateNothing) {
+  EXPECT_EQ(tap_allocations<double>(), 0u);
+  EXPECT_EQ(tap_allocations<float>(), 0u);
+}
+
+TEST(AllocMetrics, SteadyStateTapObservesAllocateNothingOnAFreshThread) {
+  std::size_t f64 = 1;
+  std::size_t f32 = 1;
+  std::thread worker([&] {
+    f64 = tap_allocations<double>();
+    f32 = tap_allocations<float>();
+  });
+  worker.join();
+  EXPECT_EQ(f64, 0u);
+  EXPECT_EQ(f32, 0u);
 }
 
 }  // namespace

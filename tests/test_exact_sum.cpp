@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "rfade/numeric/matrix.hpp"
 #include "rfade/service/accumulators.hpp"
+#include "rfade/support/error.hpp"
 #include "rfade/support/exact_sum.hpp"
 
 namespace {
@@ -135,6 +140,227 @@ TEST(ExactSum, ResetClearsState) {
   sum.reset();
   EXPECT_EQ(sum.value(), 0.0);
   EXPECT_EQ(sum.count(), 0u);
+}
+
+// --- deposit against the frexp/ldexp decomposition -------------------------
+
+/// The frexp/ldexp deposit ExactSum::add used before it read the IEEE
+/// fields directly, with the same limb layout, normalisation and value()
+/// fold: the reference the bit-field deposit must reproduce exactly.
+class FrexpExactSum {
+ public:
+  void add(double x) {
+    if (x == 0.0) return;
+    if (pending_ >= kNormalizeEvery) normalize();
+    ++pending_;
+    int e = 0;
+    const double m = std::frexp(x, &e);
+    const auto significand = static_cast<std::int64_t>(std::ldexp(m, 53));
+    const int shift = e - 53 + kPointShift;
+    const int idx = shift >> 5;
+    const int rem = shift & 31;
+    const bool negative = significand < 0;
+    auto magnitude = static_cast<unsigned __int128>(
+        negative ? -significand : significand);
+    magnitude <<= rem;
+    for (int i = idx; magnitude != 0; ++i, magnitude >>= 32) {
+      const auto chunk = static_cast<std::int64_t>(
+          static_cast<std::uint32_t>(magnitude & 0xffffffffu));
+      limbs_[i] += negative ? -chunk : chunk;
+    }
+  }
+
+  double value() {
+    normalize();
+    double acc = 0.0;
+    for (int i = kLimbs - 1; i >= 0; --i) {
+      if (limbs_[i] != 0) {
+        acc += std::ldexp(static_cast<double>(limbs_[i]), 32 * i - kPointShift);
+      }
+    }
+    return acc;
+  }
+
+ private:
+  static constexpr int kLimbs = 68;
+  static constexpr int kPointShift = 1126;
+  static constexpr std::uint64_t kNormalizeEvery = 1u << 20;
+
+  void normalize() {
+    std::int64_t carry = 0;
+    for (int i = 0; i < kLimbs - 1; ++i) {
+      const std::int64_t v = limbs_[i] + carry;
+      carry = v >> 32;
+      limbs_[i] = v - (carry << 32);
+    }
+    limbs_[kLimbs - 1] += carry;
+    pending_ = 0;
+  }
+
+  std::int64_t limbs_[kLimbs] = {};
+  std::uint64_t pending_ = 0;
+};
+
+/// The exact total of \p sum as a sequence of doubles: read value(),
+/// subtract it exactly, repeat until the accumulator is empty (a total
+/// beyond the double range reads as ±inf and is peeled ±DBL_MAX at a
+/// time).  Two accumulators peel to the same sequence iff their exact
+/// totals (hence their canonical limbs) agree, down to the lowest limb.
+template <typename Sum>
+std::vector<double> peel(Sum sum) {
+  std::vector<double> terms;
+  for (int step = 0; step < 200; ++step) {
+    double v = sum.value();
+    if (v == 0.0) return terms;
+    if (std::isinf(v)) v = std::copysign(DBL_MAX, v);
+    terms.push_back(v);
+    sum.add(-v);
+  }
+  ADD_FAILURE() << "peel did not terminate";
+  return terms;
+}
+
+/// Feeds \p values to both deposits and compares value() and the peeled
+/// exact totals.
+void expect_same_as_frexp(const std::vector<double>& values) {
+  ExactSum sum;
+  FrexpExactSum reference;
+  for (const double v : values) {
+    sum.add(v);
+    reference.add(v);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum.value()),
+            std::bit_cast<std::uint64_t>(reference.value()));
+  EXPECT_EQ(peel(sum), peel(reference));
+  EXPECT_EQ(sum.count(), values.size());
+}
+
+/// Random finite doubles with every biased exponent equally likely
+/// (subnormals included), random sign and fraction.
+std::vector<double> full_range_values(std::size_t count, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::uint64_t> exponent(0, 2046);
+  std::vector<double> values;
+  values.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t bits = (rng() & 0x800FFFFFFFFFFFFFULL) |
+                               (exponent(rng) << 52);
+    values.push_back(std::bit_cast<double>(bits));
+  }
+  return values;
+}
+
+TEST(ExactSumDeposit, FullExponentRangeMatchesFrexpDeposit) {
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    expect_same_as_frexp(full_range_values(20000, seed));
+  }
+}
+
+TEST(ExactSumDeposit, SubnormalsAndSignedZerosMatchFrexpDeposit) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  std::vector<double> values = {0.0, -0.0, tiny, -tiny, 3 * tiny,
+                                min_normal, -min_normal,
+                                std::nextafter(min_normal, 0.0),
+                                -std::nextafter(min_normal, 0.0)};
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    // Every subnormal fraction width, both signs.
+    const std::uint64_t fraction = rng() >> (12 + i % 52);
+    const double v = std::bit_cast<double>(fraction);
+    values.push_back(i % 2 == 0 ? v : -v);
+    if (i % 97 == 0) values.push_back(i % 3 == 0 ? 0.0 : -0.0);
+  }
+  expect_same_as_frexp(values);
+  // A lone subnormal of each fraction width.
+  for (int width = 1; width <= 52; ++width) {
+    expect_same_as_frexp(
+        {std::bit_cast<double>((std::uint64_t{1} << width) - 1)});
+  }
+}
+
+TEST(ExactSumDeposit, ExtremesMatchFrexpDeposit) {
+  expect_same_as_frexp({DBL_MAX});
+  expect_same_as_frexp({-DBL_MAX});
+  expect_same_as_frexp({DBL_MAX, DBL_MAX, DBL_MAX, -DBL_MAX, 1.0,
+                        std::numeric_limits<double>::denorm_min()});
+  expect_same_as_frexp({-DBL_MAX, std::numeric_limits<double>::min(),
+                        -std::numeric_limits<double>::denorm_min()});
+}
+
+TEST(ExactSumDeposit, CancellationHeavySequencesMatchFrexpDeposit) {
+  // Large terms cancel in a different order than they were added, so the
+  // value lives entirely in the low limbs the small terms reached.
+  for (const unsigned seed : {11u, 12u}) {
+    std::vector<double> values = full_range_values(4000, seed);
+    std::vector<double> negated;
+    for (const double v : values) negated.push_back(-v);
+    std::mt19937_64 rng(seed);
+    std::shuffle(negated.begin(), negated.end(), rng);
+    values.insert(values.end(), negated.begin(), negated.end());
+    for (const double small : {std::numeric_limits<double>::denorm_min(),
+                               std::ldexp(1.0, -1000), 1e-300, 3.0}) {
+      values.push_back(small);
+    }
+    std::shuffle(values.begin(), values.end(), rng);
+    expect_same_as_frexp(values);
+  }
+  // Near-cancellation: x and -nextafter(x) leave one ulp each.
+  std::vector<double> ulps;
+  for (const double x : full_range_values(3000, 13)) {
+    ulps.push_back(x);
+    ulps.push_back(-std::nextafter(x, 0.0));
+  }
+  expect_same_as_frexp(ulps);
+}
+
+TEST(ExactSumDeposit, NormaliseCadenceMatchesFrexpDeposit) {
+  // More than 2^20 adds crosses the normalise cadence at least once.
+  const std::size_t n = (std::size_t{1} << 20) + 4099;
+  std::vector<double> values = full_range_values(n, 21);
+  expect_same_as_frexp(values);
+  // All same-signed and equal-exponent: every add lands on the same limbs,
+  // the case the cadence bounds.
+  std::vector<double> same(n);
+  std::mt19937_64 rng(22);
+  for (double& v : same) {
+    v = std::bit_cast<double>((rng() & 0x000FFFFFFFFFFFFFULL) |
+                              (std::uint64_t{1000} << 52));
+  }
+  expect_same_as_frexp(same);
+}
+
+TEST(ExactSumDeposit, MergeMatchesSinglePassOnFullRange) {
+  const std::vector<double> values = full_range_values(30000, 31);
+  ExactSum single;
+  ExactSum left;
+  ExactSum right;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    single.add(values[i]);
+    (i % 3 == 0 ? left : right).add(values[i]);
+  }
+  left.merge(right);
+  EXPECT_EQ(peel(left), peel(single));
+  EXPECT_EQ(left.count(), single.count());
+}
+
+TEST(ExactSumDeposit, NonFiniteThrowsDomainErrorWithoutCounting) {
+  ExactSum sum;
+  sum.add(1.5);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::signaling_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    try {
+      sum.add(bad);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const ValueError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::DomainError);
+    }
+    EXPECT_EQ(sum.count(), 1u);
+  }
+  EXPECT_EQ(sum.value(), 1.5);
 }
 
 // --- service accumulators ---------------------------------------------------

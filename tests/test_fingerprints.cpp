@@ -13,6 +13,13 @@
 // is glibc-specific, so each table also names the compiler and glibc it
 // was recorded with.  A tier with no recorded table prints the hashes it
 // computed (the recording procedure for a new tier) and skips.
+//
+// A second table pins the link-level MetricsTap's accumulator state over
+// 64 streamed blocks: every level-crossing cell, every ACF correlation
+// sum and every mutual-information sum, so a change to the accumulator
+// folds (ExactSum deposits, lag rings, the level test) cannot move a bit
+// of what the tap reads out.  It hashes stream output too, so it is keyed
+// by the same toolchain + tier.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +32,11 @@
 
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/plan.hpp"
+#include "rfade/metrics/tap.hpp"
+#include "rfade/service/channel_service.hpp"
 #include "rfade/service/channel_spec.hpp"
 #include "rfade/support/simd.hpp"
+#include "rfade/telemetry/registry.hpp"
 
 namespace {
 
@@ -46,6 +56,17 @@ std::uint64_t fnv1a(const M& z, std::uint64_t h = kFnvOffset) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(z.data());
   const std::size_t count = z.size() * sizeof(*z.data());
   for (std::size_t i = 0; i < count; ++i) {
+    h ^= bytes[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// FNV-1a-64 over the raw bytes of one value, continuing \p h.
+template <typename V>
+std::uint64_t fnv1a_value(const V& value, std::uint64_t h) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+  for (std::size_t i = 0; i < sizeof(V); ++i) {
     h ^= bytes[i];
     h *= kFnvPrime;
   }
@@ -256,11 +277,13 @@ const std::vector<TierTable>& recorded_tables() {
   return tables;
 }
 
-TEST(Fingerprints, OutputBitsMatchRecordedTable) {
+/// Compares \p actual against the table of this toolchain + tier, or
+/// prints the table to record and skips when there is none.
+void check_against(const std::vector<TierTable>& tables,
+                   const std::vector<Fingerprint>& actual) {
   const std::string tier = toolchain() + " " + clone_tier();
-  const std::vector<Fingerprint> actual = compute_fingerprints();
   const TierTable* table = nullptr;
-  for (const TierTable& candidate : recorded_tables()) {
+  for (const TierTable& candidate : tables) {
     if (tier == std::string(candidate.toolchain) + " " + candidate.tier) {
       table = &candidate;
     }
@@ -281,6 +304,141 @@ TEST(Fingerprints, OutputBitsMatchRecordedTable) {
     EXPECT_EQ(actual[i].hash, table->hashes[i])
         << actual[i].name << " (tier " << tier << ")";
   }
+}
+
+TEST(Fingerprints, OutputBitsMatchRecordedTable) {
+  check_against(recorded_tables(), compute_fingerprints());
+}
+
+// --- MetricsTap accumulator state -------------------------------------------
+
+/// Tap configuration of the accumulator fingerprints: four thresholds
+/// (one deep in the fade region, one above the rms) and lags up to 100,
+/// so every ring slot wraps many times within one block.
+metrics::MetricsTapConfig fingerprint_tap_config(
+    telemetry::Registry& registry) {
+  metrics::MetricsTapConfig config;
+  config.thresholds = {0.1, 0.5, 1.0, 2.0};
+  config.lags = {1, 2, 5, 16, 100};
+  config.publish_every_blocks = 0;
+  config.registry = &registry;
+  return config;
+}
+
+/// FNV-1a-64 over every accumulator cell and exact sum a tap reads out:
+/// per branch, each level-crossing cell (below, crossings, longest), each
+/// ACF correlation sum (lag 0 included) and the MI sum, sum of squares
+/// and lag product sums.
+std::uint64_t tap_fingerprint(const metrics::MetricsTap& tap) {
+  std::uint64_t h = kFnvOffset;
+  const auto& lcr = *tap.level_crossings();
+  const auto& acf = *tap.autocorrelation();
+  const auto& mi = *tap.mutual_information();
+  h = fnv1a_value(tap.samples_observed(), h);
+  for (std::size_t j = 0; j < tap.dimension(); ++j) {
+    for (std::size_t t = 0; t < lcr.thresholds().size(); ++t) {
+      const metrics::LevelCrossingStats stats = lcr.finalize(j, t);
+      h = fnv1a_value(stats.samples_below, h);
+      h = fnv1a_value(stats.up_crossings, h);
+      h = fnv1a_value(stats.longest_fade, h);
+    }
+    for (const std::size_t lag : acf.lags()) {
+      h = fnv1a_value(acf.correlation_sum(j, lag), h);
+    }
+    h = fnv1a_value(mi.sum(j), h);
+    h = fnv1a_value(mi.sum_squares(j), h);
+    for (const std::size_t lag : mi.lags()) {
+      h = fnv1a_value(mi.lag_product_sum(j, lag), h);
+    }
+  }
+  return h;
+}
+
+constexpr int kTapBlocks = 64;
+
+std::vector<Fingerprint> compute_tap_fingerprints() {
+  std::vector<Fingerprint> out;
+  telemetry::Registry registry;
+
+  // (a) Rayleigh overlap-save f64, N = 8, M = 1024: the tap on the
+  // stream cursor, complex double blocks.
+  const ChannelSpec rayleigh = ChannelSpec::Builder()
+                                   .rayleigh(kms_covariance(8, 0.7, 0.3))
+                                   .backend(StreamBackend::OverlapSaveFir)
+                                   .idft_size(1024)
+                                   .doppler(0.05)
+                                   .build();
+  {
+    core::FadingStream stream = rayleigh.compile()->make_stream(0x7A9);
+    metrics::AnalyticReference reference;
+    reference.normalized_doppler = 0.05;
+    reference.branch_power.assign(8, 1.0);
+    reference.rayleigh = true;
+    const auto tap = std::make_shared<metrics::MetricsTap>(
+        reference, fingerprint_tap_config(registry));
+    stream.set_metrics_tap(tap);
+    for (int b = 0; b < kTapBlocks; ++b) (void)stream.next_block();
+    out.push_back({"tap/rayleigh/ols/f64/n=8/m=1024", tap_fingerprint(*tap)});
+  }
+
+  // (b) Rician f32 through Session::enable_metrics: the spec-derived
+  // reference, widened float blocks.
+  const ChannelSpec rician = ChannelSpec::Builder()
+                                 .rician(kms_covariance(5, 0.5, -0.2), 4.0)
+                                 .los_doppler(0.02)
+                                 .backend(StreamBackend::OverlapSaveFir)
+                                 .idft_size(512)
+                                 .doppler(0.05)
+                                 .precision(Precision::Float32)
+                                 .build();
+  {
+    service::ChannelService service;
+    service::Session session = service.open_session(rician, 0x51C);
+    const auto tap = session.enable_metrics(fingerprint_tap_config(registry));
+    for (int b = 0; b < kTapBlocks; ++b) (void)session.next_block();
+    out.push_back({"tap/rician/ols/f32/session", tap_fingerprint(*tap)});
+  }
+
+  // (c) The same Rician spec on a bare f32 stream cursor: the tap folds
+  // the float blocks themselves.  Widening is exact, so this hash equals
+  // (b)'s.
+  {
+    core::FadingStream stream = rician.compile()->make_stream(0x51C);
+    metrics::AnalyticReference reference;
+    reference.normalized_doppler = 0.05;
+    reference.branch_power.assign(5, 1.0);
+    const auto tap = std::make_shared<metrics::MetricsTap>(
+        reference, fingerprint_tap_config(registry));
+    stream.set_metrics_tap(tap);
+    for (int b = 0; b < kTapBlocks; ++b) (void)stream.next_block_f32();
+    out.push_back({"tap/rician/ols/f32/stream", tap_fingerprint(*tap)});
+  }
+  return out;
+}
+
+// Recorded before the ExactSum deposit / lag ring / level-test rewrite
+// of the accumulators, and never re-recorded: a mismatch means the tap's
+// accumulated state changed.
+const std::vector<TierTable>& recorded_tap_tables() {
+  static const std::vector<TierTable> tables = {
+      {"gcc-12/glibc-2.36", "avx512f",
+       {
+           0x607E7DC25A0089FFULL,  // tap/rayleigh/ols/f64/n=8/m=1024
+           0x9BA95A5582629EEEULL,  // tap/rician/ols/f32/session
+           0x9BA95A5582629EEEULL,  // tap/rician/ols/f32/stream
+       }},
+      {"gcc-12/glibc-2.36", "sanitized",
+       {
+           0x09ABABF68F3D4730ULL,  // tap/rayleigh/ols/f64/n=8/m=1024
+           0x3C26FAA9DC9F6AACULL,  // tap/rician/ols/f32/session
+           0x3C26FAA9DC9F6AACULL,  // tap/rician/ols/f32/stream
+       }},
+  };
+  return tables;
+}
+
+TEST(Fingerprints, TapAccumulatorBitsMatchRecordedTable) {
+  check_against(recorded_tap_tables(), compute_tap_fingerprints());
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -136,6 +138,119 @@ TEST(LevelCrossingAccumulatorTest, MatchesOfflineEstimatorExactly) {
                        static_cast<double>(n));
   EXPECT_DOUBLE_EQ(stats_streaming.afd_samples,
                    offline.average_fade_duration);
+}
+
+// --- the |z|^2 level test against std::abs ------------------------------------
+
+/// Samples probing every level in \p levels: on it along both axes, one
+/// ulp (of T) either side, half and twice it, |z| = level at 1,000
+/// angles; then zeros, NaN and Inf components.
+template <typename T>
+std::vector<std::complex<T>> level_probes(const std::vector<double>& levels) {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  std::vector<std::complex<T>> z;
+  for (const double level : levels) {
+    const T on = static_cast<T>(level);
+    for (const T r : {on, std::nextafter(on, T(0)), std::nextafter(on, inf),
+                      on / T(2), on * T(2)}) {
+      z.emplace_back(r, T(0));
+      z.emplace_back(T(0), -r);
+      z.emplace_back(-r, T(0));
+    }
+    for (int k = 0; k < 1000; ++k) {
+      const double theta = 2.0 * kPi * k / 1000.0;
+      z.emplace_back(static_cast<T>(level * std::cos(theta)),
+                     static_cast<T>(level * std::sin(theta)));
+    }
+  }
+  for (const std::complex<T> special :
+       {std::complex<T>(T(0), T(0)), std::complex<T>(-T(0), T(0)),
+        std::complex<T>(nan, T(0)), std::complex<T>(T(0), nan),
+        std::complex<T>(inf, T(0)), std::complex<T>(-inf, nan),
+        std::complex<T>(nan, inf), std::complex<T>(inf, -inf)}) {
+    z.push_back(special);
+  }
+  return z;
+}
+
+/// Feeds \p probes (each branch reads them from a different offset, so
+/// runs differ per branch) one row at a time to accumulate() and to
+/// accumulate_envelopes() of std::abs, checking every cell after every
+/// row: each below/above decision, crossing and fade must agree.
+template <typename T>
+void expect_level_decisions_match_abs(
+    const std::vector<double>& thresholds, const std::vector<double>& rms,
+    const std::vector<std::complex<T>>& probes) {
+  const std::size_t n = rms.size();
+  LevelCrossingAccumulator fast(n, thresholds, rms);
+  LevelCrossingAccumulator reference(n, thresholds, rms);
+  numeric::Matrix<std::complex<T>> row(1, n);
+  numeric::RMatrix envelopes(1, n);
+  for (std::size_t r = 0; r < probes.size(); ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      row(0, j) = probes[(r + 7 * j) % probes.size()];
+      envelopes(0, j) = std::abs(cdouble(row(0, j)));
+    }
+    fast.accumulate(row);
+    reference.accumulate_envelopes(envelopes);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t t = 0; t < thresholds.size(); ++t) {
+        ASSERT_EQ(fast.finalize(j, t).samples_below,
+                  reference.finalize(j, t).samples_below)
+            << "row " << r << " branch " << j << " threshold " << t
+            << " z = " << row(0, j);
+      }
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t t = 0; t < thresholds.size(); ++t) {
+      const auto a = fast.finalize(j, t);
+      const auto b = reference.finalize(j, t);
+      EXPECT_EQ(a.up_crossings, b.up_crossings);
+      EXPECT_EQ(a.longest_fade, b.longest_fade);
+    }
+  }
+}
+
+std::vector<double> levels_of(const std::vector<double>& thresholds,
+                              const std::vector<double>& rms) {
+  std::vector<double> levels;
+  for (const double r : rms) {
+    for (const double rho : thresholds) levels.push_back(rho * r);
+  }
+  return levels;
+}
+
+TEST(LevelCrossingAccumulatorTest, BandedLevelTestMatchesAbsF64) {
+  // 0.3 and 0.7 make levels that are not exact binary fractions.
+  const std::vector<double> thresholds = {0.3, 1.0, 1.75};
+  const std::vector<double> rms = {1.0, 0.7, 0.25};
+  expect_level_decisions_match_abs(
+      thresholds, rms, level_probes<double>(levels_of(thresholds, rms)));
+}
+
+TEST(LevelCrossingAccumulatorTest, BandedLevelTestMatchesAbsF32) {
+  const std::vector<double> thresholds = {0.5, 1.0, 1.75};
+  const std::vector<double> rms = {1.0, 0.25};
+  expect_level_decisions_match_abs(
+      thresholds, rms, level_probes<float>(levels_of(thresholds, rms)));
+  // Levels between float samples: the float probes sit one float ulp
+  // from a double level that no float equals.
+  const std::vector<double> odd_rms = {0.3, 1.1};
+  expect_level_decisions_match_abs(
+      thresholds, odd_rms,
+      level_probes<float>(levels_of(thresholds, odd_rms)));
+}
+
+TEST(LevelCrossingAccumulatorTest, ExtremeLevelsMatchAbs) {
+  // 1e-200 and 1e200 have squares outside [2^-900, 2^900]: every sample
+  // takes the std::abs path.  1e-130 and 1e130 stay banded, and see
+  // samples whose squares underflow to 0 or overflow to +inf.
+  const std::vector<double> thresholds = {0.5, 1.0};
+  const std::vector<double> rms = {1e-200, 1e200, 1e-130, 1e130};
+  expect_level_decisions_match_abs(
+      thresholds, rms, level_probes<double>(levels_of(thresholds, rms)));
 }
 
 TEST(AcfAccumulatorTest, MatchesBruteForceSums) {
