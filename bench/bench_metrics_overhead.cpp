@@ -16,10 +16,11 @@
 //                    ratio to MetricsNoTap at matched M: the enabled
 //                    tap's fold cost must not grow back;
 //   MetricsTapPublish as MetricsTapActive plus a gauge publish every 16
-//                    blocks — informational.  Each publish re-evaluates
-//                    the analytic health references (the Wang & Abdi MI
-//                    autocovariance series per branch and lag), which
-//                    dominates this entry.
+//                    blocks — informational.  The first publish of each
+//                    tap evaluates the analytic health references (the
+//                    Wang & Abdi MI autocovariance series, ≈15 ms per
+//                    lag), which dominates this entry's short runs; later
+//                    publishes reuse them.
 //
 // Smoke mode for CI: --benchmark_min_time=0.05.
 

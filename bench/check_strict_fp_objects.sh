@@ -14,12 +14,15 @@
 # -ffp-contract=off too and must hold no fused multiply-add either: the
 # level-crossing |z|^2 band argument counts three roundings, and the lag
 # products and mutual-information terms must be the very products the
-# shard merges re-form.  They carry no clones, so no zmm is required.
+# shard merges re-form.  accumulators.cpp carries no versions, so no zmm
+# is required there.
 #
-# The FFT butterfly kernel (planar_kernel for transform_batched,
-# interleaved_kernel for transform) must have its avx512f version on zmm
-# and its avx2 version on ymm: without them the transforms fell back to
-# the 16-byte default version.
+# Per-ISA target versions must have their avx512f version on zmm and
+# their avx2 version on ymm, or they fell back to the 16-byte default
+# version: in fft.cpp the FFT butterfly kernel (planar_kernel for
+# transform_batched, interleaved_kernel for transform), in exact_sum.cpp
+# the block add's pre-scan (max_magnitude) and extraction level
+# (extract_level).
 #
 # bulk_gaussian.cpp stays relaxed-FP (its Box-Muller tile goes through
 # libmvec), so it gets no FMA check.  Its Philox counter stage has one
@@ -78,9 +81,13 @@ version_count() {
     END { print n + 0 }'
 }
 
-name=fft.cpp.o
-if obj=$(find_object "$name"); then
-  for kernel in planar_kernel interleaved_kernel; do
+# Checks that the object $1 has zmm code in the avx512f version and ymm
+# code in the avx2 version of each kernel named after it.
+check_versions() {
+  name=$1
+  shift
+  obj=$(find_object "$name") || { status=1; return; }
+  for kernel in "$@"; do
     zmm=$(version_count "$obj" "$kernel" zmm avx512f)
     ymm=$(version_count "$obj" "$kernel" ymm avx2)
     echo "$name: $kernel avx512f zmm=$zmm avx2 ymm=$ymm"
@@ -93,9 +100,10 @@ if obj=$(find_object "$name"); then
       status=1
     fi
   done
-else
-  status=1
-fi
+}
+
+check_versions fft.cpp.o planar_kernel interleaved_kernel
+check_versions support/exact_sum.cpp.o max_magnitude extract_level
 
 name=bulk_gaussian.cpp.o
 if obj=$(find_object "$name"); then

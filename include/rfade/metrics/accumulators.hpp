@@ -76,9 +76,12 @@ class LevelCrossingAccumulator {
                            std::vector<double> thresholds,
                            std::vector<double> branch_rms);
 
-  /// Folds the envelopes |z| of a complex block (count x N), row order.
-  /// T = float (the float32 pipeline): samples widen to double exactly,
-  /// so float shards keep the bit-exact merge contract among themselves.
+  /// Folds the envelopes |z| of a complex block (count x N).  The block
+  /// is swept one (branch, threshold) cell at a time down the column,
+  /// which takes the same below/above decisions and steps in the same
+  /// per-cell order as a row-by-row pass.  T = float (the float32
+  /// pipeline): samples widen to double exactly, so float shards keep
+  /// the bit-exact merge contract among themselves.
   template <typename T>
   void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
@@ -148,8 +151,13 @@ class AcfAccumulator {
   ///                  one positive lag.
   AcfAccumulator(std::size_t dimension, std::vector<std::size_t> lags);
 
-  /// Folds a complex block (count x N), row order; float blocks widen
-  /// exactly (see LevelCrossingAccumulator).
+  /// Folds a complex block (count x N); float blocks widen exactly (see
+  /// LevelCrossingAccumulator).  Per branch the block is one column: the
+  /// carried last max-lag samples, then the block's, from which every
+  /// lag's products are formed (the same lag_product of the same doubles
+  /// as a row-by-row pass, pairs before the stream's first lag samples
+  /// skipped) and folded by one ExactSum block add per lag and part — so
+  /// the sums hold exactly the row-by-row terms.
   template <typename T>
   void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
@@ -190,9 +198,14 @@ class AcfAccumulator {
   /// Ring of the last max_lag samples per branch; sample at absolute
   /// index q lives at q % max_lag.
   std::vector<std::vector<numeric::cdouble>> ring_;
-  /// count_ % max_lag_: the slot the next sample goes to, kept by a
-  /// compare-and-wrap instead of a division per sample.
+  /// count_ % max_lag_: the slot the next sample goes to.
   std::size_t slot_ = 0;
+  /// accumulate's O(M) scratch, grown and never shrunk, so steady-state
+  /// blocks allocate nothing: one branch's carried samples then its block
+  /// column, and one lag's product parts.
+  std::vector<numeric::cdouble> column_;
+  std::vector<double> scratch_re_;
+  std::vector<double> scratch_im_;
 };
 
 /// Streaming mean/variance/autocovariance of the instantaneous mutual
@@ -213,8 +226,11 @@ class MutualInformationAccumulator {
                                std::vector<double> branch_power,
                                std::vector<std::size_t> lags);
 
-  /// Folds a complex block (count x N), row order; float blocks widen
-  /// exactly (see LevelCrossingAccumulator).
+  /// Folds a complex block (count x N); float blocks widen exactly (see
+  /// LevelCrossingAccumulator).  Column sweep as in AcfAccumulator: per
+  /// branch, the block's I_t = log2(1 + inv_power |z_t|^2), their squares
+  /// and each lag's products I_t I_{t-d} are each folded by one ExactSum
+  /// block add.
   template <typename T>
   void accumulate(const numeric::Matrix<std::complex<T>>& block);
 
@@ -247,7 +263,6 @@ class MutualInformationAccumulator {
 
  private:
   std::size_t lag_index(std::size_t lag) const;
-  void fold(std::size_t branch, double information);
 
   std::size_t dimension_;
   double snr_;
@@ -261,6 +276,10 @@ class MutualInformationAccumulator {
   std::vector<std::vector<double>> head_;
   std::vector<std::vector<double>> ring_;
   std::size_t slot_ = 0;  ///< count_ % max_lag_ (0 without lags)
+  /// accumulate's O(M) scratch, as in AcfAccumulator: carried I values
+  /// then the block's, and one set of terms (I^2 or a lag's products).
+  std::vector<double> column_;
+  std::vector<double> scratch_;
 };
 
 }  // namespace rfade::metrics

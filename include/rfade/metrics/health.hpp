@@ -112,6 +112,28 @@ struct DriftReport {
   bool ok = true;
 };
 
+/// The analytic values the gates compare one set of accumulators against.
+/// They depend on the reference and the thresholds and lags alone — not
+/// on the branch or the samples — so a MetricsTap evaluates them once,
+/// on its first health(), rather than per branch on every publish (the
+/// Wang & Abdi autocovariance series alone is ≈15 ms per lag).  A family
+/// whose gate does not apply to the reference keeps it empty.
+struct ExpectedValues {
+  std::vector<double> lcr;  ///< expected_lcr_per_sample per threshold
+  std::vector<double> afd;  ///< expected_afd_samples per threshold
+  std::vector<double> acf;  ///< expected_acf per AcfAccumulator lag
+  double mi_mean = 0.0;
+  double mi_variance = 0.0;
+  std::vector<double> mi_autocovariance;  ///< per MI accumulator lag
+};
+
+/// Evaluates the references of every accumulator given (nullptr for an
+/// absent one), with the functions above: the very doubles the
+/// three-argument evaluate_health() overloads compare against.
+[[nodiscard]] ExpectedValues expected_values(
+    const AnalyticReference& ref, const LevelCrossingAccumulator* lcr,
+    const AcfAccumulator* acf, const MutualInformationAccumulator* mi);
+
 /// Gates \p lcr's read-outs against the Rice references.  Empty when the
 /// reference is not Rayleigh (no analytic LCR applies).
 [[nodiscard]] std::vector<DriftReport> evaluate_health(
@@ -129,5 +151,17 @@ struct DriftReport {
 [[nodiscard]] std::vector<DriftReport> evaluate_health(
     const MutualInformationAccumulator& mi, const AnalyticReference& ref,
     const HealthTolerances& tolerances);
+
+/// The same gates against references already evaluated by
+/// expected_values() for this accumulator's configuration.
+[[nodiscard]] std::vector<DriftReport> evaluate_health(
+    const LevelCrossingAccumulator& lcr, const AnalyticReference& ref,
+    const HealthTolerances& tolerances, const ExpectedValues& expected);
+[[nodiscard]] std::vector<DriftReport> evaluate_health(
+    const AcfAccumulator& acf, const AnalyticReference& ref,
+    const HealthTolerances& tolerances, const ExpectedValues& expected);
+[[nodiscard]] std::vector<DriftReport> evaluate_health(
+    const MutualInformationAccumulator& mi, const AnalyticReference& ref,
+    const HealthTolerances& tolerances, const ExpectedValues& expected);
 
 }  // namespace rfade::metrics

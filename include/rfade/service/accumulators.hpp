@@ -12,7 +12,8 @@
 /// property the ChannelService fan-out tests pin.
 ///
 /// These are validation/metrics-path accumulators (O(count·N) resp.
-/// O(count·N²) ExactSum folds), not sample-hot-path code.
+/// O(count·N²) exact terms, folded column by column through ExactSum's
+/// block add), not sample-hot-path code.
 
 #include <cstddef>
 #include <cstdint>

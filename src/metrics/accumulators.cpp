@@ -29,6 +29,52 @@ inline std::size_t slot_behind(std::size_t slot, std::size_t d,
   return slot >= d ? slot - d : slot + size - d;
 }
 
+/// The \p carried ring samples before the one that goes to \p slot,
+/// oldest first, copied to \p out: the samples a block's lags reach back
+/// to (carried <= ring size).
+template <typename V>
+void unroll_ring(const std::vector<V>& ring, std::size_t slot,
+                 std::size_t carried, V* out) {
+  std::size_t q = slot_behind(slot, carried, ring.size());
+  for (std::size_t i = 0; i < carried; ++i) {
+    out[i] = ring[q];
+    if (++q == ring.size()) q = 0;
+  }
+}
+
+/// Updates the boundary state after a block: \p column holds the block's
+/// \p rows samples, which follow the \p count samples seen before; the
+/// head takes the first of them while it is short, and the ring, whose
+/// next slot is \p slot, takes the last min(rows, size) of them.
+template <typename V>
+void carry_boundary(std::vector<V>& head, std::vector<V>& ring,
+                    std::size_t slot, std::uint64_t count, const V* column,
+                    std::size_t rows) {
+  const std::size_t size = ring.size();
+  while (head.size() < size && head.size() < count + rows) {
+    head.push_back(column[head.size() - static_cast<std::size_t>(count)]);
+  }
+  const std::size_t first = rows > size ? rows - size : 0;
+  std::size_t q = (slot + first) % size;
+  for (std::size_t r = first; r < rows; ++r) {
+    ring[q] = column[r];
+    if (++q == size) q = 0;
+  }
+}
+
+/// Rows [0, skip) of a block whose first sample has stream index \p count
+/// have no partner \p lag samples earlier.
+inline std::size_t rows_without_partner(std::uint64_t count, std::size_t lag) {
+  return count >= lag ? 0 : static_cast<std::size_t>(lag - count);
+}
+
+/// \p buffer grown (never shrunk) to at least \p size elements.
+template <typename V>
+V* scratch(std::vector<V>& buffer, std::size_t size) {
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
+}
+
 std::vector<std::size_t> canonical_lags(std::vector<std::size_t> lags,
                                         bool require_positive,
                                         bool include_zero) {
@@ -137,31 +183,34 @@ void LevelCrossingAccumulator::accumulate(
   // s = +inf >= high and h = +inf >= level alike.  Only a sample within
   // about 2^-40 of a level, a NaN s (both compares false), or a level
   // whose square lies outside [2^-900, 2^900] (NaN edges) calls std::abs.
+  //
+  // The sweep runs one (branch, level) cell down the whole column with
+  // the cell in a local; every decision and step is the row-wise one.
+  const std::size_t rows = block.rows();
   const std::size_t levels = thresholds_.size();
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      const cdouble z = block(r, j);
-      const double s = z.real() * z.real() + z.imag() * z.imag();
-      double envelope = 0.0;
-      bool have_envelope = false;
-      for (std::size_t i = j * levels; i < (j + 1) * levels; ++i) {
+  for (std::size_t j = 0; j < dimension_; ++j) {
+    for (std::size_t i = j * levels; i < (j + 1) * levels; ++i) {
+      const double low = band_low_[i];
+      const double high = band_high_[i];
+      const double level = levels_[i];
+      Cell cell = cells_[i];
+      for (std::size_t r = 0; r < rows; ++r) {
+        const cdouble z = block(r, j);
+        const double s = z.real() * z.real() + z.imag() * z.imag();
         bool below;
-        if (s < band_low_[i]) {
+        if (s < low) {
           below = true;
-        } else if (s >= band_high_[i]) {
+        } else if (s >= high) {
           below = false;
         } else {
-          if (!have_envelope) {
-            envelope = std::abs(z);
-            have_envelope = true;
-          }
-          below = envelope < levels_[i];
+          below = std::abs(z) < level;
         }
-        step(cells_[i], below);
+        step(cell, below);
       }
+      cells_[i] = cell;
     }
-    ++count_;
   }
+  count_ += rows;
 }
 
 template void LevelCrossingAccumulator::accumulate(const numeric::CMatrix&);
@@ -289,27 +338,43 @@ void AcfAccumulator::accumulate(const numeric::Matrix<std::complex<T>>& block) {
                          std::to_string(block.cols()) + " branches, expected " +
                          std::to_string(dimension_));
   }
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    const std::uint64_t pos = count_;
-    for (std::size_t j = 0; j < dimension_; ++j) {
-      const cdouble z = block(r, j);
-      const std::size_t base = j * lags_.size();
-      std::vector<cdouble>& ring = ring_[j];
-      for (std::size_t k = 0; k < lags_.size(); ++k) {
-        const std::size_t d = lags_[k];
-        if (pos < d) break;  // lags sorted: later ones unreachable too
-        const cdouble earlier =
-            d == 0 ? z : ring[slot_behind(slot_, d, max_lag_)];
-        const cdouble p = lag_product(z, earlier);
-        re_[base + k].add(p.real());
-        im_[base + k].add(p.imag());
+  // Column sweep: per branch, the carried samples then the block's
+  // column in one buffer, every lag's products of the block formed with
+  // lag_product from the same doubles as a row-wise pass, each lag's
+  // real and imaginary parts folded by one ExactSum block add.
+  const std::size_t rows = block.rows();
+  if (rows == 0) return;
+  const auto carried =
+      static_cast<std::size_t>(std::min<std::uint64_t>(count_, max_lag_));
+  // Sized for max_lag_ carried samples from the first block on, so the
+  // blocks after it reuse the buffer.
+  cdouble* const column = scratch(column_, max_lag_ + rows);
+  double* const re = scratch(scratch_re_, rows);
+  double* const im = scratch(scratch_im_, rows);
+  cdouble* const now = column + carried;  // now[r]: sample count_ + r
+  for (std::size_t j = 0; j < dimension_; ++j) {
+    unroll_ring(ring_[j], slot_, carried, column);
+    for (std::size_t r = 0; r < rows; ++r) now[r] = block(r, j);
+    const std::size_t base = j * lags_.size();
+    for (std::size_t k = 0; k < lags_.size(); ++k) {
+      const std::size_t d = lags_[k];
+      const std::size_t skip = rows_without_partner(count_, d);
+      if (skip >= rows) break;  // lags sorted: later ones unreachable too
+      const cdouble* later = now + skip;
+      const cdouble* earlier = later - d;  // within the carried samples
+      const std::size_t pairs = rows - skip;
+      for (std::size_t i = 0; i < pairs; ++i) {
+        const cdouble p = lag_product(later[i], earlier[i]);
+        re[i] = p.real();
+        im[i] = p.imag();
       }
-      ring[slot_] = z;
-      if (head_[j].size() < max_lag_) head_[j].push_back(z);
+      re_[base + k].add(std::span<const double>(re, pairs));
+      im_[base + k].add(std::span<const double>(im, pairs));
     }
-    ++count_;
-    if (++slot_ == max_lag_) slot_ = 0;
+    carry_boundary(head_[j], ring_[j], slot_, count_, now, rows);
   }
+  count_ += rows;
+  slot_ = (slot_ + rows) % max_lag_;
 }
 
 template void AcfAccumulator::accumulate(const numeric::CMatrix&);
@@ -434,25 +499,6 @@ std::size_t MutualInformationAccumulator::lag_index(std::size_t lag) const {
   return static_cast<std::size_t>(it - lags_.begin());
 }
 
-void MutualInformationAccumulator::fold(std::size_t branch,
-                                        double information) {
-  sum_[branch].add(information);
-  sum_sq_[branch].add(information * information);
-  const std::uint64_t pos = count_;  // caller increments after the row
-  const std::size_t base = branch * lags_.size();
-  std::vector<double>& ring = ring_[branch];
-  for (std::size_t k = 0; k < lags_.size(); ++k) {
-    const std::size_t d = lags_[k];
-    if (pos < d) break;
-    const double earlier = ring[slot_behind(slot_, d, max_lag_)];
-    lag_sum_[base + k].add(information * earlier);
-  }
-  if (max_lag_ > 0) {
-    ring[slot_] = information;
-    if (head_[branch].size() < max_lag_) head_[branch].push_back(information);
-  }
-}
-
 template <typename T>
 void MutualInformationAccumulator::accumulate(
     const numeric::Matrix<std::complex<T>>& block) {
@@ -461,14 +507,41 @@ void MutualInformationAccumulator::accumulate(
                          std::to_string(block.cols()) + " branches, expected " +
                          std::to_string(dimension_));
   }
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    for (std::size_t j = 0; j < dimension_; ++j) {
+  // Column sweep as in AcfAccumulator over the real I trace: I_t, I_t^2
+  // and every lag's I_t I_{t-d} of the block, each folded by one block add.
+  const std::size_t rows = block.rows();
+  if (rows == 0) return;
+  const auto carried =
+      static_cast<std::size_t>(std::min<std::uint64_t>(count_, max_lag_));
+  double* const column = scratch(column_, max_lag_ + rows);
+  double* const terms = scratch(scratch_, rows);
+  double* const now = column + carried;  // now[r]: I of sample count_ + r
+  for (std::size_t j = 0; j < dimension_; ++j) {
+    unroll_ring(ring_[j], slot_, carried, column);
+    for (std::size_t r = 0; r < rows; ++r) {
       const double power = std::norm(cdouble(block(r, j)));
-      fold(j, std::log2(1.0 + inv_power_[j] * power));
+      now[r] = std::log2(1.0 + inv_power_[j] * power);
     }
-    ++count_;
-    if (max_lag_ > 0 && ++slot_ == max_lag_) slot_ = 0;
+    sum_[j].add(std::span<const double>(now, rows));
+    for (std::size_t r = 0; r < rows; ++r) terms[r] = now[r] * now[r];
+    sum_sq_[j].add(std::span<const double>(terms, rows));
+    const std::size_t base = j * lags_.size();
+    for (std::size_t k = 0; k < lags_.size(); ++k) {
+      const std::size_t d = lags_[k];
+      const std::size_t skip = rows_without_partner(count_, d);
+      if (skip >= rows) break;
+      const double* later = now + skip;
+      const double* earlier = later - d;
+      const std::size_t pairs = rows - skip;
+      for (std::size_t i = 0; i < pairs; ++i) terms[i] = later[i] * earlier[i];
+      lag_sum_[base + k].add(std::span<const double>(terms, pairs));
+    }
+    if (max_lag_ > 0) {
+      carry_boundary(head_[j], ring_[j], slot_, count_, now, rows);
+    }
   }
+  count_ += rows;
+  if (max_lag_ > 0) slot_ = (slot_ + rows) % max_lag_;
 }
 
 template void MutualInformationAccumulator::accumulate(

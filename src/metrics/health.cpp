@@ -23,6 +23,12 @@ double relative_drift(double measured, double expected) {
   return std::abs(measured - expected) / std::abs(expected);
 }
 
+/// The Rice LCR/AFD and Wang & Abdi MI references hold for a Rayleigh
+/// field that no shadowing modulates.
+bool rice_applies(const AnalyticReference& ref) {
+  return ref.rayleigh && !ref.shadowing;
+}
+
 }  // namespace
 
 double expected_lcr_per_sample(const AnalyticReference& ref, double rho) {
@@ -61,11 +67,67 @@ double expected_mi_autocovariance(const AnalyticReference& ref,
                                   field_correlation(ref, lag));
 }
 
+ExpectedValues expected_values(const AnalyticReference& ref,
+                               const LevelCrossingAccumulator* lcr,
+                               const AcfAccumulator* acf,
+                               const MutualInformationAccumulator* mi) {
+  ExpectedValues expected;
+  if (lcr && rice_applies(ref)) {
+    for (const double rho : lcr->thresholds()) {
+      expected.lcr.push_back(expected_lcr_per_sample(ref, rho));
+      expected.afd.push_back(expected_afd_samples(ref, rho));
+    }
+  }
+  // The complex-ACF reference holds for the Rayleigh core and, via the
+  // product law, the Suzuki composite over it.
+  if (acf && ref.rayleigh) {
+    for (const std::size_t lag : acf->lags()) {
+      expected.acf.push_back(expected_acf(ref, lag));
+    }
+  }
+  if (mi && rice_applies(ref)) {
+    expected.mi_mean = expected_mi_mean(ref);
+    expected.mi_variance = expected_mi_variance(ref);
+    for (const std::size_t lag : mi->lags()) {
+      expected.mi_autocovariance.push_back(
+          expected_mi_autocovariance(ref, lag));
+    }
+  }
+  return expected;
+}
+
 std::vector<DriftReport> evaluate_health(const LevelCrossingAccumulator& lcr,
                                          const AnalyticReference& ref,
                                          const HealthTolerances& tolerances) {
+  if (!rice_applies(ref) || lcr.count() == 0) return {};
+  return evaluate_health(lcr, ref, tolerances,
+                         expected_values(ref, &lcr, nullptr, nullptr));
+}
+
+std::vector<DriftReport> evaluate_health(const AcfAccumulator& acf,
+                                         const AnalyticReference& ref,
+                                         const HealthTolerances& tolerances) {
+  if (!ref.rayleigh) return {};
+  return evaluate_health(acf, ref, tolerances,
+                         expected_values(ref, nullptr, &acf, nullptr));
+}
+
+std::vector<DriftReport> evaluate_health(const MutualInformationAccumulator& mi,
+                                         const AnalyticReference& ref,
+                                         const HealthTolerances& tolerances) {
+  if (!rice_applies(ref) || mi.count() == 0) return {};
+  return evaluate_health(mi, ref, tolerances,
+                         expected_values(ref, nullptr, nullptr, &mi));
+}
+
+std::vector<DriftReport> evaluate_health(const LevelCrossingAccumulator& lcr,
+                                         const AnalyticReference& ref,
+                                         const HealthTolerances& tolerances,
+                                         const ExpectedValues& expected) {
   std::vector<DriftReport> reports;
-  if (!ref.rayleigh || ref.shadowing || lcr.count() == 0) return reports;
+  if (!rice_applies(ref) || lcr.count() == 0) return reports;
+  RFADE_EXPECTS(expected.lcr.size() == lcr.thresholds().size(),
+                "evaluate_health: expected values of another configuration");
   for (std::size_t j = 0; j < lcr.dimension(); ++j) {
     for (std::size_t t = 0; t < lcr.thresholds().size(); ++t) {
       const double rho = lcr.thresholds()[t];
@@ -75,7 +137,7 @@ std::vector<DriftReport> evaluate_health(const LevelCrossingAccumulator& lcr,
       report.branch = j;
       report.parameter = rho;
       report.measured = stats.lcr_per_sample;
-      report.expected = expected_lcr_per_sample(ref, rho);
+      report.expected = expected.lcr[t];
       report.drift = relative_drift(report.measured, report.expected);
       report.tolerance = tolerances.lcr;
       report.ok = report.drift <= report.tolerance;
@@ -86,7 +148,7 @@ std::vector<DriftReport> evaluate_health(const LevelCrossingAccumulator& lcr,
         afd.branch = j;
         afd.parameter = rho;
         afd.measured = stats.afd_samples;
-        afd.expected = expected_afd_samples(ref, rho);
+        afd.expected = expected.afd[t];
         afd.drift = relative_drift(afd.measured, afd.expected);
         afd.tolerance = tolerances.afd;
         afd.ok = afd.drift <= afd.tolerance;
@@ -99,20 +161,22 @@ std::vector<DriftReport> evaluate_health(const LevelCrossingAccumulator& lcr,
 
 std::vector<DriftReport> evaluate_health(const AcfAccumulator& acf,
                                          const AnalyticReference& ref,
-                                         const HealthTolerances& tolerances) {
+                                         const HealthTolerances& tolerances,
+                                         const ExpectedValues& expected) {
   std::vector<DriftReport> reports;
-  // The complex-ACF reference holds for the Rayleigh core and, via the
-  // product law, the Suzuki composite over it.
   if (!ref.rayleigh) return reports;
+  RFADE_EXPECTS(expected.acf.size() == acf.lags().size(),
+                "evaluate_health: expected values of another configuration");
   for (std::size_t j = 0; j < acf.dimension(); ++j) {
-    for (const std::size_t lag : acf.lags()) {
+    for (std::size_t k = 0; k < acf.lags().size(); ++k) {
+      const std::size_t lag = acf.lags()[k];
       if (lag == 0 || acf.count() <= lag) continue;
       DriftReport report;
       report.metric = "acf";
       report.branch = j;
       report.parameter = static_cast<double>(lag);
       report.measured = acf.autocorrelation(j, lag).real();
-      report.expected = expected_acf(ref, lag);
+      report.expected = expected.acf[k];
       report.drift = std::abs(report.measured - report.expected);
       report.tolerance = tolerances.acf;
       report.ok = report.drift <= report.tolerance;
@@ -124,16 +188,19 @@ std::vector<DriftReport> evaluate_health(const AcfAccumulator& acf,
 
 std::vector<DriftReport> evaluate_health(const MutualInformationAccumulator& mi,
                                          const AnalyticReference& ref,
-                                         const HealthTolerances& tolerances) {
+                                         const HealthTolerances& tolerances,
+                                         const ExpectedValues& expected) {
   std::vector<DriftReport> reports;
-  if (!ref.rayleigh || ref.shadowing || mi.count() == 0) return reports;
-  const double variance_ref = expected_mi_variance(ref);
+  if (!rice_applies(ref) || mi.count() == 0) return reports;
+  RFADE_EXPECTS(expected.mi_autocovariance.size() == mi.lags().size(),
+                "evaluate_health: expected values of another configuration");
+  const double variance_ref = expected.mi_variance;
   for (std::size_t j = 0; j < mi.dimension(); ++j) {
     DriftReport mean;
     mean.metric = "mi_mean";
     mean.branch = j;
     mean.measured = mi.mean(j);
-    mean.expected = expected_mi_mean(ref);
+    mean.expected = expected.mi_mean;
     mean.drift = relative_drift(mean.measured, mean.expected);
     mean.tolerance = tolerances.mi_mean;
     mean.ok = mean.drift <= mean.tolerance;
@@ -149,14 +216,15 @@ std::vector<DriftReport> evaluate_health(const MutualInformationAccumulator& mi,
     variance.ok = variance.drift <= variance.tolerance;
     reports.push_back(variance);
 
-    for (const std::size_t lag : mi.lags()) {
+    for (std::size_t k = 0; k < mi.lags().size(); ++k) {
+      const std::size_t lag = mi.lags()[k];
       if (mi.count() <= lag) continue;
       DriftReport cov;
       cov.metric = "mi_autocov";
       cov.branch = j;
       cov.parameter = static_cast<double>(lag);
       cov.measured = mi.autocovariance(j, lag);
-      cov.expected = expected_mi_autocovariance(ref, lag);
+      cov.expected = expected.mi_autocovariance[k];
       cov.drift = std::abs(cov.measured - cov.expected) / variance_ref;
       cov.tolerance = tolerances.mi_autocovariance;
       cov.ok = cov.drift <= cov.tolerance;

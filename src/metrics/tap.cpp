@@ -172,17 +172,22 @@ void MetricsTap::publish() {
 }
 
 std::vector<DriftReport> MetricsTap::health() const {
+  // The references are evaluated once per tap, on the first call: never
+  // in the constructor or observe, which sit on a session's first block.
+  std::call_once(expected_once_, [this] {
+    expected_ = expected_values(reference_, lcr_.get(), acf_.get(), mi_.get());
+  });
   std::vector<DriftReport> reports;
   if (lcr_ && lcr_->count() > 0) {
-    auto r = evaluate_health(*lcr_, reference_, config_.tolerances);
+    auto r = evaluate_health(*lcr_, reference_, config_.tolerances, expected_);
     reports.insert(reports.end(), r.begin(), r.end());
   }
   if (acf_ && acf_->count() > 0) {
-    auto r = evaluate_health(*acf_, reference_, config_.tolerances);
+    auto r = evaluate_health(*acf_, reference_, config_.tolerances, expected_);
     reports.insert(reports.end(), r.begin(), r.end());
   }
   if (mi_ && mi_->count() > 0) {
-    auto r = evaluate_health(*mi_, reference_, config_.tolerances);
+    auto r = evaluate_health(*mi_, reference_, config_.tolerances, expected_);
     reports.insert(reports.end(), r.begin(), r.end());
   }
   return reports;

@@ -1,11 +1,21 @@
 #include "rfade/service/accumulators.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/error.hpp"
 
 namespace rfade::service {
+
+namespace {
+
+/// Rows per column fold: the block is folded branch by branch through
+/// ExactSum's block add, kColumnChunk terms per call from stack buffers.
+constexpr std::size_t kColumnChunk = 256;
+
+}  // namespace
 
 EnvelopeMomentAccumulator::EnvelopeMomentAccumulator(std::size_t dimension)
     : dimension_(dimension),
@@ -21,16 +31,23 @@ void EnvelopeMomentAccumulator::accumulate(
   RFADE_EXPECTS(block.cols() == dimension_,
                 "block branch count must match accumulator dimension");
   const std::size_t rows = block.rows();
-  for (std::size_t t = 0; t < rows; ++t) {
+  double r[kColumnChunk];
+  double r2[kColumnChunk];
+  double r4[kColumnChunk];
+  for (std::size_t begin = 0; begin < rows; begin += kColumnChunk) {
+    const std::size_t n = std::min(kColumnChunk, rows - begin);
     for (std::size_t j = 0; j < dimension_; ++j) {
-      const numeric::cdouble z = block(t, j);
-      // r^2 from the exact components; r via one sqrt rounding — the same
-      // arithmetic on every shard, so shard-invariance is preserved.
-      const double r2 = z.real() * z.real() + z.imag() * z.imag();
-      const double r = std::sqrt(r2);
-      sum_r_[j].add(r);
-      sum_r2_[j].add(r2);
-      sum_r4_[j].add(r2 * r2);
+      for (std::size_t i = 0; i < n; ++i) {
+        const numeric::cdouble z = block(begin + i, j);
+        // r^2 from the exact components; r via one sqrt rounding — the
+        // same arithmetic on every shard, so shard-invariance is kept.
+        r2[i] = z.real() * z.real() + z.imag() * z.imag();
+        r[i] = std::sqrt(r2[i]);
+        r4[i] = r2[i] * r2[i];
+      }
+      sum_r_[j].add(std::span<const double>(r, n));
+      sum_r2_[j].add(std::span<const double>(r2, n));
+      sum_r4_[j].add(std::span<const double>(r4, n));
     }
   }
   count_ += rows;
@@ -44,13 +61,20 @@ void EnvelopeMomentAccumulator::accumulate_envelopes(
   RFADE_EXPECTS(envelopes.cols() == dimension_,
                 "block branch count must match accumulator dimension");
   const std::size_t rows = envelopes.rows();
-  for (std::size_t t = 0; t < rows; ++t) {
+  double r[kColumnChunk];
+  double r2[kColumnChunk];
+  double r4[kColumnChunk];
+  for (std::size_t begin = 0; begin < rows; begin += kColumnChunk) {
+    const std::size_t n = std::min(kColumnChunk, rows - begin);
     for (std::size_t j = 0; j < dimension_; ++j) {
-      const double r = envelopes(t, j);
-      const double r2 = r * r;
-      sum_r_[j].add(r);
-      sum_r2_[j].add(r2);
-      sum_r4_[j].add(r2 * r2);
+      for (std::size_t i = 0; i < n; ++i) {
+        r[i] = envelopes(begin + i, j);
+        r2[i] = r[i] * r[i];
+        r4[i] = r2[i] * r2[i];
+      }
+      sum_r_[j].add(std::span<const double>(r, n));
+      sum_r2_[j].add(std::span<const double>(r2, n));
+      sum_r4_[j].add(std::span<const double>(r4, n));
     }
   }
   count_ += rows;
@@ -105,14 +129,21 @@ void ComplexCovarianceAccumulator::accumulate(
   RFADE_EXPECTS(block.cols() == dimension_,
                 "block branch count must match accumulator dimension");
   const std::size_t rows = block.rows();
-  for (std::size_t t = 0; t < rows; ++t) {
+  double re[kColumnChunk];
+  double im[kColumnChunk];
+  for (std::size_t begin = 0; begin < rows; begin += kColumnChunk) {
+    const std::size_t n = std::min(kColumnChunk, rows - begin);
     for (std::size_t k = 0; k < dimension_; ++k) {
-      const numeric::cdouble zk = block(t, k);
       for (std::size_t j = 0; j < dimension_; ++j) {
-        const numeric::cdouble zj = block(t, j);
-        const numeric::cdouble p = zk * std::conj(zj);
-        real_[k * dimension_ + j].add(p.real());
-        imag_[k * dimension_ + j].add(p.imag());
+        for (std::size_t i = 0; i < n; ++i) {
+          const numeric::cdouble zk = block(begin + i, k);
+          const numeric::cdouble zj = block(begin + i, j);
+          const numeric::cdouble p = zk * std::conj(zj);
+          re[i] = p.real();
+          im[i] = p.imag();
+        }
+        real_[k * dimension_ + j].add(std::span<const double>(re, n));
+        imag_[k * dimension_ + j].add(std::span<const double>(im, n));
       }
     }
   }

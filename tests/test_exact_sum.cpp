@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "rfade/numeric/matrix.hpp"
@@ -363,6 +364,234 @@ TEST(ExactSumDeposit, NonFiniteThrowsDomainErrorWithoutCounting) {
   EXPECT_EQ(sum.value(), 1.5);
 }
 
+// --- block add against scalar adds ------------------------------------------
+
+/// Feeds \p values to one ExactSum through the block add and to another
+/// one scalar add() at a time; the counts, value() bits and peeled exact
+/// totals (hence the canonical limbs) must agree.
+void expect_block_same_as_scalar(const std::vector<double>& values) {
+  ExactSum block;
+  block.add(std::span<const double>(values));
+  ExactSum scalar;
+  for (const double v : values) scalar.add(v);
+  EXPECT_EQ(block.count(), scalar.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(block.value()),
+            std::bit_cast<std::uint64_t>(scalar.value()));
+  EXPECT_EQ(peel(block), peel(scalar));
+}
+
+/// The lengths the block add's chunking and vector tails must get right.
+const std::size_t kBlockLengths[] = {0,    1,    2,    7,    8,    9,
+                                     15,   16,   17,   1023, 1024, 1025,
+                                     2047, 2048, 2049, (1u << 16) + 3};
+
+TEST(ExactSumBlock, FullExponentRangeMatchesScalarAdds) {
+  unsigned seed = 40;
+  for (const std::size_t n : kBlockLengths) {
+    SCOPED_TRACE(n);
+    expect_block_same_as_scalar(full_range_values(n, ++seed));
+  }
+}
+
+TEST(ExactSumBlock, GaussianProductsMatchScalarAdds) {
+  // The metrics tap's terms: lag products of unit-power samples.
+  std::mt19937_64 rng(41);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  for (const std::size_t n : kBlockLengths) {
+    SCOPED_TRACE(n);
+    std::vector<double> values(n);
+    for (double& v : values) v = normal(rng) * normal(rng);
+    expect_block_same_as_scalar(values);
+    for (double& v : values) v = std::log2(1.0 + 10.0 * std::abs(v));
+    expect_block_same_as_scalar(values);
+  }
+}
+
+TEST(ExactSumBlock, SubnormalsAndSignedZerosMatchScalarAdds) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  std::mt19937_64 rng(42);
+  for (const std::size_t n : kBlockLengths) {
+    SCOPED_TRACE(n);
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t fraction = rng() >> (12 + i % 52);
+      const double v = std::bit_cast<double>(fraction);
+      values[i] = i % 5 == 0   ? (i % 2 == 0 ? 0.0 : -0.0)
+                  : i % 2 == 0 ? v
+                               : -v;
+    }
+    expect_block_same_as_scalar(values);  // subnormals and zeros only
+    if (n > 0) values[n / 2] = 1.0;       // one normal among them
+    expect_block_same_as_scalar(values);
+  }
+  expect_block_same_as_scalar({0.0, -0.0, 0.0});
+  expect_block_same_as_scalar({tiny, -tiny, 3 * tiny, min_normal,
+                               -min_normal, std::nextafter(min_normal, 0.0)});
+}
+
+TEST(ExactSumBlock, TinyOnlySpansMatchScalarAdds) {
+  // Maxima whose extraction grid 2^(e - 42) leaves the normal range: the
+  // underflow fallback, on both sides of its boundary exponent.
+  std::mt19937_64 rng(43);
+  for (const int top : {-1023, -1000, -981, -980, -979, -970, -900}) {
+    SCOPED_TRACE(top);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{9},
+                                std::size_t{1025}}) {
+      std::vector<double> values(n);
+      std::uniform_int_distribution<int> exponent(-1074, top - 1);
+      std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
+      for (double& v : values) v = std::ldexp(mantissa(rng), exponent(rng));
+      values[0] = std::ldexp(0.75, top);  // max |x| just below 2^top
+      expect_block_same_as_scalar(values);
+    }
+  }
+}
+
+TEST(ExactSumBlock, ExtremesMatchScalarAdds) {
+  // ±DBL_MAX and maxima around 2^1012 exercise the overflow fallback and
+  // the largest σ = 2^1023 it still allows.
+  expect_block_same_as_scalar({DBL_MAX});
+  expect_block_same_as_scalar({DBL_MAX, DBL_MAX, DBL_MAX, -DBL_MAX, 1.0,
+                               std::numeric_limits<double>::denorm_min()});
+  expect_block_same_as_scalar({-DBL_MAX, std::numeric_limits<double>::min(),
+                               -std::numeric_limits<double>::denorm_min()});
+  std::mt19937_64 rng(44);
+  for (const double top :
+       {std::ldexp(1.0, 1012), std::nextafter(std::ldexp(1.0, 1012), 0.0),
+        std::ldexp(1.0, 1011), std::ldexp(1.0, 1013)}) {
+    std::vector<double> values = full_range_values(1500, 45);
+    for (double& v : values) {
+      if (std::abs(v) > top) v = std::ldexp(v, -200);
+    }
+    values[7] = top;
+    values[1200] = -top;
+    expect_block_same_as_scalar(values);
+  }
+  // One huge term over many tiny ones: all four levels, then residues.
+  std::vector<double> mixed = full_range_values(1024, 46);
+  for (double& v : mixed) v = std::ldexp(v, -std::ilogb(v) - 300);
+  mixed[3] = 1e300;
+  expect_block_same_as_scalar(mixed);
+}
+
+TEST(ExactSumBlock, CancellationHeavySpansMatchScalarAdds) {
+  for (const unsigned seed : {47u, 48u}) {
+    std::vector<double> values = full_range_values(1500, seed);
+    std::vector<double> negated;
+    for (const double v : values) negated.push_back(-v);
+    std::mt19937_64 rng(seed);
+    std::shuffle(negated.begin(), negated.end(), rng);
+    values.insert(values.end(), negated.begin(), negated.end());
+    values.push_back(std::numeric_limits<double>::denorm_min());
+    values.push_back(3.0);
+    std::shuffle(values.begin(), values.end(), rng);
+    expect_block_same_as_scalar(values);
+  }
+  std::vector<double> ulps;
+  std::mt19937_64 rng(49);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  for (int i = 0; i < 1500; ++i) {
+    const double x = normal(rng);
+    ulps.push_back(x);
+    ulps.push_back(-std::nextafter(x, 0.0));
+  }
+  expect_block_same_as_scalar(ulps);
+}
+
+TEST(ExactSumBlock, SameSignNearMaximumSpansMatchScalarAdds) {
+  // A full chunk of same-signed terms just below a power of two: the
+  // extracted total reaches n·2^e, the bound the σ exponent is sized for.
+  std::mt19937_64 rng(54);
+  for (const int e : {-900, -3, 0, 5, 700, 1012}) {
+    SCOPED_TRACE(e);
+    for (const double sign : {1.0, -1.0}) {
+      std::vector<double> values(1024 + 1024 + 300);
+      for (double& v : values) {
+        const std::uint64_t fraction =
+            (rng() >> 12) | (std::uint64_t{0xfff} << 40);  // top bits set
+        v = sign * std::ldexp(std::bit_cast<double>(
+                                  fraction | (std::uint64_t{1022} << 52)),
+                              e);
+      }
+      expect_block_same_as_scalar(values);
+    }
+  }
+}
+
+TEST(ExactSumBlock, MixesWithScalarAddsAndMerges) {
+  // Random cuts into block adds, scalar adds and shards, merged in any
+  // order, equal one scalar pass.
+  const std::vector<double> values = full_range_values(9000, 50);
+  ExactSum scalar;
+  for (const double v : values) scalar.add(v);
+  std::mt19937_64 rng(51);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<ExactSum> shards(3);
+    std::size_t begin = 0;
+    while (begin < values.size()) {
+      const std::size_t length =
+          std::min<std::size_t>(rng() % 2100, values.size() - begin);
+      ExactSum& shard = shards[rng() % shards.size()];
+      if (rng() % 4 == 0) {
+        for (std::size_t i = begin; i < begin + length; ++i) {
+          shard.add(values[i]);
+        }
+      } else {
+        shard.add(std::span<const double>(values.data() + begin, length));
+      }
+      begin += length;
+    }
+    shards[2].merge(shards[0]);
+    shards[1].merge(shards[2]);
+    EXPECT_EQ(shards[1].count(), scalar.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(shards[1].value()),
+              std::bit_cast<std::uint64_t>(scalar.value()));
+    EXPECT_EQ(peel(shards[1]), peel(scalar));
+  }
+}
+
+TEST(ExactSumBlock, CrossesTheNormaliseCadence) {
+  // 2^20 + 1 deposits of one same-signed term per block land on the same
+  // limbs: the block add's deposits must keep the normalise cadence.
+  ExactSum block;
+  ExactSum scalar;
+  const std::vector<double> one = {std::ldexp(0x1.fffffffffffffp0, 40)};
+  for (std::size_t i = 0; i < (std::size_t{1} << 20) + 1; ++i) {
+    block.add(std::span<const double>(one));
+    scalar.add(one[0]);
+  }
+  EXPECT_EQ(peel(block), peel(scalar));
+  EXPECT_EQ(block.count(), scalar.count());
+}
+
+TEST(ExactSumBlock, NonFiniteThrowsDomainErrorWithStateUntouched) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::signaling_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  const std::vector<double> prefix = full_range_values(100, 52);
+  for (const double bad : bad_values) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1000},
+                                 std::size_t{1500}, std::size_t{2999}}) {
+      ExactSum sum;
+      sum.add(std::span<const double>(prefix));
+      const std::vector<double> before = peel(sum);
+      std::vector<double> values = full_range_values(3000, 53);
+      values[at] = bad;
+      try {
+        sum.add(std::span<const double>(values));
+        ADD_FAILURE() << "no throw for " << bad << " at " << at;
+      } catch (const ValueError& error) {
+        EXPECT_EQ(error.code(), ErrorCode::DomainError);
+      }
+      EXPECT_EQ(sum.count(), prefix.size());
+      EXPECT_EQ(peel(sum), before);
+    }
+  }
+}
+
 // --- service accumulators ---------------------------------------------------
 
 numeric::CMatrix random_block(std::size_t rows, std::size_t cols,
@@ -419,6 +648,45 @@ TEST(EnvelopeMomentAccumulator, MomentsMatchNaiveSums) {
   }
   EXPECT_NEAR(moments.mean, sum_r / 64.0, 1e-12);
   EXPECT_GT(moments.second_moment, 0.0);
+}
+
+TEST(EnvelopeMomentAccumulator, ColumnFoldsMatchScalarAdds) {
+  // The column folds hold exactly the terms of one scalar add per sample.
+  const std::size_t n = 3;
+  const auto block = random_block(700, n, 9);  // spans several column chunks
+  service::EnvelopeMomentAccumulator acc(n);
+  acc.accumulate(block);
+  service::ComplexCovarianceAccumulator cov(n);
+  cov.accumulate(block);
+  const numeric::CMatrix covariance = cov.finalize();
+  const auto rows = static_cast<double>(block.rows());
+  for (std::size_t k = 0; k < n; ++k) {
+    ExactSum r;
+    ExactSum r2;
+    ExactSum r4;
+    for (std::size_t t = 0; t < block.rows(); ++t) {
+      const numeric::cdouble z = block(t, k);
+      const double power = z.real() * z.real() + z.imag() * z.imag();
+      r.add(std::sqrt(power));
+      r2.add(power);
+      r4.add(power * power);
+    }
+    const auto moments = acc.finalize(k);
+    EXPECT_EQ(moments.mean, r.value() / rows);
+    EXPECT_EQ(moments.second_moment, r2.value() / rows);
+    EXPECT_EQ(moments.fourth_moment, r4.value() / rows);
+    for (std::size_t j = 0; j < n; ++j) {
+      ExactSum re;
+      ExactSum im;
+      for (std::size_t t = 0; t < block.rows(); ++t) {
+        const numeric::cdouble p = block(t, k) * std::conj(block(t, j));
+        re.add(p.real());
+        im.add(p.imag());
+      }
+      EXPECT_EQ(covariance(k, j).real(), re.value() / rows);
+      EXPECT_EQ(covariance(k, j).imag(), im.value() / rows);
+    }
+  }
 }
 
 TEST(EnvelopeMomentAccumulator, Rejections) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "rfade/stats/fading_metrics.hpp"
 #include "rfade/stats/mutual_information.hpp"
 #include "rfade/support/error.hpp"
+#include "rfade/support/exact_sum.hpp"
 #include "rfade/telemetry/telemetry.hpp"
 
 using namespace rfade;
@@ -267,6 +269,239 @@ TEST(AcfAccumulatorTest, MatchesBruteForceSums) {
     const cdouble streamed = accumulator.correlation_sum(0, lag);
     EXPECT_NEAR(streamed.real(), brute.real(), 1e-9);
     EXPECT_NEAR(streamed.imag(), brute.imag(), 1e-9);
+  }
+}
+
+// --- column sweep against the row-wise loops ----------------------------------
+
+namespace {
+
+/// The row-wise folds the accumulators ran before their column sweep,
+/// over one sample at a time: the same cell steps, lag_product, I_t
+/// expression and ExactSum terms, kept here as the bit reference.
+class RowWiseReference {
+ public:
+  RowWiseReference(std::size_t dimension, std::vector<double> levels,
+                   std::vector<std::size_t> acf_lags,
+                   std::vector<std::size_t> mi_lags, double inv_power)
+      : dimension_(dimension),
+        levels_(std::move(levels)),
+        acf_lags_(std::move(acf_lags)),
+        mi_lags_(std::move(mi_lags)),
+        inv_power_(inv_power),
+        cells_(dimension * levels_.size()),
+        samples_(dimension),
+        information_(dimension),
+        acf_re_(dimension * acf_lags_.size()),
+        acf_im_(dimension * acf_lags_.size()),
+        mi_sum_(dimension),
+        mi_sum_sq_(dimension),
+        mi_lag_(dimension * mi_lags_.size()) {}
+
+  void fold(std::size_t j, cdouble z) {
+    const std::size_t pos = samples_[j].size();
+    samples_[j].push_back(z);
+    for (std::size_t t = 0; t < levels_.size(); ++t) {
+      step(cells_[j * levels_.size() + t], std::abs(z) < levels_[t]);
+    }
+    for (std::size_t k = 0; k < acf_lags_.size(); ++k) {
+      const std::size_t d = acf_lags_[k];
+      if (pos < d) break;
+      const cdouble p = z * std::conj(samples_[j][pos - d]);
+      acf_re_[j * acf_lags_.size() + k].add(p.real());
+      acf_im_[j * acf_lags_.size() + k].add(p.imag());
+    }
+    const double information =
+        std::log2(1.0 + inv_power_ * std::norm(z));
+    information_[j].push_back(information);
+    mi_sum_[j].add(information);
+    mi_sum_sq_[j].add(information * information);
+    for (std::size_t k = 0; k < mi_lags_.size(); ++k) {
+      const std::size_t d = mi_lags_[k];
+      if (pos < d) break;
+      mi_lag_[j * mi_lags_.size() + k].add(information *
+                                           information_[j][pos - d]);
+    }
+  }
+
+  template <typename T>
+  void accumulate(const numeric::Matrix<std::complex<T>>& block) {
+    for (std::size_t r = 0; r < block.rows(); ++r) {
+      for (std::size_t j = 0; j < dimension_; ++j) fold(j, block(r, j));
+    }
+  }
+
+  /// Every read-out of the three accumulators, bit for bit.
+  void expect_equal(const LevelCrossingAccumulator& lcr,
+                    const AcfAccumulator& acf,
+                    const MutualInformationAccumulator& mi) const {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const std::uint64_t count = samples_[0].size();
+    ASSERT_EQ(lcr.count(), count);
+    ASSERT_EQ(acf.count(), count);
+    ASSERT_EQ(mi.count(), count);
+    for (std::size_t j = 0; j < dimension_; ++j) {
+      for (std::size_t t = 0; t < levels_.size() && count > 0; ++t) {
+        const Cell& cell = cells_[j * levels_.size() + t];
+        const metrics::LevelCrossingStats stats = lcr.finalize(j, t);
+        EXPECT_EQ(stats.samples_below, cell.below) << j << "/" << t;
+        EXPECT_EQ(stats.up_crossings, cell.crossings) << j << "/" << t;
+        EXPECT_EQ(stats.longest_fade, cell.longest) << j << "/" << t;
+      }
+      for (std::size_t k = 0; k < acf_lags_.size(); ++k) {
+        const cdouble sum = acf.correlation_sum(j, acf_lags_[k]);
+        EXPECT_EQ(bits(sum.real()),
+                  bits(acf_re_[j * acf_lags_.size() + k].value()))
+            << "acf branch " << j << " lag " << acf_lags_[k];
+        EXPECT_EQ(bits(sum.imag()),
+                  bits(acf_im_[j * acf_lags_.size() + k].value()))
+            << "acf branch " << j << " lag " << acf_lags_[k];
+      }
+      EXPECT_EQ(bits(mi.sum(j)), bits(mi_sum_[j].value())) << j;
+      EXPECT_EQ(bits(mi.sum_squares(j)), bits(mi_sum_sq_[j].value())) << j;
+      for (std::size_t k = 0; k < mi_lags_.size(); ++k) {
+        EXPECT_EQ(bits(mi.lag_product_sum(j, mi_lags_[k])),
+                  bits(mi_lag_[j * mi_lags_.size() + k].value()))
+            << "mi branch " << j << " lag " << mi_lags_[k];
+      }
+    }
+  }
+
+ private:
+  struct Cell {
+    std::uint64_t below = 0;
+    std::uint64_t crossings = 0;
+    std::uint64_t run = 0;
+    std::uint64_t longest = 0;
+    bool seen_above = false;
+  };
+
+  static void step(Cell& cell, bool below) {
+    if (below) {
+      ++cell.below;
+      ++cell.run;
+      return;
+    }
+    if (cell.run > 0) {
+      ++cell.crossings;
+      if (cell.seen_above) cell.longest = std::max(cell.longest, cell.run);
+    }
+    cell.seen_above = true;
+    cell.run = 0;
+  }
+
+  std::size_t dimension_;
+  std::vector<double> levels_;
+  std::vector<std::size_t> acf_lags_;  ///< sorted, with 0
+  std::vector<std::size_t> mi_lags_;   ///< sorted, positive
+  double inv_power_;
+  std::vector<Cell> cells_;
+  std::vector<std::vector<cdouble>> samples_;
+  std::vector<std::vector<double>> information_;
+  std::vector<support::ExactSum> acf_re_;
+  std::vector<support::ExactSum> acf_im_;
+  std::vector<support::ExactSum> mi_sum_;
+  std::vector<support::ExactSum> mi_sum_sq_;
+  std::vector<support::ExactSum> mi_lag_;
+};
+
+/// A block of \p rows unit-power samples with some exact zeros, tiny
+/// (1e-160-scale) samples and samples exactly on a level mixed in.
+template <typename T>
+numeric::Matrix<std::complex<T>> sweep_block(std::mt19937_64& gen,
+                                             std::size_t rows,
+                                             std::size_t cols) {
+  std::normal_distribution<double> normal(0.0, 0.70710678118654752);
+  numeric::Matrix<std::complex<T>> block(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      std::complex<double> z(normal(gen), normal(gen));
+      switch (gen() % 16) {
+        case 0: z = 0.0; break;
+        case 1: z *= 1e-160; break;
+        case 2: z = std::polar(1.0, normal(gen)); break;  // on level 1.0
+        default: break;
+      }
+      block(r, j) = std::complex<T>(static_cast<T>(z.real()),
+                                    static_cast<T>(z.imag()));
+    }
+  }
+  return block;
+}
+
+/// Feeds random cuts — every row count from 1 to max_lag + 1 first, so
+/// early blocks have count < lag, then random sizes up to past an
+/// ExactSum chunk — to the accumulators and the row-wise reference,
+/// comparing every read-out after every block.
+template <typename T>
+void expect_sweep_matches_row_wise(std::vector<std::size_t> lags,
+                                   unsigned seed) {
+  constexpr std::size_t kBranches = 3;
+  const double snr = 10.0;
+  const double power = 1.0;
+  const std::vector<double> thresholds = {0.5, 1.0};
+  LevelCrossingAccumulator lcr(kBranches, thresholds,
+                               std::vector<double>(kBranches, 1.0));
+  AcfAccumulator acf(kBranches, lags);
+  MutualInformationAccumulator mi(kBranches, snr,
+                                  std::vector<double>(kBranches, power), lags);
+  RowWiseReference reference(kBranches, thresholds, acf.lags(), mi.lags(),
+                             snr / power);
+  const std::size_t max_lag = acf.lags().back();
+  std::mt19937_64 gen(seed);
+  std::vector<std::size_t> cuts;
+  for (std::size_t rows = 1; rows <= max_lag + 1; ++rows) cuts.push_back(rows);
+  for (int b = 0; b < 12; ++b) cuts.push_back(gen() % (3 * max_lag) + 1);
+  cuts.push_back(1030);
+  cuts.push_back(1);
+  for (const std::size_t rows : cuts) {
+    SCOPED_TRACE(rows);
+    const auto block = sweep_block<T>(gen, rows, kBranches);
+    lcr.accumulate(block);
+    acf.accumulate(block);
+    mi.accumulate(block);
+    reference.accumulate(block);
+    reference.expect_equal(lcr, acf, mi);
+  }
+}
+
+}  // namespace
+
+TEST(MetricsColumnSweep, MatchesRowWiseLoopsF64) {
+  expect_sweep_matches_row_wise<double>({1, 2, 4, 8}, 0x5EE1);
+  expect_sweep_matches_row_wise<double>({3, 5, 17}, 0x5EE2);
+  expect_sweep_matches_row_wise<double>({1}, 0x5EE3);
+}
+
+TEST(MetricsColumnSweep, MatchesRowWiseLoopsF32) {
+  expect_sweep_matches_row_wise<float>({1, 2, 4, 8}, 0x5EE4);
+  expect_sweep_matches_row_wise<float>({3, 5, 17}, 0x5EE5);
+}
+
+TEST(MetricsColumnSweep, MutualInformationWithoutLagsMatchesRowWise) {
+  // No lags: no ring at all; the moments still fold per column.
+  MutualInformationAccumulator mi(2, 4.0, {1.0, 2.0}, {});
+  support::ExactSum sum[2];
+  support::ExactSum squares[2];
+  std::mt19937_64 gen(0x5EE6);
+  for (const std::size_t rows : {1u, 2u, 7u, 1500u}) {
+    const CMatrix block = random_block(gen, rows, 2);
+    mi.accumulate(block);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        const double power = std::norm(block(r, j));
+        const double information =
+            std::log2(1.0 + (4.0 / (j == 0 ? 1.0 : 2.0)) * power);
+        sum[j].add(information);
+        squares[j].add(information * information);
+      }
+    }
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mi.sum(j)),
+                std::bit_cast<std::uint64_t>(sum[j].value()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mi.sum_squares(j)),
+                std::bit_cast<std::uint64_t>(squares[j].value()));
+    }
   }
 }
 
@@ -627,6 +862,86 @@ TEST(MetricsTapTest, ShardTapsMergeBitExactly) {
   }
   EXPECT_EQ(single.mutual_information()->sum(0),
             shard_a.mutual_information()->sum(0));
+}
+
+namespace {
+
+void expect_same_reports(const std::vector<metrics::DriftReport>& a,
+                         const std::vector<metrics::DriftReport>& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].metric, b[i].metric);
+    EXPECT_EQ(a[i].branch, b[i].branch);
+    EXPECT_EQ(bits(a[i].parameter), bits(b[i].parameter));
+    EXPECT_EQ(bits(a[i].measured), bits(b[i].measured));
+    EXPECT_EQ(bits(a[i].expected), bits(b[i].expected)) << a[i].metric;
+    EXPECT_EQ(bits(a[i].drift), bits(b[i].drift));
+    EXPECT_EQ(bits(a[i].tolerance), bits(b[i].tolerance));
+    EXPECT_EQ(a[i].ok, b[i].ok);
+  }
+}
+
+/// What health() reported before it kept its references: the free
+/// gates, accumulator by accumulator.
+std::vector<metrics::DriftReport> free_gates(const MetricsTap& tap) {
+  std::vector<metrics::DriftReport> reports;
+  const auto& tolerances = tap.config().tolerances;
+  const auto append = [&](std::vector<metrics::DriftReport> r) {
+    reports.insert(reports.end(), r.begin(), r.end());
+  };
+  append(metrics::evaluate_health(*tap.level_crossings(), tap.reference(),
+                                  tolerances));
+  append(metrics::evaluate_health(*tap.autocorrelation(), tap.reference(),
+                                  tolerances));
+  append(metrics::evaluate_health(*tap.mutual_information(), tap.reference(),
+                                  tolerances));
+  return reports;
+}
+
+}  // namespace
+
+TEST(MetricsTapTest, KeptReferencesMatchFreeGatesAcrossPublishes) {
+  core::FadingStreamOptions options;
+  options.backend = doppler::StreamBackend::OverlapSaveFir;
+  options.idft_size = 256;
+  options.normalized_doppler = 0.05;
+  options.seed = 0x3E3;
+  core::FadingStream stream(CMatrix::identity(2), options);
+
+  AnalyticReference rayleigh = unit_rayleigh_reference(2, 0.05, 10.0);
+  AnalyticReference shadowed = rayleigh;
+  shadowed.shadowing = metrics::ShadowingReference{6.0, 50.0};
+  for (const AnalyticReference& reference : {rayleigh, shadowed}) {
+    telemetry::Registry registry;
+    MetricsTapConfig config;
+    config.lags = {1, 2, 4, 8, 300};  // 300: no pairs after the first block
+    config.publish_every_blocks = 0;
+    config.registry = &registry;
+    MetricsTap tap(reference, config);
+    EXPECT_TRUE(tap.health().empty());  // nothing observed yet
+    for (std::uint64_t b = 0; b < 6; ++b) {
+      tap.observe(stream.generate_block(options.seed, b));
+      const auto first = tap.health();
+      expect_same_reports(first, free_gates(tap));
+      expect_same_reports(tap.health(), first);
+    }
+    if (telemetry::kCompiledIn) {
+      tap.publish();
+      const auto gauges = registry.gauges();
+      ASSERT_FALSE(gauges.empty());
+      tap.publish();
+      const auto again = registry.gauges();
+      ASSERT_EQ(gauges.size(), again.size());
+      for (std::size_t i = 0; i < gauges.size(); ++i) {
+        EXPECT_EQ(gauges[i].name, again[i].name);
+        EXPECT_EQ(gauges[i].labels, again[i].labels);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gauges[i].value),
+                  std::bit_cast<std::uint64_t>(again[i].value))
+            << gauges[i].name << "{" << gauges[i].labels << "}";
+      }
+    }
+  }
 }
 
 // --- service-layer wiring -----------------------------------------------------
