@@ -132,6 +132,16 @@ std::uint64_t stream_fingerprint(const ChannelSpec& spec, std::uint64_t seed,
   return fnv1a(keyed.generate_block(seed, block), fnv1a(cursor.next_block()));
 }
 
+/// Session cursor block (seek + next_block) followed by the session's
+/// keyed block of the same index.
+std::uint64_t session_fingerprint(const ChannelSpec& spec, std::uint64_t seed,
+                                  std::uint64_t block) {
+  service::Session session(spec.compile(), seed);
+  session.seek(block);
+  const CMatrix cursor = session.next_block();
+  return fnv1a(session.generate_block(block), fnv1a(cursor));
+}
+
 const char* short_name(StreamBackend backend) {
   switch (backend) {
     case StreamBackend::IndependentBlock:
@@ -202,6 +212,41 @@ std::vector<Fingerprint> compute_fingerprints() {
   const auto channel = instant.compile();
   out.push_back({"instant/n=64/11/b5",
                  fnv1a(channel->pipeline().sample_block(256, 11, 5))});
+
+  // Cascaded (double) Rayleigh streams through Session, N = 17: a
+  // stage-2 covariance with an unequal, non-unit diagonal and a stage-2
+  // Doppler unlike stage 1's, so both stage keys, both filters and the
+  // elementwise product all reach the hash.
+  CMatrix k2 = kms_covariance(17, 0.4, -0.5);
+  for (std::size_t i = 0; i < 17; ++i) {
+    for (std::size_t j = 0; j < 17; ++j) {
+      k2(i, j) *= std::sqrt((1.5 + 0.25 * double(i % 3)) *
+                            (1.5 + 0.25 * double(j % 3)));
+    }
+  }
+  for (const StreamBackend backend :
+       {StreamBackend::IndependentBlock, StreamBackend::WindowedOverlapAdd,
+        StreamBackend::OverlapSaveFir}) {
+    const ChannelSpec spec =
+        ChannelSpec::Builder()
+            .cascaded(k17, k2)
+            .backend(backend)
+            .idft_size(256)
+            .doppler(0.05)
+            .second_doppler(0.08)
+            .overlap(backend == StreamBackend::WindowedOverlapAdd ? 32 : 0)
+            .build();
+    for (const std::uint64_t seed : {0x5EEDull, 0xF1A9E2ull}) {
+      for (const std::uint64_t block : {0ull, 1000ull}) {
+        char name[64];
+        std::snprintf(name, sizeof(name), "cascaded/%s/f64/0x%llX/b%llu",
+                      short_name(backend),
+                      static_cast<unsigned long long>(seed),
+                      static_cast<unsigned long long>(block));
+        out.push_back({name, session_fingerprint(spec, seed, block)});
+      }
+    }
+  }
   return out;
 }
 
@@ -243,6 +288,18 @@ const std::vector<TierTable>& recorded_tables() {
            0xE1A9E979BF46B9F1ULL,  // rayleigh/ols/f32/0xF1A9E2/b1000
            0x1CCBABE74E941479ULL,  // rician/ols/f32/7/b3
            0x1A7B57A1633D4FFAULL,  // instant/n=64/11/b5
+           0x9979990FFCF12311ULL,  // cascaded/independent/f64/0x5EED/b0
+           0x7A5EA99E70DEB941ULL,  // cascaded/independent/f64/0x5EED/b1000
+           0xF1277C693185C431ULL,  // cascaded/independent/f64/0xF1A9E2/b0
+           0xFC6641F00BC2FC6DULL,  // cascaded/independent/f64/0xF1A9E2/b1000
+           0x8C1DB807A8E83825ULL,  // cascaded/wola/f64/0x5EED/b0
+           0xF2C876D35770310DULL,  // cascaded/wola/f64/0x5EED/b1000
+           0x12E91A11E7EADC7DULL,  // cascaded/wola/f64/0xF1A9E2/b0
+           0xB3C990446CD394F1ULL,  // cascaded/wola/f64/0xF1A9E2/b1000
+           0x54DF3D54200DC659ULL,  // cascaded/ols/f64/0x5EED/b0
+           0x2B2C3D0002F40E51ULL,  // cascaded/ols/f64/0x5EED/b1000
+           0x87D7C75A0BA8380DULL,  // cascaded/ols/f64/0xF1A9E2/b0
+           0xF195B0F542D85825ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
        }},
       {"gcc-12/glibc-2.36", "sanitized",
        {
@@ -272,6 +329,18 @@ const std::vector<TierTable>& recorded_tables() {
            0xC800D9EE787CB6D5ULL,  // rayleigh/ols/f32/0xF1A9E2/b1000
            0x2D2ACD11BB3DC985ULL,  // rician/ols/f32/7/b3
            0x7052AFD4BC38D59BULL,  // instant/n=64/11/b5
+           0x9979990FFCF12311ULL,  // cascaded/independent/f64/0x5EED/b0
+           0x7A5EA99E70DEB941ULL,  // cascaded/independent/f64/0x5EED/b1000
+           0xF1277C693185C431ULL,  // cascaded/independent/f64/0xF1A9E2/b0
+           0xFC6641F00BC2FC6DULL,  // cascaded/independent/f64/0xF1A9E2/b1000
+           0x8C1DB807A8E83825ULL,  // cascaded/wola/f64/0x5EED/b0
+           0xF2C876D35770310DULL,  // cascaded/wola/f64/0x5EED/b1000
+           0x12E91A11E7EADC7DULL,  // cascaded/wola/f64/0xF1A9E2/b0
+           0xB3C990446CD394F1ULL,  // cascaded/wola/f64/0xF1A9E2/b1000
+           0x4498D1BC766D6F21ULL,  // cascaded/ols/f64/0x5EED/b0
+           0x3D125F6273BA50D5ULL,  // cascaded/ols/f64/0x5EED/b1000
+           0x1900BA8E6F079C69ULL,  // cascaded/ols/f64/0xF1A9E2/b0
+           0x3417EE40A3AA93E5ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
        }},
   };
   return tables;
