@@ -9,7 +9,7 @@
 
 #include "rfade/baselines/sum_of_sinusoids.hpp"
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/doppler/filter.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/special/bessel.hpp"
@@ -27,11 +27,11 @@ int main() {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
 
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = m;
   options.normalized_doppler = fm;
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator generator(k, options);
+  const core::FadingStream generator(k, options);
 
   // Measured branch autocorrelation, averaged over blocks.
   const std::size_t max_lag = 80;
@@ -40,7 +40,7 @@ int main() {
   random::Rng rng(0xE8);
   const int blocks = 24;
   for (int b = 0; b < blocks; ++b) {
-    const CMatrix block = generator.generate_block(rng);
+    const CMatrix block = generator.generate_block_from(rng);
     numeric::CVector series(block.rows());
     numeric::CVector z(3);
     for (std::size_t l = 0; l < block.rows(); ++l) {

@@ -12,7 +12,7 @@
 
 #include "rfade/baselines/sorooshyari_daut.hpp"
 #include "rfade/channel/spatial.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/doppler/filter.hpp"
 #include "rfade/doppler/idft_generator.hpp"
 #include "rfade/random/rng.hpp"
@@ -84,11 +84,11 @@ int main() {
                     "predicted [6] ratio = sigma_g^2 / (2 sigma_orig^2)"});
   for (const std::size_t m : {std::size_t{1024}, std::size_t{4096}}) {
     for (const double fm : {0.02, 0.05, 0.1}) {
-      core::RealTimeOptions options;
+      core::FadingStreamOptions options;
       options.idft_size = m;
       options.normalized_doppler = fm;
       options.input_variance_per_dim = sigma_orig2;
-      const core::RealTimeGenerator proposed(k, options);
+      const core::FadingStream proposed(k, options);
       const baselines::SorooshyariDautRealTime flawed(k, m, fm, sigma_orig2);
 
       random::Rng rng_a(0xE7B);
@@ -97,7 +97,8 @@ int main() {
       double power_flawed = 0.0;
       const int blocks = 12;
       for (int b = 0; b < blocks; ++b) {
-        power_good += mean_output_power(proposed.generate_block(rng_a)) / blocks;
+        power_good +=
+            mean_output_power(proposed.generate_block_from(rng_a)) / blocks;
         power_flawed += mean_output_power(flawed.generate_block(rng_b)) / blocks;
       }
       const double desired = k(0, 0).real();

@@ -13,8 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include "rfade/channel/spectral.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/generator.hpp"
-#include "rfade/core/realtime.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/random/rng.hpp"
 
@@ -128,14 +128,14 @@ void RealTimeBlock(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = m;
   options.normalized_doppler = 0.05;
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator gen(k, options);
+  const core::FadingStream gen(k, options);
   random::Rng rng(0xE10B);
   for (auto _ : state) {
-    const CMatrix block = gen.generate_block(rng);
+    const CMatrix block = gen.generate_block_from(rng);
     benchmark::DoNotOptimize(block.data());
   }
   // Samples per second = M x N per block.

@@ -10,9 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/mean_source.hpp"
 #include "rfade/core/plan.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
+#include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 
 using namespace rfade;
@@ -103,12 +104,12 @@ BENCHMARK(TwdpStreamParallel)
 void CascadedRealTimeBlock(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m = static_cast<std::size_t>(state.range(1));
-  scenario::CascadedRealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = m;
-  options.first_doppler = 0.05;
-  options.second_doppler = 0.11;
-  const scenario::CascadedRealTimeGenerator generator(
-      tridiagonal_covariance(n), tridiagonal_covariance(n), options);
+  options.normalized_doppler = 0.05;
+  const core::FadingStream generator = scenario::cascaded_fading_stream(
+      core::ColoringPlan::create(tridiagonal_covariance(n)),
+      core::ColoringPlan::create(tridiagonal_covariance(n)), 0.11, options);
   std::uint64_t block_index = 0;
   for (auto _ : state) {
     const CMatrix z = generator.generate_block(0xCA5C, block_index++);

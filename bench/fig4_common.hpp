@@ -9,7 +9,8 @@
 #include <cstdio>
 #include <string>
 
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/stats/fading_metrics.hpp"
@@ -25,15 +26,16 @@ inline int run(const std::string& title, const numeric::CMatrix& k,
                const std::string& csv_path, std::uint64_t seed) {
   // Paper Sec. 6 parameters: M=4096 IDFT points, sigma_orig^2 = 1/2,
   // Fs=1 kHz, Fm=50 Hz => fm=0.05, km=204.
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 4096;
   options.normalized_doppler = 0.05;
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator generator(k, options);
+  const core::FadingStream generator(k, options);
   const std::size_t n = generator.dimension();
 
   random::Rng rng(seed);
-  const numeric::RMatrix envelopes = generator.generate_envelope_block(rng);
+  const numeric::RMatrix envelopes =
+      numeric::elementwise_abs(generator.generate_block_from(rng));
 
   // dB around the RMS value, exactly the paper's y-axis.
   const std::size_t plot_samples = 200;

@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/fading_metrics.hpp"
 #include "rfade/support/cli.hpp"
@@ -46,13 +47,14 @@ int main(int argc, char** argv) {
   cov.print();
 
   // Real-time generation with the paper's Doppler parameters.
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 4096;
   options.normalized_doppler = doppler_hz / 1000.0;  // Fs = 1 kHz
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator generator(k, options);
+  const core::FadingStream generator(k, options);
   random::Rng rng(0x0FD);
-  const numeric::RMatrix envelopes = generator.generate_envelope_block(rng);
+  const numeric::RMatrix envelopes =
+      numeric::elementwise_abs(generator.generate_block_from(rng));
 
   support::CsvWriter csv(csv_path);
   csv.write_row({"sample", "carrier1", "carrier2", "carrier3"});

@@ -5,16 +5,19 @@
 //   build/examples/realtime_cascaded [--fm1 0.05] [--fm2 0.11]
 //       [--idft 2048] [--blocks 30] [--seed 9]
 //
-// Verifies the product accounting: the cascaded branch autocorrelation
-// follows rho1(d) rho2(d) — for equal-power stages the classical
-// Akki-Haber J0(2 pi fm1 d) J0(2 pi fm2 d) shape — and the per-instant
-// envelope marginal is the closed-form Bessel-K double-Rayleigh law.
+// The cascade is a stream spec (ChannelSpec::cascaded) compiled to a
+// product FadingStream.  Verifies the product accounting: the cascaded
+// branch autocorrelation follows rho1(d) rho2(d) — for equal-power stages
+// the classical Akki-Haber J0(2 pi fm1 d) J0(2 pi fm2 d) shape — and the
+// per-instant envelope marginal is the closed-form Bessel-K
+// double-Rayleigh law.
 
 #include <cmath>
 #include <cstdio>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
+#include "rfade/scenario/cascaded.hpp"
+#include "rfade/service/channel_spec.hpp"
 #include "rfade/special/bessel.hpp"
 #include "rfade/stats/autocorrelation.hpp"
 #include "rfade/stats/ks_test.hpp"
@@ -35,13 +38,15 @@ int main(int argc, char** argv) {
   const numeric::CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
 
-  scenario::CascadedRealTimeOptions options;
-  options.idft_size = idft;
-  options.first_doppler = fm1;
-  options.second_doppler = fm2;
-  const scenario::CascadedRealTimeGenerator generator(k, k, options);
+  const service::ChannelSpec spec = service::ChannelSpec::Builder()
+                                        .cascaded(k, k)
+                                        .idft_size(idft)
+                                        .doppler(fm1)
+                                        .second_doppler(fm2)
+                                        .build();
+  core::FadingStream generator = spec.compile()->make_stream(seed);
 
-  std::printf("cascaded real-time generator: N = %zu, M = %zu, stage "
+  std::printf("cascaded real-time stream: N = %zu, M = %zu, stage "
               "Dopplers fm1 = %.3f, fm2 = %.3f\n",
               generator.dimension(), generator.block_size(), fm1, fm2);
 
@@ -52,8 +57,7 @@ int main(int argc, char** argv) {
   numeric::RVector thinned;
   const std::size_t stride = 48;
   for (int b = 0; b < blocks; ++b) {
-    const numeric::CMatrix block =
-        generator.generate_block(seed, static_cast<std::uint64_t>(b));
+    const numeric::CMatrix block = generator.next_block();
     numeric::CVector series(block.rows());
     for (std::size_t l = 0; l < block.rows(); ++l) {
       series[l] = block(l, 0);
@@ -71,7 +75,7 @@ int main(int argc, char** argv) {
   }
 
   const numeric::RVector rho_product =
-      generator.theoretical_normalized_autocorrelation(max_lag);
+      scenario::cascaded_normalized_autocorrelation(generator, max_lag);
   const double power = generator.effective_covariance()(0, 0).real();
   support::TablePrinter table(
       "cascaded autocorrelation vs product of stage laws");
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
   table.print();
 
   // Per-instant marginal: the closed-form double-Rayleigh law.
-  const auto marginal = generator.branch_marginal(0);
+  const auto marginal = scenario::cascaded_branch_marginal(generator, 0);
   const auto ks = stats::ks_test(
       thinned, [&marginal](double r) { return marginal.cdf(r); });
   std::printf(

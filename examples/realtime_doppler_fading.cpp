@@ -10,7 +10,8 @@
 #include <cstdio>
 
 #include "rfade/channel/spatial.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/special/bessel.hpp"
 #include "rfade/stats/autocorrelation.hpp"
@@ -32,11 +33,13 @@ int main(int argc, char** argv) {
   const numeric::CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
 
-  core::RealTimeOptions options;
+  // The independent-block backend (the default) is the paper's Sec. 5
+  // block algorithm verbatim.
+  core::FadingStreamOptions options;
   options.idft_size = idft;
   options.normalized_doppler = fm;
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator generator(k, options);
+  const core::FadingStream generator(k, options);
 
   std::printf("branch Doppler filter: M = %zu, fm = %.3f, km = %zu\n", idft,
               fm, generator.branch().filter().km);
@@ -51,7 +54,7 @@ int main(int argc, char** argv) {
   numeric::RVector rho_avg(max_lag + 1, 0.0);
   numeric::RVector first_block_env;
   for (int b = 0; b < blocks; ++b) {
-    const numeric::CMatrix block = generator.generate_block(rng);
+    const numeric::CMatrix block = generator.generate_block_from(rng);
     numeric::CVector series(block.rows());
     for (std::size_t l = 0; l < block.rows(); ++l) {
       series[l] = block(l, 0);
@@ -83,12 +86,14 @@ int main(int argc, char** argv) {
               first_block_env.size(), csv_path.c_str());
 
   // The flaw demo: same configuration, variance correction off.
-  core::RealTimeOptions flawed = options;
+  core::FadingStreamOptions flawed = options;
   flawed.variance_handling = core::VarianceHandling::AssumeInputVariance;
-  const core::RealTimeGenerator wrong(k, flawed);
+  const core::FadingStream wrong(k, flawed);
   random::Rng rng2(0xD1);
-  const numeric::RMatrix good_env = generator.generate_envelope_block(rng);
-  const numeric::RMatrix bad_env = wrong.generate_envelope_block(rng2);
+  const numeric::RMatrix good_env =
+      numeric::elementwise_abs(generator.generate_block_from(rng));
+  const numeric::RMatrix bad_env =
+      numeric::elementwise_abs(wrong.generate_block_from(rng2));
   numeric::RVector good_col(good_env.rows());
   numeric::RVector bad_col(bad_env.rows());
   for (std::size_t l = 0; l < good_env.rows(); ++l) {

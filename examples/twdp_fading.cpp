@@ -15,8 +15,9 @@
 #include <cstdio>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 #include "rfade/support/cli.hpp"
@@ -81,13 +82,14 @@ int main(int argc, char** argv) {
   // Real-time mode: deterministic per-wave Doppler trajectories on top of
   // the Doppler-faded diffuse field.
   const scenario::TwdpSpec spec = scenario::TwdpSpec::uniform(k, k_factor, 0.9);
-  core::RealTimeOptions realtime;
+  core::FadingStreamOptions realtime;
   realtime.idft_size = 2048;
   realtime.normalized_doppler = 0.05;
   realtime.los_mean = spec.realtime_mean(*plan, 0.04, -0.017);
-  const core::RealTimeGenerator generator(plan, realtime);
+  const core::FadingStream generator(plan, realtime);
   random::Rng rng(seed);
-  const numeric::RMatrix trace = generator.generate_envelope_block(rng);
+  const numeric::RMatrix trace =
+      numeric::elementwise_abs(generator.generate_block_from(rng));
   double min_env = trace(0, 0);
   double max_env = trace(0, 0);
   double sum_sq = 0.0;

@@ -23,22 +23,25 @@
 ///   * the keyed const path: generate_block(seed, b) is a pure function
 ///     of the key — blocks regenerate independently, in any order, on any
 ///     thread or node;
-///   * the rng-driven path: generate_block_from(rng) consumes a
-///     caller-owned rng exactly like the historical
-///     RealTimeGenerator::generate_block (independent-block backend only,
-///     and bit-identical to it).
+///   * the rng-driven path: generate_block_from(rng) draws one block of
+///     the paper's Sec. 5 algorithm verbatim from a caller-owned rng
+///     (independent-block backend only).
 ///
 /// Randomness layout: block b of the stream draws from the per-block
 /// Philox substream (seed, b + 1) (random::block_substream), every
-/// branch's spectrum in a fixed serial order — so the independent-block
-/// backend reproduces today's RealTimeGenerator bit-for-bit under the
-/// cascade's (stage seed, block) keying.  The overlap-save backend
-/// instead keys a persistent bulk input substream per branch
-/// (BranchSourceDesign::input_seed) indexed by absolute sample position —
-/// seekable to any instant.  Either way the output is bit-reproducible
+/// branch's spectrum in a fixed serial order — so an independent-block
+/// cursor block is generate_block_from on that substream.  The
+/// overlap-save backend instead keys a persistent bulk input substream per
+/// branch (BranchSourceDesign::input_seed) indexed by absolute sample
+/// position — seekable to any instant.  Either way the output is bit-reproducible
 /// for any thread count, and the mean trajectory is threaded by absolute
 /// first_instant through SamplePipeline::color_block, so time-varying
 /// LOS/TWDP phasors stay continuous across blocks.
+///
+/// A product stream (FadingStream::product, the cascaded family) owns a
+/// second stage stream advanced in lockstep: every entry point multiplies
+/// the two stages' blocks elementwise, Z = Z1 (.) Z2, with stage s keyed
+/// by stage_seed(seed, s).
 
 #include <complex>
 #include <cstdint>
@@ -85,9 +88,9 @@ enum class Precision {
 /// Short label for telemetry/bench reporting: "f64" / "f32".
 [[nodiscard]] const char* precision_name(Precision precision) noexcept;
 
-/// Options for FadingStream.  The temporal half mirrors RealTimeOptions;
-/// backend/overlap select the branch synthesis, seed keys the stateful
-/// cursor.
+/// Options for FadingStream: the Sec. 5 Doppler design (M, fm,
+/// sigma_orig^2, variance handling), backend/overlap select the branch
+/// synthesis, seed keys the stateful cursor.
 struct FadingStreamOptions {
   /// Branch synthesis backend (see doppler/branch_source.hpp for the
   /// exactness/cost/paper-fidelity trade-offs).
@@ -127,7 +130,9 @@ struct FadingStreamOptions {
 };
 
 /// Generator of one unbounded realisation of N jointly-correlated,
-/// temporally Doppler-faded complex Gaussians (see file comment).
+/// temporally Doppler-faded complex Gaussians (see file comment).  On a
+/// product stream the design, branch, variance, plan and coloring
+/// accessors describe stage 1; effective_covariance() is the product's.
 class FadingStream {
  public:
   /// \param desired_covariance K of Eqs. (12)-(13).
@@ -143,6 +148,26 @@ class FadingStream {
                FadingStreamOptions options = {},
                std::shared_ptr<const doppler::BranchSourceDesign> design =
                    nullptr);
+
+  /// The product stream Z = Z1 (.) Z2 of two stage streams keyed by
+  /// \p seed: next_block, seek, generate_block and the f32 forms run both
+  /// stages and multiply their blocks elementwise (std::complex a * b),
+  /// and generate_block(s, b) keys stage k by stage_seed(s, k).  \pre
+  /// first.seed() == stage_seed(seed, 0), second.seed() ==
+  /// stage_seed(seed, 1); the stages agree in dimension, block size,
+  /// precision and cursor position, and neither is a product.
+  [[nodiscard]] static FadingStream product(FadingStream first,
+                                            FadingStream second,
+                                            std::uint64_t seed);
+
+  /// Key of product stage \p stage (0 or 1) under \p seed: splitmix64
+  /// over stage substreams of the seed, so the stages get well-separated
+  /// Philox keys and neither collides with the raw seed (splitmix64
+  /// advances its state by the golden-ratio increment once before
+  /// finalizing, so this hashes seed + (stage + 1) * golden).  The
+  /// instant cascade keys its stages the same way.
+  [[nodiscard]] static std::uint64_t stage_seed(std::uint64_t seed,
+                                                std::uint64_t stage) noexcept;
 
   /// Number of envelopes N.
   [[nodiscard]] std::size_t dimension() const noexcept {
@@ -179,9 +204,16 @@ class FadingStream {
     return assumed_variance_;
   }
 
-  /// K_bar = L L^H.
+  /// K_bar = L L^H; on a product stream the Hadamard product K1 (.) K2
+  /// of the stage covariances.
   [[nodiscard]] const numeric::CMatrix& effective_covariance() const noexcept {
-    return pipeline_.plan().effective_covariance();
+    return second_ ? product_covariance_
+                   : pipeline_.plan().effective_covariance();
+  }
+
+  /// Stage 2 of a product stream; null otherwise.
+  [[nodiscard]] const FadingStream* second_stage() const noexcept {
+    return second_.get();
   }
 
   /// Coloring diagnostics.
@@ -195,7 +227,8 @@ class FadingStream {
     return pipeline_.plan_handle();
   }
 
-  /// The stateful cursor's seed.
+  /// The stateful cursor's seed (a product stream's stage keys derive
+  /// from it).
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   /// Emission-pipeline precision this stream was built in.
@@ -278,9 +311,9 @@ class FadingStream {
   // --- rng-driven path (historical Sec. 5 block algorithm) ------------------
 
   /// One block drawn from a caller-owned rng, rows at instants
-  /// \p first_instant + l.  Independent-block backend only (the other
-  /// backends key their own randomness); bit-identical to the
-  /// pre-stream-layer RealTimeGenerator::generate_block.
+  /// \p first_instant + l: the paper's Sec. 5 block algorithm verbatim.
+  /// Independent-block, single-stage streams only (the other backends and
+  /// product streams key their own randomness).
   [[nodiscard]] numeric::CMatrix generate_block_from(
       random::Rng& rng, std::uint64_t first_instant = 0) const;
 
@@ -310,9 +343,8 @@ class FadingStream {
   /// overflow.
   [[nodiscard]] std::uint64_t first_instant(std::uint64_t block_index) const;
 
-  /// Advance + fill + normalise + color one block in precision \p T: the
-  /// single copy of the loop RealTimeGenerator, StreamingFadingSource and
-  /// the cascaded / TWDP real-time generators used to duplicate.  When
+  /// Advance + fill + normalise + color one block in precision \p T, the
+  /// one copy of the Sec. 5 loop every stream family runs.  When
   /// \p batch is non-null (the cursor's batched overlap-save sweep) the
   /// per-branch sources are bypassed and all N convolutions run as one
   /// planar batch — bit-identical to the per-branch path.  The rng is
@@ -330,11 +362,17 @@ class FadingStream {
   [[nodiscard]] numeric::Matrix<std::complex<T>> next_block_as();
 
   /// The keyed path of generate_block / generate_block_f32 in precision
-  /// \p T: transient sources, history replay, then the per-branch emit —
-  /// the bit-reference the batched cursor is pinned against.
+  /// \p T: stage_block_as, times the stage-2 block on a product stream.
   template <typename T>
   [[nodiscard]] numeric::Matrix<std::complex<T>> generate_block_as(
       std::uint64_t seed, std::uint64_t block_index) const;
+
+  /// This stream's own (stage-1) keyed block under Philox key \p key:
+  /// transient sources, history replay, then the per-branch emit — the
+  /// bit-reference the batched cursor is pinned against.
+  template <typename T>
+  [[nodiscard]] numeric::Matrix<std::complex<T>> stage_block_as(
+      std::uint64_t key, std::uint64_t block_index) const;
 
   /// Advance + fill, discarding the output (history replay for seeks and
   /// keyed access to stateful backends).  Replays in precision \p T so
@@ -350,6 +388,9 @@ class FadingStream {
   bool parallel_branches_;
   Precision precision_;
   std::uint64_t seed_;
+  /// Key of this stream's own (stage-1) factor: seed_, or
+  /// stage_seed(seed_, 0) on a product stream.
+  std::uint64_t key_;
   SourceList sources_;
   std::tuple<Workspace<double>, Workspace<float>> workspace_;
   /// The cursor's batched overlap-save sweep (null when the backend or
@@ -367,6 +408,10 @@ class FadingStream {
   /// Opt-in link-level metrics tap over the cursor's emitted blocks
   /// (see set_metrics_tap); null by default.
   std::shared_ptr<metrics::MetricsTap> metrics_tap_;
+  /// Product stage (see product()): the stage-2 stream and K1 (.) K2.
+  /// Null / empty on a single-stage stream.
+  std::unique_ptr<FadingStream> second_;
+  numeric::CMatrix product_covariance_;
 };
 
 }  // namespace rfade::core

@@ -11,7 +11,7 @@
 /// with *arbitrary* common variance sigma_w^2 (step 6), emitted as
 /// Z = L W / sigma_w (step 7).  The moduli |z_j| are the correlated
 /// Rayleigh envelopes; E[Z Z^H] = K_bar (Sec. 4.5).  Repeated draws are
-/// temporally white — use RealTimeGenerator (realtime.hpp) for
+/// temporally white — use core::FadingStream (fading_stream.hpp) for
 /// Doppler-correlated time series.
 ///
 /// For high-throughput workloads prefer the batched entry points

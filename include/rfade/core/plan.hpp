@@ -23,7 +23,7 @@
 ///                   so results are bit-identical for any thread count.
 ///
 /// One plan can feed any number of pipelines and generators
-/// (EnvelopeGenerator, RealTimeGenerator, the baselines' block coloring),
+/// (EnvelopeGenerator, FadingStream, the baselines' block coloring),
 /// which is what makes plan construction — the only expensive part — a
 /// one-time cost per scenario.
 

@@ -14,9 +14,8 @@
 /// stream engine (core::FadingStream) can swap the synthesis backend:
 ///
 ///   * StreamBackend::IndependentBlock — the paper's Fig. 2 generator
-///     verbatim: every block is a fresh IDFT realisation.  Bit-identical
-///     to the pre-stream RealTimeGenerator; the autocorrelation across a
-///     seam is zero (continuity_horizon() == 0).
+///     verbatim: every block is a fresh IDFT realisation; the
+///     autocorrelation across a seam is zero (continuity_horizon() == 0).
 ///   * StreamBackend::WindowedOverlapAdd — windowed overlap-add (WOLA):
 ///     consecutive independent block realisations are crossfaded over
 ///     `overlap` samples with the equal-power window
@@ -202,8 +201,8 @@ class BranchSourceDesign {
   IdftRayleighBranch branch_;
   std::size_t overlap_ = 0;
   std::size_t block_size_;
-  /// WOLA fade weights are bit-identical to the historical
-  /// StreamingFadingSource crossfade.  Overlap-save: the convolver holds
+  /// WOLA: the equal-power fade weights sqrt(w), sqrt(1 - w).
+  /// Overlap-save: the convolver holds
   /// DFT_{2M} of the centered REAL impulse response (h = IDFT(F) is real
   /// because F is a real, even Doppler spectrum; the ~1e-16 imaginary FP
   /// residue of the complex IDFT is dropped).  The I and Q Philox tapes

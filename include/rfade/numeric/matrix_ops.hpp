@@ -52,6 +52,12 @@ namespace rfade::numeric {
 /// alpha * A.
 [[nodiscard]] CMatrix scale(const CMatrix& a, cdouble alpha);
 
+/// In-place Hadamard product a_ij <- a_ij * b_ij, each element the plain
+/// std::complex product — the cascaded stage product Z1 (.) Z2 and its
+/// covariance K1 (.) K2.
+void multiply_elementwise(CMatrix& a, const CMatrix& b);
+void multiply_elementwise(CMatrixF& a, const CMatrixF& b);
+
 /// Conjugate transpose A^H.
 [[nodiscard]] CMatrix conjugate_transpose(const CMatrix& a);
 

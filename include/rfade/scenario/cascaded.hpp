@@ -30,11 +30,21 @@
 ///
 /// envelope_moment_diagnostics() measures all of the above against theory
 /// with the same deterministic chunked Monte-Carlo the validators use.
+///
+/// Mobile-to-mobile channels are the *real-time* version of the same
+/// product: both ends move, so each stage is a full Sec. 5 Doppler-faded
+/// stream with its own maximum Doppler, multiplied per time instant —
+/// cascaded_fading_stream, a core::FadingStream product stage on the
+/// same stage keys.  Its branch autocorrelation is K1_jj K2_jj rho1(d)
+/// rho2(d), the product of the stage filters' Eq. (17) laws (for
+/// Dopplers fm1, fm2 the Akki-Haber J0(2 pi fm1 d) J0(2 pi fm2 d) shape),
+/// and its per-instant marginal is the same double-Rayleigh law.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/plan.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix.hpp"
@@ -148,8 +158,9 @@ class CascadedRayleighGenerator {
   [[nodiscard]] CascadedMomentReport envelope_moment_diagnostics(
       std::size_t samples, std::uint64_t seed) const;
 
-  /// The derived Philox seed of stage \p stage (0 or 1) — exposed so
-  /// tests can reproduce stage draws independently.
+  /// The derived Philox seed of stage \p stage (0 or 1),
+  /// core::FadingStream::stage_seed — the keys of the real-time cascade
+  /// too; exposed so tests can reproduce stage draws independently.
   [[nodiscard]] static std::uint64_t stage_seed(std::uint64_t seed,
                                                 std::uint64_t stage);
 
@@ -166,5 +177,33 @@ class CascadedRayleighGenerator {
 [[nodiscard]] core::EnvelopeValidationReport validate_cascaded(
     const CascadedRayleighGenerator& generator,
     const core::ValidationOptions& options = {});
+
+// --- real-time (Doppler-faded) cascade --------------------------------------
+
+/// The cascaded stream Z[l] = Z1[l] (.) Z2[l]: stage 1 is a FadingStream
+/// on \p first with \p options, stage 2 one on \p second with the same
+/// options at \p second_doppler and neither mean nor gain, and stage s
+/// is keyed by stage_seed(options.seed, s), the instant cascade's stage
+/// keys (core::FadingStream::product).  Non-null designs are shared and
+/// must match their stage's options.  \throws ContractViolation when the
+/// plan dimensions differ.
+[[nodiscard]] core::FadingStream cascaded_fading_stream(
+    std::shared_ptr<const core::ColoringPlan> first,
+    std::shared_ptr<const core::ColoringPlan> second, double second_doppler,
+    core::FadingStreamOptions options = {},
+    std::shared_ptr<const doppler::BranchSourceDesign> first_design = nullptr,
+    std::shared_ptr<const doppler::BranchSourceDesign> second_design =
+        nullptr);
+
+/// rho1(d) rho2(d) for d = 0..max_lag: the normalised complex
+/// autocorrelation of every branch of the cascaded product \p stream —
+/// the product of its stage filters' Eq. (17) laws.
+[[nodiscard]] numeric::RVector cascaded_normalized_autocorrelation(
+    const core::FadingStream& stream, std::size_t max_lag);
+
+/// Closed-form double-Rayleigh marginal of branch \p j of the cascaded
+/// product \p stream, from the stage effective diagonals.
+[[nodiscard]] stats::DoubleRayleighDistribution cascaded_branch_marginal(
+    const core::FadingStream& stream, std::size_t j);
 
 }  // namespace rfade::scenario

@@ -25,7 +25,7 @@
 /// derives the LOS mean vector from the plan's *effective* covariance
 /// (post PSD-forcing — the diffuse power the generator actually
 /// realises), threads the mean into SamplePipeline / EnvelopeGenerator /
-/// RealTimeGenerator options, and exposes the analytic per-branch
+/// FadingStream options, and exposes the analytic per-branch
 /// envelope marginals the envelope-domain validators compare against.
 ///
 /// Cascaded (double) Rayleigh scenarios — the other extension axis, after
@@ -91,8 +91,8 @@ class ScenarioSpec {
 
   /// Moving-terminal LOS: the same mean with the line-of-sight Doppler
   /// shift applied per time instant, m_j(l) = m_j e^{i 2 pi f_LOS l}
-  /// (core::MeanSource::doppler_phasor), for RealTimeOptions::los_mean or
-  /// any pipeline mean hook.  Zero when the scenario has no LOS
+  /// (core::MeanSource::doppler_phasor), for FadingStreamOptions::los_mean
+  /// or any pipeline mean hook.  Zero when the scenario has no LOS
   /// component.  \pre |normalized_los_doppler| <= 0.5, finite.
   [[nodiscard]] core::MeanSource doppler_los_mean(
       const core::ColoringPlan& plan, double normalized_los_doppler) const;

@@ -31,8 +31,8 @@
 ///     trajectories phi_i(l) = 2 pi f_i l — each wave Doppler-shifted by
 ///     its own normalised frequency — expressed as a two-term
 ///     core::MeanSource phasor sum and threaded through
-///     RealTimeOptions::los_mean (one independent block at a time) or,
-///     for an unbounded stationary trace, through twdp_fading_stream: a
+///     FadingStreamOptions::los_mean (one independent block at a time)
+///     or, for an unbounded stationary trace, through twdp_fading_stream: a
 ///     core::FadingStream whose wave trajectories are indexed by the
 ///     absolute stream instant and whose diffuse field can use the
 ///     continuous overlap-add / overlap-save backends, so neither the
@@ -108,7 +108,7 @@ class TwdpSpec {
 
   /// Real-time deterministic-phase mean: the two-term phasor sum
   /// m(l) = first e^{i 2 pi f1 l} + second e^{i 2 pi f2 l}, for
-  /// RealTimeOptions::los_mean.  Zero (skipping the add pass) when the
+  /// FadingStreamOptions::los_mean.  Zero (skipping the add pass) when the
   /// scenario has no specular component.  \pre |f| <= 0.5, finite.
   [[nodiscard]] core::MeanSource realtime_mean(const core::ColoringPlan& plan,
                                                double first_wave_doppler,

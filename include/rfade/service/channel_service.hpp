@@ -40,8 +40,8 @@
 #include <optional>
 #include <vector>
 
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/numeric/matrix.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
 #include "rfade/service/channel_spec.hpp"
 #include "rfade/service/plan_cache.hpp"
 
@@ -141,10 +141,9 @@ class Session {
   std::shared_ptr<const CompiledChannel> channel_;
   std::uint64_t seed_ = 0;
   std::uint64_t cursor_ = 0;
-  /// Per-seed stream engines (stream mode only): their cursor serves the
-  /// sequential pulls, their const keyed generate_block random access.
+  /// Per-seed stream engine (stream mode only): its cursor serves the
+  /// sequential pulls, its const keyed generate_block random access.
   std::optional<core::FadingStream> stream_;
-  std::optional<scenario::CascadedRealTimeGenerator> cascaded_;
   /// Opt-in link-level metrics over next_block() (see enable_metrics).
   std::shared_ptr<metrics::MetricsTap> metrics_tap_;
 };

@@ -45,7 +45,6 @@
 #include "rfade/scenario/composite/shadowing.hpp"
 #include "rfade/scenario/composite/suzuki.hpp"
 #include "rfade/scenario/scenario_spec.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 
 namespace rfade::service {
@@ -168,9 +167,9 @@ class ChannelSpec {
     return quadrature_panels_;
   }
   /// Emission-pipeline precision (stream mode; see core::Precision).
-  /// Canonicalized to Float64 where no float pipeline exists (instant
-  /// emission, the cascaded real-time family), so a Float32 request on
-  /// those specs hashes — and caches — identically to the Float64 one.
+  /// Canonicalized to Float64 for instant emission, which has no float
+  /// pipeline, so a Float32 request there hashes — and caches —
+  /// identically to the Float64 one.
   [[nodiscard]] core::Precision precision() const noexcept {
     return precision_;
   }
@@ -369,18 +368,15 @@ class CompiledChannel {
 
   /// The exact FadingStreamOptions a stream session runs with (seed
   /// keyed in) — tests reproduce session output by hand-assembling a
-  /// FadingStream from these.  Stream-mode Rayleigh/Rician/Suzuki/Twdp
-  /// only.
+  /// FadingStream from these (for a cascade: stage 1's options, before
+  /// the stage keys are derived from the seed).
   [[nodiscard]] core::FadingStreamOptions stream_options(
       std::uint64_t seed) const;
 
-  /// A per-seed continuous stream (stream-mode Rayleigh / Rician / Twdp /
-  /// Suzuki).  \throws UnsupportedOperationError for other specs.
+  /// A per-seed continuous stream, for every stream-mode spec (a cascade
+  /// is a product stream, scenario::cascaded_fading_stream).  \throws
+  /// UnsupportedOperationError for instant specs.
   [[nodiscard]] core::FadingStream make_stream(std::uint64_t seed) const;
-
-  /// A per-seed real-time cascade (stream-mode CascadedRayleigh).
-  [[nodiscard]] scenario::CascadedRealTimeGenerator make_cascaded_stream(
-      std::uint64_t seed) const;
 
   // --- shared instant engines (const, keyed per call, thread-safe) ---------
 
@@ -420,9 +416,11 @@ class CompiledChannel {
   std::optional<scenario::CascadedRayleighGenerator> cascaded_generator_;
   std::optional<scenario::composite::SuzukiGenerator> suzuki_generator_;
   std::shared_ptr<const scenario::composite::CopulaMarginalTransform> copula_;
-  /// The Doppler backend design every make_stream() session shares
-  /// (stream-mode Rayleigh / Rician / Twdp / Suzuki; null otherwise).
+  /// The Doppler backend designs every make_stream() session shares
+  /// (stream mode; the second is the cascade's stage-2 design at its own
+  /// Doppler, null otherwise).
   std::shared_ptr<const doppler::BranchSourceDesign> stream_design_;
+  std::shared_ptr<const doppler::BranchSourceDesign> second_stream_design_;
 };
 
 }  // namespace rfade::service

@@ -6,6 +6,7 @@
 
 #include "rfade/metrics/tap.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
+#include "rfade/random/xoshiro.hpp"
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/parallel.hpp"
 #include "rfade/telemetry/registry.hpp"
@@ -58,7 +59,8 @@ FadingStream::FadingStream(
                         options.input_variance_per_dim, options.overlap)),
       parallel_branches_(options.parallel_branches),
       precision_(options.precision),
-      seed_(options.seed) {
+      seed_(options.seed),
+      key_(options.seed) {
   RFADE_EXPECTS(design_->matches(options.backend, options.idft_size,
                                  options.normalized_doppler,
                                  options.input_variance_per_dim,
@@ -81,16 +83,43 @@ FadingStream::FadingStream(
         registry.histogram("rfade_stream_block_fill_ns", labels);
     seek_histogram_ = registry.histogram("rfade_stream_seek_ns", labels);
   }
-  sources_ = make_sources(seed_);
+  sources_ = make_sources(key_);
   if (pipeline_.dimension() > 0 &&
       doppler::OverlapSaveBatch::supports(*design_)) {
     std::vector<std::uint64_t> seeds(pipeline_.dimension());
     for (std::size_t j = 0; j < seeds.size(); ++j) {
-      seeds[j] = doppler::BranchSourceDesign::input_seed(seed_, j);
+      seeds[j] = doppler::BranchSourceDesign::input_seed(key_, j);
     }
     batch_ = std::make_unique<doppler::OverlapSaveBatch>(
         design_, std::move(seeds), precision_ == Precision::Float32);
   }
+}
+
+std::uint64_t FadingStream::stage_seed(std::uint64_t seed,
+                                       std::uint64_t stage) noexcept {
+  std::uint64_t state = seed + stage * 0x9E3779B97F4A7C15ULL;
+  return random::splitmix64(state);
+}
+
+FadingStream FadingStream::product(FadingStream first, FadingStream second,
+                                   std::uint64_t seed) {
+  RFADE_EXPECTS(first.seed_ == stage_seed(seed, 0) &&
+                    second.seed_ == stage_seed(seed, 1),
+                "FadingStream::product: stage s must be keyed by "
+                "stage_seed(seed, s)");
+  RFADE_EXPECTS(!first.second_ && !second.second_ &&
+                    first.dimension() == second.dimension() &&
+                    first.block_size() == second.block_size() &&
+                    first.precision_ == second.precision_ &&
+                    first.next_block_ == second.next_block_,
+                "FadingStream::product: stages must be single streams of "
+                "equal dimension, block size, precision and cursor");
+  first.product_covariance_ = first.effective_covariance();
+  numeric::multiply_elementwise(first.product_covariance_,
+                                second.effective_covariance());
+  first.seed_ = seed;
+  first.second_ = std::make_unique<FadingStream>(std::move(second));
+  return first;
 }
 
 FadingStream::SourceList FadingStream::make_sources(std::uint64_t seed) const {
@@ -190,10 +219,11 @@ template <typename T>
 numeric::Matrix<std::complex<T>> FadingStream::next_block_as() {
   const std::uint64_t first = next_instant();
   const telemetry::ScopedTimer timer(block_histogram_.get());
-  random::Rng rng = random::block_substream(seed_, next_block_);
+  random::Rng rng = random::block_substream(key_, next_block_);
   numeric::Matrix<std::complex<T>> z =
       emit<T>(sources_, rng, next_block_, first, batch_.get(),
               &std::get<Workspace<T>>(workspace_));
+  if (second_) numeric::multiply_elementwise(z, second_->next_block_as<T>());
   ++next_block_;
   if (metrics_tap_) metrics_tap_->observe(z);
   return z;
@@ -229,27 +259,40 @@ void FadingStream::seek(std::uint64_t block_index) {
   }
   if (design_->history_blocks() > 0 && block_index > 0) {
     if (precision_ == Precision::Float32) {
-      replay<float>(sources_, seed_, block_index - 1);
+      replay<float>(sources_, key_, block_index - 1);
     } else {
-      replay<double>(sources_, seed_, block_index - 1);
+      replay<double>(sources_, key_, block_index - 1);
     }
   }
   next_block_ = block_index;
+  if (second_) second_->seek(block_index);
+}
+
+template <typename T>
+numeric::Matrix<std::complex<T>> FadingStream::stage_block_as(
+    std::uint64_t key, std::uint64_t block_index) const {
+  const std::uint64_t first = first_instant(block_index);
+  SourceList sources = make_sources(key);
+  if (design_->history_blocks() > 0 && block_index > 0) {
+    replay<T>(sources, key, block_index - 1);
+  }
+  random::Rng rng = random::block_substream(key, block_index);
+  // Always the per-branch sources: the keyed path is the bit-reference
+  // the batched cursor is pinned against.
+  return emit<T>(sources, rng, block_index, first, /*batch=*/nullptr,
+                 /*workspace=*/nullptr);
 }
 
 template <typename T>
 numeric::Matrix<std::complex<T>> FadingStream::generate_block_as(
     std::uint64_t seed, std::uint64_t block_index) const {
-  const std::uint64_t first = first_instant(block_index);
-  SourceList sources = make_sources(seed);
-  if (design_->history_blocks() > 0 && block_index > 0) {
-    replay<T>(sources, seed, block_index - 1);
-  }
-  random::Rng rng = random::block_substream(seed, block_index);
-  // Always the per-branch sources: the keyed path is the bit-reference
-  // the batched cursor is pinned against.
-  return emit<T>(sources, rng, block_index, first, /*batch=*/nullptr,
-                 /*workspace=*/nullptr);
+  if (!second_) return stage_block_as<T>(seed, block_index);
+  // A product stream keys each stage by its own stage key of seed.
+  numeric::Matrix<std::complex<T>> z =
+      stage_block_as<T>(stage_seed(seed, 0), block_index);
+  numeric::multiply_elementwise(
+      z, second_->stage_block_as<T>(stage_seed(seed, 1), block_index));
+  return z;
 }
 
 numeric::CMatrix FadingStream::generate_block(std::uint64_t seed,
@@ -275,10 +318,12 @@ numeric::RMatrix FadingStream::generate_envelope_block(
 
 numeric::CMatrix FadingStream::generate_block_from(
     random::Rng& rng, std::uint64_t first_instant) const {
-  RFADE_EXPECTS(backend() == doppler::StreamBackend::IndependentBlock,
-                "generate_block_from: caller-rng blocks exist only for the "
-                "independent-block backend (the continuous backends key "
-                "their own randomness; use next_block/generate_block)");
+  RFADE_EXPECTS(backend() == doppler::StreamBackend::IndependentBlock &&
+                    !second_,
+                "generate_block_from: caller-rng blocks exist only for "
+                "single-stage independent-block streams (the continuous "
+                "backends and product streams key their own randomness; "
+                "use next_block/generate_block)");
   SourceList sources = make_sources(0);
   return emit<double>(sources, rng, 0, first_instant, /*batch=*/nullptr,
                       /*workspace=*/nullptr);

@@ -98,8 +98,7 @@ class IndependentBlockBranchSource final : public SpectrumDrawingSource {
 /// Equal-power crossfade of consecutive independent block realisations.
 /// Chunk 0 plays the first block's head verbatim; every later chunk blends
 /// the previous block's tail into the current block's head over `overlap`
-/// samples — the exact sample sequence of the historical per-sample
-/// StreamingFadingSource, emitted M - overlap samples at a time.  The
+/// samples, emitted M - overlap samples at a time.  The
 /// float pipeline crossfades the narrowed blocks in float over the
 /// narrowed fade weights — the float stream's own reference sequence,
 /// replayed identically by keyed generation and seeks.
@@ -322,7 +321,7 @@ BranchSourceDesign::BranchSourceDesign(StreamBackend backend, std::size_t m,
       ops.fade_in.resize(overlap_);
       ops.fade_out.resize(overlap_);
       for (std::size_t i = 0; i < overlap_; ++i) {
-        // The historical StreamingFadingSource weights, bit-for-bit.
+        // Equal-power weights: w = (i + 1) / (overlap + 1).
         const double w = static_cast<double>(i + 1) /
                          static_cast<double>(overlap_ + 1);
         ops.fade_in[i] = std::sqrt(w);

@@ -298,6 +298,30 @@ RMatrix elementwise_abs(const CMatrix& a) {
   return r;
 }
 
+namespace {
+
+template <typename T>
+void hadamard_in_place(Matrix<std::complex<T>>& a,
+                       const Matrix<std::complex<T>>& b) {
+  RFADE_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols(),
+                "multiply_elementwise: shape mismatch");
+  std::complex<T>* x = a.data();
+  const std::complex<T>* y = b.data();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    x[i] = x[i] * y[i];
+  }
+}
+
+}  // namespace
+
+void multiply_elementwise(CMatrix& a, const CMatrix& b) {
+  hadamard_in_place(a, b);
+}
+
+void multiply_elementwise(CMatrixF& a, const CMatrixF& b) {
+  hadamard_in_place(a, b);
+}
+
 CMatrix diag(const CVector& d) {
   CMatrix m(d.size(), d.size(), cdouble{});
   for (std::size_t i = 0; i < d.size(); ++i) {

@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "rfade/doppler/filter.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
-#include "rfade/random/xoshiro.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/stats/moments.hpp"
 #include "rfade/support/contracts.hpp"
@@ -25,28 +25,11 @@ core::PipelineOptions stage_pipeline_options(const CascadedOptions& options) {
   return pipeline;
 }
 
-numeric::CMatrix hadamard(const numeric::CMatrix& a,
-                          const numeric::CMatrix& b) {
-  numeric::CMatrix out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out(i, j) = a(i, j) * b(i, j);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t CascadedRayleighGenerator::stage_seed(std::uint64_t seed,
                                                     std::uint64_t stage) {
-  // splitmix64 over stage substreams of the user seed: the two stages get
-  // well-separated Philox keys, and neither collides with the raw seed a
-  // plain SamplePipeline would use (splitmix64 advances its state by the
-  // golden-ratio increment once before finalizing, so this hashes
-  // seed + (stage + 1) * golden).
-  std::uint64_t state = seed + stage * 0x9E3779B97F4A7C15ULL;
-  return random::splitmix64(state);
+  return core::FadingStream::stage_seed(seed, stage);
 }
 
 CascadedRayleighGenerator::CascadedRayleighGenerator(
@@ -57,8 +40,9 @@ CascadedRayleighGenerator::CascadedRayleighGenerator(
       options_(options) {
   RFADE_EXPECTS(first_.dimension() == second_.dimension(),
                 "CascadedRayleighGenerator: stage dimensions must match");
-  effective_ = hadamard(first_.plan().effective_covariance(),
-                        second_.plan().effective_covariance());
+  effective_ = first_.plan().effective_covariance();
+  numeric::multiply_elementwise(effective_,
+                                second_.plan().effective_covariance());
 }
 
 CascadedRayleighGenerator::CascadedRayleighGenerator(
@@ -109,15 +93,11 @@ double CascadedRayleighGenerator::envelope_fourth_moment(std::size_t j) const {
 
 numeric::CMatrix CascadedRayleighGenerator::sample_block(
     std::size_t count, std::uint64_t seed, std::uint64_t block_index) const {
-  const numeric::CMatrix z1 =
+  numeric::CMatrix z =
       first_.sample_block(count, stage_seed(seed, 0), block_index);
-  const numeric::CMatrix z2 =
-      second_.sample_block(count, stage_seed(seed, 1), block_index);
-  numeric::CMatrix out(count, dimension());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = z1.data()[i] * z2.data()[i];
-  }
-  return out;
+  numeric::multiply_elementwise(
+      z, second_.sample_block(count, stage_seed(seed, 1), block_index));
+  return z;
 }
 
 numeric::CMatrix CascadedRayleighGenerator::sample_stream(
@@ -247,6 +227,59 @@ core::EnvelopeValidationReport validate_cascaded(
             generator.sample_block(count, seed, block_index));
       },
       generator.marginals(), options);
+}
+
+core::FadingStream cascaded_fading_stream(
+    std::shared_ptr<const core::ColoringPlan> first,
+    std::shared_ptr<const core::ColoringPlan> second, double second_doppler,
+    core::FadingStreamOptions options,
+    std::shared_ptr<const doppler::BranchSourceDesign> first_design,
+    std::shared_ptr<const doppler::BranchSourceDesign> second_design) {
+  const std::uint64_t seed = options.seed;
+  core::FadingStreamOptions stage2 = options;
+  stage2.normalized_doppler = second_doppler;
+  stage2.los_mean = {};
+  stage2.gain = {};
+  stage2.seed = core::FadingStream::stage_seed(seed, 1);
+  options.seed = core::FadingStream::stage_seed(seed, 0);
+  return core::FadingStream::product(
+      core::FadingStream(std::move(first), std::move(options),
+                         std::move(first_design)),
+      core::FadingStream(std::move(second), std::move(stage2),
+                         std::move(second_design)),
+      seed);
+}
+
+namespace {
+
+const core::FadingStream& second_stage_of(const core::FadingStream& stream) {
+  RFADE_EXPECTS(stream.second_stage() != nullptr,
+                "cascaded theory needs a cascaded product stream");
+  return *stream.second_stage();
+}
+
+}  // namespace
+
+numeric::RVector cascaded_normalized_autocorrelation(
+    const core::FadingStream& stream, std::size_t max_lag) {
+  numeric::RVector product = doppler::theoretical_normalized_autocorrelation(
+      stream.branch().filter(), max_lag);
+  const numeric::RVector rho2 = doppler::theoretical_normalized_autocorrelation(
+      second_stage_of(stream).branch().filter(), max_lag);
+  for (std::size_t d = 0; d <= max_lag; ++d) {
+    product[d] *= rho2[d];
+  }
+  return product;
+}
+
+stats::DoubleRayleighDistribution cascaded_branch_marginal(
+    const core::FadingStream& stream, std::size_t j) {
+  const core::FadingStream& second = second_stage_of(stream);
+  RFADE_EXPECTS(j < stream.dimension(),
+                "cascaded_branch_marginal: branch out of range");
+  return stats::DoubleRayleighDistribution::from_gaussian_powers(
+      stream.plan()->effective_covariance()(j, j).real(),
+      second.effective_covariance()(j, j).real());
 }
 
 }  // namespace rfade::scenario

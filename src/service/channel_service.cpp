@@ -1,11 +1,11 @@
 #include "rfade/service/channel_service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <utility>
 
 #include "rfade/metrics/tap.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/error.hpp"
 #include "rfade/support/parallel.hpp"
@@ -14,14 +14,6 @@
 namespace rfade::service {
 
 namespace {
-
-numeric::RMatrix envelopes_of(const numeric::CMatrix& block) {
-  numeric::RMatrix envelopes(block.rows(), block.cols());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    envelopes.data()[i] = std::abs(block.data()[i]);
-  }
-  return envelopes;
-}
 
 // Serving-layer instruments, interned once on first use; null when
 // telemetry is compiled out so every record site degrades to a
@@ -73,13 +65,9 @@ Session::Session(std::shared_ptr<const CompiledChannel> channel,
     opened->add();
   }
   if (channel_->mode() == EmissionMode::Stream) {
-    // Per-seed engine instances: their cursor serves next_block, their
-    // const keyed generate_block serves random access.
-    if (channel_->family() == FadingFamily::CascadedRayleigh) {
-      cascaded_.emplace(channel_->make_cascaded_stream(seed));
-    } else {
-      stream_.emplace(channel_->make_stream(seed));
-    }
+    // Per-seed engine instance: its cursor serves next_block, its const
+    // keyed generate_block serves random access.
+    stream_.emplace(channel_->make_stream(seed));
   }
 }
 
@@ -87,10 +75,6 @@ numeric::CMatrix Session::pull_block() {
   if (stream_.has_value()) {
     if (stream_->next_block_index() != cursor_) stream_->seek(cursor_);
     return stream_->next_block();
-  }
-  if (cascaded_.has_value()) {
-    if (cascaded_->next_block_index() != cursor_) cascaded_->seek(cursor_);
-    return cascaded_->next_block();
   }
   return generate_block(cursor_);
 }
@@ -109,7 +93,7 @@ numeric::RMatrix Session::next_envelope_block() {
   const telemetry::ScopedTimer timer(session_block_histogram());
   numeric::RMatrix block = channel_->envelope_only()
                                ? generate_envelope_block(cursor_)
-                               : envelopes_of(pull_block());
+                               : numeric::elementwise_abs(pull_block());
   ++cursor_;
   return block;
 }
@@ -125,9 +109,6 @@ void Session::seek(std::uint64_t block_index) noexcept {
 numeric::CMatrix Session::generate_block(std::uint64_t block_index) const {
   if (stream_.has_value()) {
     return stream_->generate_block(seed_, block_index);
-  }
-  if (cascaded_.has_value()) {
-    return cascaded_->generate_block(seed_, block_index);
   }
   const std::size_t count = channel_->block_size();
   switch (channel_->family()) {
@@ -157,7 +138,7 @@ numeric::RMatrix Session::generate_envelope_block(
     return channel_->copula_transform().sample_envelope_block(
         channel_->block_size(), seed_, block_index);
   }
-  return envelopes_of(generate_block(block_index));
+  return numeric::elementwise_abs(generate_block(block_index));
 }
 
 std::shared_ptr<metrics::MetricsTap> Session::enable_metrics(
@@ -167,18 +148,14 @@ std::shared_ptr<metrics::MetricsTap> Session::enable_metrics(
         "enable_metrics: link-level metrics need a stream-mode complex "
         "timeline (instant and envelope-only channels have none)");
   }
-  const auto& plan = channel_->plan();
-  if (plan == nullptr) {
-    throw UnsupportedOperationError(
-        "enable_metrics: compiled channel carries no coloring plan");
-  }
   // The spec-derived ground truth: fm and per-branch powers from the
-  // compiled plan; the Rice/J0/Wang-Abdi gates apply to the Rayleigh
-  // family, the ACF product law to Suzuki composites over it, and every
-  // other family publishes measured values without analytic gates.
+  // stream's effective covariance (K1 (.) K2 for a cascade); the
+  // Rice/J0/Wang-Abdi gates apply to the Rayleigh family, the ACF product
+  // law to Suzuki composites over it, and every other family publishes
+  // measured values without analytic gates.
   metrics::AnalyticReference reference;
   reference.normalized_doppler = channel_->spec().normalized_doppler();
-  const numeric::CMatrix& covariance = plan->effective_covariance();
+  const numeric::CMatrix& covariance = stream_->effective_covariance();
   reference.branch_power.resize(channel_->dimension());
   for (std::size_t j = 0; j < channel_->dimension(); ++j) {
     reference.branch_power[j] = covariance(j, j).real();

@@ -586,11 +586,10 @@ ChannelSpec ChannelSpec::Builder::build() const {
     spec.block_size_ = 4096;
     spec.sample_variance_ = 1.0;
   }
-  if (spec.mode_ == EmissionMode::Instant ||
-      spec.family_ == FadingFamily::CascadedRayleigh) {
-    // Instant pipelines and the cascaded real-time generator have no
-    // float32 path; the knob is inert there, so collapse it to the
-    // default to keep equal specs hashing (and caching) equal.
+  if (spec.mode_ == EmissionMode::Instant) {
+    // Instant pipelines have no float32 path; the knob is inert there, so
+    // collapse it to the default to keep equal specs hashing (and
+    // caching) equal.
     spec.precision_ = core::Precision::Float64;
   }
 
@@ -745,11 +744,16 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
   block_size_ = instant ? s.block_size()
                         : stream_block_rows(s.backend(), s.idft_size(),
                                             s.overlap());
-  if (!instant && s.family() != FadingFamily::CascadedRayleigh &&
-      s.family() != FadingFamily::CopulaMarginals) {
+  if (!instant) {
     stream_design_ = std::make_shared<const doppler::BranchSourceDesign>(
         s.backend(), s.idft_size(), s.normalized_doppler(),
         s.input_variance_per_dim(), s.overlap());
+  }
+  if (!instant && s.family() == FadingFamily::CascadedRayleigh) {
+    second_stream_design_ =
+        std::make_shared<const doppler::BranchSourceDesign>(
+            s.backend(), s.idft_size(), s.second_doppler(),
+            s.input_variance_per_dim(), s.overlap());
   }
 }
 
@@ -786,32 +790,15 @@ core::FadingStream CompiledChannel::make_stream(std::uint64_t seed) const {
       return suzuki_generator_->make_stream(stream_options(seed),
                                             stream_design_);
     case FadingFamily::CascadedRayleigh:
+      return scenario::cascaded_fading_stream(
+          plan_, second_plan_, spec_.second_doppler(), stream_options(seed),
+          stream_design_, second_stream_design_);
     case FadingFamily::CopulaMarginals:
       break;
   }
   throw UnsupportedOperationError(
       std::string("make_stream: not defined for family ") +
       fading_family_name(spec_.family()));
-}
-
-scenario::CascadedRealTimeGenerator CompiledChannel::make_cascaded_stream(
-    std::uint64_t seed) const {
-  if (spec_.family() != FadingFamily::CascadedRayleigh ||
-      spec_.mode() != EmissionMode::Stream) {
-    throw UnsupportedOperationError(
-        "make_cascaded_stream: spec is not a stream-mode cascade");
-  }
-  scenario::CascadedRealTimeOptions options;
-  options.idft_size = spec_.idft_size();
-  options.first_doppler = spec_.normalized_doppler();
-  options.second_doppler = spec_.second_doppler();
-  options.input_variance_per_dim = spec_.input_variance_per_dim();
-  options.coloring = spec_.coloring();
-  options.parallel_branches = spec_.parallel();
-  options.backend = spec_.backend();
-  options.overlap = spec_.overlap();
-  options.stream_seed = seed;
-  return scenario::CascadedRealTimeGenerator(plan_, second_plan_, options);
 }
 
 const core::SamplePipeline& CompiledChannel::pipeline() const {

@@ -18,7 +18,7 @@
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/generator.hpp"
 #include "rfade/core/plan.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/bulk_gaussian.hpp"
 #include "rfade/random/philox.hpp"
@@ -118,36 +118,36 @@ TEST(ColoringPlan, MatchesHandRolledSeedPath) {
 TEST(ColoringPlan, RealTimeSharedPlanBitIdentical) {
   const CMatrix k = paper_k();
   const auto plan = ColoringPlan::create(k);
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 256;
   options.normalized_doppler = 0.05;
-  const core::RealTimeGenerator from_matrix(k, options);
-  const core::RealTimeGenerator from_plan(plan, options);
+  const core::FadingStream from_matrix(k, options);
+  const core::FadingStream from_plan(plan, options);
   EXPECT_EQ(from_matrix.plan()->coloring_matrix(),
             from_plan.plan()->coloring_matrix());
 
   random::Rng a(11);
   random::Rng b(11);
-  const CMatrix block_a = from_matrix.generate_block(a);
-  const CMatrix block_b = from_plan.generate_block(b);
+  const CMatrix block_a = from_matrix.generate_block_from(a);
+  const CMatrix block_b = from_plan.generate_block_from(b);
   EXPECT_EQ(block_a, block_b);
 }
 
 TEST(ColoringPlan, RealTimeMatchesHandRolledColoring) {
-  // The seed RealTimeGenerator colored with a per-instant triple loop;
-  // the pipeline's blocked color_block must reproduce it bit-for-bit.
+  // The seed real-time generator colored with a per-instant triple loop;
+  // the stream's blocked coloring must reproduce it bit-for-bit.
   const CMatrix k = paper_k();
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 128;
   options.parallel_branches = true;
-  const core::RealTimeGenerator gen(k, options);
+  const core::FadingStream gen(k, options);
   const std::size_t n = gen.dimension();
   const std::size_t m = gen.block_size();
   const CMatrix& l = gen.plan()->coloring_matrix();
 
   random::Rng rng_new(13);
   random::Rng rng_old(13);
-  const CMatrix block_new = gen.generate_block(rng_new);
+  const CMatrix block_new = gen.generate_block_from(rng_new);
 
   CMatrix branch_outputs(n, m);
   for (std::size_t j = 0; j < n; ++j) {

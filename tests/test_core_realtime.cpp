@@ -1,6 +1,8 @@
-// Tests for the real-time generator (paper Sec. 5, Fig. 3): achieved
-// covariance with the Eq. (19) correction, the Sorooshyari-Daut failure
-// mode without it, per-branch J0 autocorrelation, and Rayleigh marginals.
+// Tests for the real-time generator (paper Sec. 5, Fig. 3) — the
+// independent-block backend of core::FadingStream, drawn from a
+// caller-owned rng: achieved covariance with the Eq. (19) correction, the
+// Sorooshyari-Daut failure mode without it, per-branch J0
+// autocorrelation, and Rayleigh marginals.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +10,7 @@
 
 #include "rfade/channel/spatial.hpp"
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/special/bessel.hpp"
@@ -21,16 +23,17 @@
 namespace {
 
 using namespace rfade;
-using core::RealTimeGenerator;
-using core::RealTimeOptions;
+using core::FadingStream;
+using core::FadingStreamOptions;
 using core::VarianceHandling;
 using numeric::cdouble;
 using numeric::CMatrix;
 
-RealTimeOptions small_options() {
+FadingStreamOptions small_options() {
   // Smaller blocks than the paper's M=4096 keep test runtime low while
-  // exercising the same machinery.
-  RealTimeOptions options;
+  // exercising the same machinery.  The default backend is the paper's
+  // independent-block Sec. 5 algorithm.
+  FadingStreamOptions options;
   options.idft_size = 512;
   options.normalized_doppler = 0.05;
   options.input_variance_per_dim = 0.5;
@@ -40,17 +43,18 @@ RealTimeOptions small_options() {
 TEST(RealTime, BlockShapesAndAccessors) {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   EXPECT_EQ(gen.dimension(), 3u);
   EXPECT_EQ(gen.block_size(), 512u);
   EXPECT_GT(gen.branch_output_variance(), 0.0);
   EXPECT_DOUBLE_EQ(gen.assumed_variance(), gen.branch_output_variance());
 
   random::Rng rng(1);
-  const CMatrix block = gen.generate_block(rng);
+  const CMatrix block = gen.generate_block_from(rng);
   EXPECT_EQ(block.rows(), 512u);
   EXPECT_EQ(block.cols(), 3u);
-  const numeric::RMatrix envelopes = gen.generate_envelope_block(rng);
+  const numeric::RMatrix envelopes =
+      numeric::elementwise_abs(gen.generate_block_from(rng));
   EXPECT_EQ(envelopes.rows(), 512u);
   EXPECT_EQ(envelopes.cols(), 3u);
 }
@@ -58,10 +62,11 @@ TEST(RealTime, BlockShapesAndAccessors) {
 TEST(RealTime, DeterministicGivenSeed) {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   random::Rng a(5);
   random::Rng b(5);
-  EXPECT_LT(numeric::max_abs_diff(gen.generate_block(a), gen.generate_block(b)),
+  EXPECT_LT(numeric::max_abs_diff(gen.generate_block_from(a),
+                                  gen.generate_block_from(b)),
             0.0 + 1e-15);
 }
 
@@ -70,12 +75,12 @@ TEST(RealTime, AchievesDesiredCovarianceWithAnalyticCorrection) {
   // lag-0 covariance across time equals the desired K.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   random::Rng rng(2);
   stats::CovarianceAccumulator acc(3);
   numeric::CVector z(3);
   for (int b = 0; b < 120; ++b) {
-    const CMatrix block = gen.generate_block(rng);
+    const CMatrix block = gen.generate_block_from(rng);
     for (std::size_t l = 0; l < block.rows(); ++l) {
       for (std::size_t j = 0; j < 3; ++j) {
         z[j] = block(l, j);
@@ -93,9 +98,9 @@ TEST(RealTime, VarianceUnawareModeMisscalesPower) {
   // realised power is sigma_g^2 / (2 sigma_orig^2) times the desired one.
   const CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
-  RealTimeOptions flawed = small_options();
+  FadingStreamOptions flawed = small_options();
   flawed.variance_handling = VarianceHandling::AssumeInputVariance;
-  const RealTimeGenerator gen(k, flawed);
+  const FadingStream gen(k, flawed);
   EXPECT_DOUBLE_EQ(gen.assumed_variance(), 1.0);  // 2 * 0.5
 
   const double expected_ratio = gen.branch_output_variance() / 1.0;
@@ -103,7 +108,7 @@ TEST(RealTime, VarianceUnawareModeMisscalesPower) {
   double power = 0.0;
   std::size_t count = 0;
   for (int b = 0; b < 60; ++b) {
-    const CMatrix block = gen.generate_block(rng);
+    const CMatrix block = gen.generate_block_from(rng);
     for (std::size_t l = 0; l < block.rows(); ++l) {
       power += std::norm(block(l, 0));
       ++count;
@@ -120,16 +125,16 @@ TEST(RealTime, BranchAutocorrelationTracksJ0) {
   // because all branches share the same Doppler filter.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  RealTimeOptions options = small_options();
+  FadingStreamOptions options = small_options();
   options.idft_size = 4096;  // long blocks for a clean estimate
-  const RealTimeGenerator gen(k, options);
+  const FadingStream gen(k, options);
   random::Rng rng(4);
 
   const std::size_t max_lag = 60;
   numeric::RVector avg(max_lag + 1, 0.0);
   const int blocks = 12;
   for (int b = 0; b < blocks; ++b) {
-    const CMatrix block = gen.generate_block(rng);
+    const CMatrix block = gen.generate_block_from(rng);
     numeric::CVector series(block.rows());
     for (std::size_t l = 0; l < block.rows(); ++l) {
       series[l] = block(l, 1);  // middle branch
@@ -149,12 +154,13 @@ TEST(RealTime, BranchAutocorrelationTracksJ0) {
 TEST(RealTime, EnvelopesAreRayleigh) {
   const CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   random::Rng rng(5);
   // One decorrelated sample per block per branch.
   numeric::RVector samples;
   for (int b = 0; b < 1500; ++b) {
-    const numeric::RMatrix envelopes = gen.generate_envelope_block(rng);
+    const numeric::RMatrix envelopes =
+      numeric::elementwise_abs(gen.generate_block_from(rng));
     samples.push_back(envelopes(0, 0));
   }
   const auto rayleigh =
@@ -169,13 +175,14 @@ TEST(RealTime, CrossCorrelationOrderingFollowsK) {
   // correlated Gaussians => strongly correlated envelopes).
   const CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   random::Rng rng(6);
   double corr01 = 0.0;
   double corr02 = 0.0;
   int blocks = 40;
   for (int b = 0; b < blocks; ++b) {
-    const numeric::RMatrix env = gen.generate_envelope_block(rng);
+    const numeric::RMatrix env =
+        numeric::elementwise_abs(gen.generate_block_from(rng));
     numeric::RVector e0(env.rows()), e1(env.rows()), e2(env.rows());
     for (std::size_t l = 0; l < env.rows(); ++l) {
       e0[l] = env(l, 0);
@@ -194,21 +201,21 @@ TEST(RealTime, NonPsdDesiredMatrixHandled) {
   CMatrix k = CMatrix::identity(2);
   k(0, 1) = cdouble(1.3, 0.0);
   k(1, 0) = cdouble(1.3, 0.0);
-  const RealTimeGenerator gen(k, small_options());
+  const FadingStream gen(k, small_options());
   EXPECT_FALSE(gen.coloring().psd.was_psd);
   EXPECT_TRUE(core::is_positive_semidefinite(gen.effective_covariance()));
   random::Rng rng(7);
-  EXPECT_NO_THROW((void)gen.generate_block(rng));
+  EXPECT_NO_THROW((void)gen.generate_block_from(rng));
 }
 
 TEST(RealTime, RejectsInvalidOptions) {
   const CMatrix k = CMatrix::identity(2);
-  RealTimeOptions bad = small_options();
+  FadingStreamOptions bad = small_options();
   bad.normalized_doppler = 0.9;  // above Nyquist
-  EXPECT_THROW((void)RealTimeGenerator(k, bad), ContractViolation);
+  EXPECT_THROW((void)FadingStream(k, bad), ContractViolation);
   bad = small_options();
   bad.input_variance_per_dim = 0.0;
-  EXPECT_THROW((void)RealTimeGenerator(k, bad), ContractViolation);
+  EXPECT_THROW((void)FadingStream(k, bad), ContractViolation);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the extension modules: Gauss 2F1, the exact envelope
-// correlation map (forward + inverse, validated against Monte-Carlo), the
-// whitening transform, and the streaming Doppler source.
+// correlation map (forward + inverse, validated against Monte-Carlo) and
+// the whitening transform.
 
 #include <gtest/gtest.h>
 
@@ -10,15 +10,10 @@
 #include "rfade/core/envelope_correlation.hpp"
 #include "rfade/core/generator.hpp"
 #include "rfade/core/whitening.hpp"
-#include "rfade/doppler/streaming.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
-#include "rfade/special/bessel.hpp"
 #include "rfade/special/hypergeometric.hpp"
-#include "rfade/stats/autocorrelation.hpp"
 #include "rfade/stats/covariance.hpp"
-#include "rfade/stats/distributions.hpp"
-#include "rfade/stats/ks_test.hpp"
 #include "rfade/stats/moments.hpp"
 
 namespace {
@@ -208,67 +203,6 @@ TEST(Whitening, ValidatesInput) {
   EXPECT_THROW(core::WhiteningTransform{CMatrix(2, 3)}, ContractViolation);
   const core::WhiteningTransform w(CMatrix::identity(2));
   EXPECT_THROW((void)w.whiten(numeric::CVector(3)), ContractViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming Doppler source
-// ---------------------------------------------------------------------------
-
-TEST(Streaming, VariancePreservedAcrossBlocks) {
-  doppler::StreamingFadingSource source(512, 0.08, 0.5, 32);
-  random::Rng rng(0xEC3);
-  const auto stream = source.take(512 * 20, rng);
-  EXPECT_NEAR(stats::mean_power(stream) / source.output_variance(), 1.0,
-              0.08);
-}
-
-TEST(Streaming, MarginalStaysRayleigh) {
-  doppler::StreamingFadingSource source(256, 0.1, 0.5, 16);
-  random::Rng rng(0xEC4);
-  // Decimate to roughly independent samples (one per block length).
-  numeric::RVector samples;
-  for (int i = 0; i < 3000; ++i) {
-    const auto chunk = source.take(256, rng);
-    samples.push_back(std::abs(chunk[0]));
-  }
-  const auto rayleigh = stats::RayleighDistribution::from_gaussian_power(
-      source.output_variance());
-  const auto ks =
-      stats::ks_test(samples, [&](double r) { return rayleigh.cdf(r); });
-  EXPECT_GT(ks.p_value, 1e-3);
-}
-
-TEST(Streaming, AutocorrelationStillTracksJ0) {
-  const double fm = 0.05;
-  doppler::StreamingFadingSource source(4096, fm, 0.5, 64);
-  random::Rng rng(0xEC5);
-  const std::size_t length = 4096 * 8;  // spans several block boundaries
-  const auto stream = source.take(length, rng);
-  const auto rho = stats::normalized_autocorrelation(stream, 40);
-  for (std::size_t d = 0; d <= 40; d += 10) {
-    EXPECT_NEAR(rho[d], special::bessel_j0(2.0 * kPi * fm * double(d)), 0.1)
-        << "lag " << d;
-  }
-}
-
-TEST(Streaming, ContinuousAcrossBoundaries) {
-  // No sample repetition at block boundaries: consecutive outputs around a
-  // boundary must not be bit-identical (the double-emission bug guard).
-  doppler::StreamingFadingSource source(64, 0.1, 0.5, 8);
-  random::Rng rng(0xEC6);
-  const auto stream = source.take(64 * 5, rng);
-  std::size_t identical_neighbors = 0;
-  for (std::size_t i = 1; i < stream.size(); ++i) {
-    identical_neighbors += stream[i] == stream[i - 1] ? 1u : 0u;
-  }
-  EXPECT_EQ(identical_neighbors, 0u);
-}
-
-TEST(Streaming, ValidatesOptions) {
-  EXPECT_THROW(doppler::StreamingFadingSource(64, 0.1, 0.5, 0),
-               ContractViolation);
-  EXPECT_THROW(doppler::StreamingFadingSource(64, 0.1, 0.5, 40),
-               ContractViolation);
 }
 
 }  // namespace

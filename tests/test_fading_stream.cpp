@@ -1,11 +1,11 @@
 // Tests for the unified streaming layer (doppler/branch_source.hpp +
-// core/fading_stream.hpp): bit-identity of the independent-block backend
-// with the Sec. 5 RealTimeGenerator, keyed/cursor/seek equivalence for
+// core/fading_stream.hpp): bit-identity of the independent-block cursor
+// with the caller-rng Sec. 5 block, keyed/cursor/seek equivalence for
 // every backend, seam continuity of the autocorrelation for the
 // windowed-overlap-add and overlap-save backends (and the demonstrable
-// seam failure of independent blocks that motivates them), variance and
-// covariance preservation, the TWDP and cascaded real-time generators on
-// the stream layer, and option contract rejection.
+// seam failure of independent blocks that motivates them), variance,
+// covariance and marginal preservation, the TWDP mean stage and the
+// cascaded product stage, and option contract rejection.
 
 #include <gtest/gtest.h>
 
@@ -17,15 +17,15 @@
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/fading_stream.hpp"
-#include "rfade/core/realtime.hpp"
 #include "rfade/doppler/branch_source.hpp"
-#include "rfade/doppler/streaming.hpp"
 #include "rfade/random/bulk_gaussian.hpp"
 #include "rfade/random/rng.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
+#include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 #include "rfade/special/bessel.hpp"
 #include "rfade/stats/covariance.hpp"
+#include "rfade/stats/distributions.hpp"
+#include "rfade/stats/ks_test.hpp"
 #include "rfade/support/error.hpp"
 
 namespace {
@@ -110,26 +110,22 @@ double seam_acf(const CVector& y, std::size_t block_size, std::size_t d) {
 
 // --- bit-identity with the Sec. 5 generator ---------------------------------
 
-TEST(FadingStream, IndependentBackendBitIdenticalToRealTimeGenerator) {
+TEST(FadingStream, IndependentBackendBitIdenticalToCallerRngBlocks) {
   const auto plan = core::ColoringPlan::create(paper_k());
-
-  core::RealTimeOptions realtime;
-  realtime.idft_size = 512;
-  realtime.normalized_doppler = 0.05;
-  const core::RealTimeGenerator generator(plan, realtime);
 
   FadingStreamOptions streaming;
   streaming.idft_size = 512;
   streaming.normalized_doppler = 0.05;
   streaming.seed = 0xB17;
   FadingStream stream(plan, streaming);
+  const FadingStream generator(plan, streaming);
 
   // The stream's block b is the Sec. 5 block drawn from the per-block
-  // substream (seed, b + 1) — the exact keying the cascaded generator has
-  // always used, so the anchor is the historical bit pattern.
+  // substream (seed, b + 1) — the keying the cascaded stages have always
+  // used, so the anchor is the historical bit pattern.
   for (std::uint64_t b = 0; b < 3; ++b) {
     random::Rng rng(0xB17, b + 1);
-    const CMatrix expected = generator.generate_block(rng, b * 512);
+    const CMatrix expected = generator.generate_block_from(rng, b * 512);
     EXPECT_EQ(stream.next_block(), expected) << "block " << b;
     EXPECT_EQ(stream.generate_block(0xB17, b), expected) << "block " << b;
   }
@@ -541,23 +537,59 @@ TEST(FadingStream, RejectsInvalidOptions) {
   EXPECT_THROW((void)stream.generate_block_from(rng), ContractViolation);
 }
 
-// --- the compatibility shim --------------------------------------------------
+// --- windowed overlap-add ----------------------------------------------------
 
-TEST(FadingStream, StreamingShimFirstChunkMatchesBranchBlock) {
-  // StreamingFadingSource is now a per-sample shim over the WOLA branch
-  // source; its first M - overlap samples are the head of the first
-  // Fig. 2 block, bit-for-bit — pinning compatibility with the
-  // historical implementation.
-  doppler::StreamingFadingSource shim(512, 0.05, 0.5, 64);
-  random::Rng rng_shim(0x11F);
+TEST(FadingStream, WolaFirstChunkMatchesBranchBlock) {
+  // The WOLA source's first M - overlap samples are the head of the
+  // first Fig. 2 block, bit-for-bit: the crossfade only starts blending
+  // once a second block exists.
+  const doppler::BranchSourceDesign design(
+      StreamBackend::WindowedOverlapAdd, 512, 0.05, 0.5, 64);
+  const auto source = design.make_source(0);
+  random::Rng rng_source(0x11F);
   random::Rng rng_branch(0x11F);
   const doppler::IdftRayleighBranch branch(512, 0.05, 0.5);
-  const CVector chunk = shim.take(448, rng_shim);
+  source->advance(rng_source, 0);
+  CVector chunk(design.block_size());
+  source->fill(chunk);
   const CVector block = branch.generate_block(rng_branch);
+  ASSERT_EQ(chunk.size(), 448u);
   for (std::size_t l = 0; l < 448; ++l) {
     EXPECT_EQ(chunk[l], block[l]) << "l=" << l;
   }
-  EXPECT_EQ(shim.design().continuity_horizon(), 64u);
+  EXPECT_EQ(design.continuity_horizon(), 64u);
+}
+
+TEST(FadingStream, WolaMarginalStaysRayleigh) {
+  // The equal-power crossfade of independent Gaussian blocks stays
+  // Gaussian, so the envelope stays Rayleigh with the Eq. (19) power.
+  FadingStream stream(CMatrix::identity(1),
+                      scalar_options(StreamBackend::WindowedOverlapAdd, 256,
+                                     0.1, /*overlap=*/16));
+  // Decimate to roughly independent samples (one per block).
+  numeric::RVector samples;
+  for (int b = 0; b < 3000; ++b) {
+    samples.push_back(std::abs(stream.next_block()(0, 0)));
+  }
+  const auto rayleigh = stats::RayleighDistribution::from_gaussian_power(1.0);
+  const auto ks =
+      stats::ks_test(samples, [&](double r) { return rayleigh.cdf(r); });
+  EXPECT_GT(ks.p_value, 1e-3);
+}
+
+TEST(FadingStream, WolaEmitsNoRepeatedSamplesAtSeams) {
+  // No sample is emitted twice around a block boundary (the
+  // double-emission bug guard): consecutive outputs are never
+  // bit-identical.
+  FadingStream stream(CMatrix::identity(1),
+                      scalar_options(StreamBackend::WindowedOverlapAdd, 64,
+                                     0.1, /*overlap=*/8));
+  const CVector trace = collect_trace(stream, 6);
+  std::size_t identical_neighbors = 0;
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    identical_neighbors += trace[i] == trace[i - 1] ? 1u : 0u;
+  }
+  EXPECT_EQ(identical_neighbors, 0u);
 }
 
 // --- TWDP on the stream layer ------------------------------------------------
@@ -628,17 +660,25 @@ TEST(TwdpStream, RayleighSpecIsBitIdenticalToPlainStream) {
                ContractViolation);
 }
 
-// --- cascaded real-time on the stream layer ----------------------------------
+// --- the cascaded product stage ----------------------------------------------
+
+/// A cascaded product stream over stage covariances \p k1, \p k2.
+FadingStream cascaded_stream(const CMatrix& k1, const CMatrix& k2,
+                             double second_doppler,
+                             const FadingStreamOptions& options) {
+  return scenario::cascaded_fading_stream(core::ColoringPlan::create(k1),
+                                          core::ColoringPlan::create(k2),
+                                          second_doppler, options);
+}
 
 TEST(CascadedStream, NextBlockMatchesKeyedBlocks) {
-  scenario::CascadedRealTimeOptions options;
+  FadingStreamOptions options;
   options.idft_size = 256;
-  options.first_doppler = 0.06;
-  options.second_doppler = 0.13;
+  options.normalized_doppler = 0.06;
   options.backend = StreamBackend::OverlapSaveFir;
-  options.stream_seed = 0xCA5;
-  scenario::CascadedRealTimeGenerator gen(
-      paper_k(), CMatrix::identity(3), options);
+  options.seed = 0xCA5;
+  FadingStream gen =
+      cascaded_stream(paper_k(), CMatrix::identity(3), 0.13, options);
 
   for (std::uint64_t b = 0; b < 3; ++b) {
     EXPECT_EQ(gen.next_block(), gen.generate_block(0xCA5, b))
@@ -653,14 +693,14 @@ TEST(CascadedStream, ContinuousProductKeepsTheAkkiHaberLawAcrossSeams) {
   // process keeps the rho1(d) rho2(d) law across block boundaries — the
   // seam-restricted estimate matches the analytic product, which the
   // independent-block cascade zeroes at every seam.
-  scenario::CascadedRealTimeOptions options;
+  FadingStreamOptions options;
   options.idft_size = 256;
-  options.first_doppler = 0.05;
-  options.second_doppler = 0.11;
+  options.normalized_doppler = 0.05;
   options.backend = StreamBackend::OverlapSaveFir;
-  options.stream_seed = 0x17;
-  scenario::CascadedRealTimeGenerator gen(
-      CMatrix::identity(1), CMatrix::identity(1), options);
+  options.seed = 0x17;
+  FadingStream gen =
+      cascaded_stream(CMatrix::identity(1), CMatrix::identity(1), 0.11,
+                      options);
 
   CVector trace;
   trace.reserve(1000 * 256);
@@ -671,9 +711,46 @@ TEST(CascadedStream, ContinuousProductKeepsTheAkkiHaberLawAcrossSeams) {
     }
   }
   const numeric::RVector rho =
-      gen.theoretical_normalized_autocorrelation(4);
+      scenario::cascaded_normalized_autocorrelation(gen, 4);
   for (const std::size_t d : {1u, 2u, 3u, 4u}) {
     EXPECT_NEAR(seam_acf(trace, 256, d), rho[d], 0.15) << "lag " << d;
+  }
+}
+
+TEST(CascadedStream, Float32KeyedEqualsCursorAndSeek) {
+  // The product stage runs in the stream's own precision: the float
+  // cursor, a float seek and the float keyed path give the same bits on
+  // every backend, and the product's seed is the one both stage keys
+  // derive from.
+  CMatrix k2 = CMatrix::identity(3);
+  k2(0, 0) = k2(1, 1) = k2(2, 2) = cdouble(2.0, 0.0);
+  for (const StreamBackend backend :
+       {StreamBackend::IndependentBlock, StreamBackend::WindowedOverlapAdd,
+        StreamBackend::OverlapSaveFir}) {
+    FadingStreamOptions options =
+        scalar_options(backend, 128, 0.06, /*overlap=*/16);
+    options.precision = core::Precision::Float32;
+    FadingStream cursor =
+        cascaded_stream(paper_k(), k2, 0.13, options);
+    FadingStream seeker =
+        cascaded_stream(paper_k(), k2, 0.13, options);
+    EXPECT_EQ(cursor.seed(), options.seed);
+    ASSERT_NE(cursor.second_stage(), nullptr);
+    EXPECT_EQ(cursor.second_stage()->seed(),
+              scenario::CascadedRayleighGenerator::stage_seed(options.seed,
+                                                              1));
+
+    std::vector<numeric::CMatrixF> blocks;
+    for (std::uint64_t b = 0; b < 4; ++b) {
+      blocks.push_back(cursor.next_block_f32());
+      EXPECT_EQ(blocks.back(), cursor.generate_block_f32(options.seed, b))
+          << doppler::stream_backend_name(backend) << " block " << b;
+    }
+    for (const std::uint64_t b : {2ull, 0ull, 3ull, 1ull}) {
+      seeker.seek(b);
+      EXPECT_EQ(seeker.next_block_f32(), blocks[b])
+          << doppler::stream_backend_name(backend) << " seek " << b;
+    }
   }
 }
 

@@ -247,6 +247,20 @@ std::vector<Fingerprint> compute_fingerprints() {
       }
     }
   }
+
+  // The cascaded product stage in float32 on the batched overlap-save
+  // sweep of both stages (recorded after the cascade became a
+  // FadingStream product stage).
+  const ChannelSpec cascaded_f32 = ChannelSpec::Builder()
+                                       .cascaded(k17, k2)
+                                       .backend(StreamBackend::OverlapSaveFir)
+                                       .idft_size(256)
+                                       .doppler(0.05)
+                                       .second_doppler(0.08)
+                                       .precision(Precision::Float32)
+                                       .build();
+  out.push_back({"cascaded/ols/f32/0x5EED/b1000",
+                 stream_fingerprint(cascaded_f32, 0x5EED, 1000)});
   return out;
 }
 
@@ -257,7 +271,9 @@ struct TierTable {
 };
 
 // Recorded once, before the float/double kernel fold, and never
-// re-recorded: a mismatch means output bits changed.
+// re-recorded: a mismatch means output bits changed.  Later cases are
+// appended — the cascaded f64 sessions recorded before the cascade moved
+// onto the FadingStream product stage, the cascaded f32 stream after.
 const std::vector<TierTable>& recorded_tables() {
   static const std::vector<TierTable> tables = {
       {"gcc-12/glibc-2.36", "avx512f",
@@ -300,6 +316,7 @@ const std::vector<TierTable>& recorded_tables() {
            0x2B2C3D0002F40E51ULL,  // cascaded/ols/f64/0x5EED/b1000
            0x87D7C75A0BA8380DULL,  // cascaded/ols/f64/0xF1A9E2/b0
            0xF195B0F542D85825ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
+           0x7A07636C1CF7D539ULL,  // cascaded/ols/f32/0x5EED/b1000
        }},
       {"gcc-12/glibc-2.36", "sanitized",
        {
@@ -341,6 +358,7 @@ const std::vector<TierTable>& recorded_tables() {
            0x3D125F6273BA50D5ULL,  // cascaded/ols/f64/0x5EED/b1000
            0x1900BA8E6F079C69ULL,  // cascaded/ols/f64/0xF1A9E2/b0
            0x3417EE40A3AA93E5ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
+           0x0B082B0763F3FA95ULL,  // cascaded/ols/f32/0x5EED/b1000
        }},
   };
   return tables;

@@ -12,7 +12,7 @@
 #include "rfade/channel/spatial.hpp"
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/generator.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
@@ -104,11 +104,11 @@ TEST(Integration, PaperParameterRealTimePipeline) {
   // Full Sec. 6 configuration: M=4096, fm=0.05, sigma_orig^2=1/2, Eq. (22).
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 4096;
   options.normalized_doppler = 0.05;
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator gen(k, options);
+  const core::FadingStream gen(k, options);
 
   random::Rng rng(76);
   // Envelope RMS must equal sigma_g = sqrt(diag K) = 1 per branch.
@@ -116,7 +116,7 @@ TEST(Integration, PaperParameterRealTimePipeline) {
   stats::CovarianceAccumulator acc(3);
   numeric::CVector z(3);
   for (int b = 0; b < 30; ++b) {
-    const CMatrix block = gen.generate_block(rng);
+    const CMatrix block = gen.generate_block_from(rng);
     for (std::size_t l = 0; l < block.rows(); ++l) {
       e0.push_back(std::abs(block(l, 0)));
       for (std::size_t j = 0; j < 3; ++j) {
@@ -132,18 +132,19 @@ TEST(Integration, PaperParameterRealTimePipeline) {
 TEST(Integration, RealTimeFadingMetricsMatchRayleighTheory) {
   // LCR at rho = 1/sqrt(2) for the paper's Fs = 1 kHz, Fm = 50 Hz setup.
   const CMatrix k = CMatrix::identity(1);
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 4096;
   options.normalized_doppler = 0.05;  // Fm/Fs = 50/1000
   options.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator gen(k, options);
+  const core::FadingStream gen(k, options);
 
   const double sample_rate_hz = 1000.0;
   const double max_doppler_hz = 50.0;
   random::Rng rng(77);
   numeric::RVector envelope;
   for (int b = 0; b < 40; ++b) {
-    const numeric::RMatrix block = gen.generate_envelope_block(rng);
+    const numeric::RMatrix block =
+        numeric::elementwise_abs(gen.generate_block_from(rng));
     for (std::size_t l = 0; l < block.rows(); ++l) {
       envelope.push_back(block(l, 0));
     }
@@ -163,11 +164,11 @@ TEST(Integration, ProposedVsFlawedRealTimePowerComparison) {
   // only the variance handling differs.
   const CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
-  core::RealTimeOptions good;
+  core::FadingStreamOptions good;
   good.idft_size = 1024;
   good.normalized_doppler = 0.05;
   good.input_variance_per_dim = 0.5;
-  const core::RealTimeGenerator proposed(k, good);
+  const core::FadingStream proposed(k, good);
   const baselines::SorooshyariDautRealTime flawed(k, 1024, 0.05, 0.5);
 
   auto mean_power = [](const CMatrix& block) {
@@ -184,7 +185,7 @@ TEST(Integration, ProposedVsFlawedRealTimePowerComparison) {
   double power_flawed = 0.0;
   const int blocks = 40;
   for (int b = 0; b < blocks; ++b) {
-    power_good += mean_power(proposed.generate_block(rng_a)) / blocks;
+    power_good += mean_power(proposed.generate_block_from(rng_a)) / blocks;
     power_flawed += mean_power(flawed.generate_block(rng_b)) / blocks;
   }
   EXPECT_NEAR(power_good, 1.0, 0.1);     // proposed: correct power

@@ -973,6 +973,33 @@ TEST(SessionMetrics, StreamSessionGatesHealthy) {
   EXPECT_TRUE(tap->healthy());
 }
 
+TEST(SessionMetrics, CascadedReferencePowersAreTheProductOfStagePowers) {
+  // A cascade's branch power is K1_jj K2_jj, so with K2 = 4 I the LCR rms
+  // levels and the MI normalisation must see four times stage 1's power.
+  CMatrix k1 = CMatrix::identity(3);
+  k1(0, 0) = cdouble(0.5, 0.0);
+  k1(2, 2) = cdouble(2.0, 0.0);
+  k1(0, 1) = cdouble(0.3, 0.1);
+  k1(1, 0) = cdouble(0.3, -0.1);
+  CMatrix k2 = CMatrix::identity(3);
+  for (std::size_t j = 0; j < 3; ++j) k2(j, j) = cdouble(4.0, 0.0);
+  service::ChannelService service;
+  const service::ChannelSpec spec = service::ChannelSpec::Builder()
+                                        .cascaded(k1, k2)
+                                        .idft_size(256)
+                                        .doppler(0.05)
+                                        .second_doppler(0.08)
+                                        .build();
+  service::Session session = service.open_session(spec, 3);
+  const auto tap = session.enable_metrics(MetricsTapConfig{});
+  const auto& k1_bar = session.channel().plan()->effective_covariance();
+  ASSERT_EQ(tap->reference().branch_power.size(), 3u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(tap->reference().branch_power[j], 4.0 * k1_bar(j, j).real())
+        << "branch " << j;
+  }
+}
+
 TEST(SessionMetrics, InstantModeRejectsMetrics) {
   service::ChannelService service;
   const service::ChannelSpec spec = service::ChannelSpec::Builder()

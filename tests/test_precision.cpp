@@ -470,16 +470,17 @@ TEST(ChannelSpecPrecision, CanonicalizedWhereNoFloatPathExists) {
   EXPECT_EQ(instant_f64.content_hash(), instant_f32.content_hash());
   EXPECT_TRUE(instant_f64 == instant_f32);
 
-  // The cascaded real-time generator is double-only as well.
+  // A cascaded stream's product stage runs in the stream's own
+  // precision, so there the knob is live and keeps the specs apart.
   const ChannelSpec cascaded_f64 =
       ChannelSpec::Builder().cascaded(k, k).build();
   const ChannelSpec cascaded_f32 = ChannelSpec::Builder()
                                        .cascaded(k, k)
                                        .precision(Precision::Float32)
                                        .build();
-  EXPECT_EQ(cascaded_f32.precision(), Precision::Float64);
-  EXPECT_EQ(cascaded_f64.content_hash(), cascaded_f32.content_hash());
-  EXPECT_TRUE(cascaded_f64 == cascaded_f32);
+  EXPECT_EQ(cascaded_f32.precision(), Precision::Float32);
+  EXPECT_NE(cascaded_f64.content_hash(), cascaded_f32.content_hash());
+  EXPECT_FALSE(cascaded_f64 == cascaded_f32);
 }
 
 TEST(ChannelSpecPrecision, PrecisionNamesAreStableLabels) {

@@ -13,7 +13,7 @@
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/plan.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/cascaded.hpp"
@@ -174,19 +174,19 @@ TEST(ScenarioSpec, RealTimeLosMeanProducesRicianEnvelopes) {
   const ScenarioSpec spec = ScenarioSpec::rician(k, 6.0, 0.25);
   const auto plan = ColoringPlan::create(k);
 
-  core::RealTimeOptions plain_options;
+  core::FadingStreamOptions plain_options;
   plain_options.idft_size = 512;
-  const core::RealTimeGenerator plain(plan, plain_options);
+  const core::FadingStream plain(plan, plain_options);
 
   const numeric::CVector mean = spec.los_mean(*plan);
-  core::RealTimeOptions los_options = plain_options;
+  core::FadingStreamOptions los_options = plain_options;
   los_options.los_mean = mean;
-  const core::RealTimeGenerator rician(plan, los_options);
+  const core::FadingStream rician(plan, los_options);
 
   random::Rng rng_a(3);
   random::Rng rng_b(3);
-  const CMatrix block_plain = plain.generate_block(rng_a);
-  const CMatrix block_rician = rician.generate_block(rng_b);
+  const CMatrix block_plain = plain.generate_block_from(rng_a);
+  const CMatrix block_rician = rician.generate_block_from(rng_b);
   // Same diffuse bits, shifted by exactly m (the add is the last pass, so
   // the shift is exact in floating point).
   for (std::size_t t = 0; t < block_plain.rows(); ++t) {
@@ -196,11 +196,11 @@ TEST(ScenarioSpec, RealTimeLosMeanProducesRicianEnvelopes) {
   }
 
   // Empty mean == no-op: bit-identical to the pre-scenario generator.
-  core::RealTimeOptions zero_options = plain_options;
+  core::FadingStreamOptions zero_options = plain_options;
   zero_options.los_mean = numeric::CVector(k.rows(), cdouble{});
-  const core::RealTimeGenerator zero(plan, zero_options);
+  const core::FadingStream zero(plan, zero_options);
   random::Rng rng_c(3);
-  EXPECT_EQ(zero.generate_block(rng_c), block_plain);
+  EXPECT_EQ(zero.generate_block_from(rng_c), block_plain);
 }
 
 TEST(ScenarioSpec, RejectsInvalidInput) {

@@ -3,7 +3,7 @@
 // block forms, with the zero and constant fast paths bit-identical to
 // the PR-2 behaviour), TWDP fading in instant and real-time modes
 // (degeneracies: Delta = 0 -> Rician, K = 0 -> bit-identical Rayleigh),
-// and the real-time cascaded generator (product autocorrelation,
+// and the real-time cascaded product stream (product autocorrelation,
 // double-Rayleigh KS, Hadamard covariance).
 
 #include <gtest/gtest.h>
@@ -17,13 +17,12 @@
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/mean_source.hpp"
 #include "rfade/core/plan.hpp"
-#include "rfade/core/realtime.hpp"
+#include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/doppler/filter.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/scenario_spec.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 #include "rfade/stats/autocorrelation.hpp"
 #include "rfade/stats/covariance.hpp"
@@ -40,7 +39,7 @@ using core::SamplePipeline;
 using numeric::cdouble;
 using numeric::CMatrix;
 using numeric::CVector;
-using scenario::CascadedRealTimeGenerator;
+using scenario::CascadedRayleighGenerator;
 using scenario::TwdpGenerator;
 using scenario::TwdpSpec;
 
@@ -237,11 +236,11 @@ TEST(DopplerLos, RealTimeAutocorrelationGainsTheSpectralLine) {
   const scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::rician(k, 3.0, 0.8);
 
-  core::RealTimeOptions options;
+  core::FadingStreamOptions options;
   options.idft_size = 512;
   options.normalized_doppler = 0.08;
   options.los_mean = spec.doppler_los_mean(*plan, 0.02);
-  const core::RealTimeGenerator generator(plan, options);
+  const core::FadingStream generator(plan, options);
 
   const std::size_t max_lag = 40;
   const int blocks = 60;
@@ -251,7 +250,7 @@ TEST(DopplerLos, RealTimeAutocorrelationGainsTheSpectralLine) {
   for (int b = 0; b < blocks; ++b) {
     // Continue the LOS trajectory across blocks so every block sees the
     // same relative rotation structure.
-    const CMatrix block = generator.generate_block(rng, b * m);
+    const CMatrix block = generator.generate_block_from(rng, b * m);
     CVector series(m);
     for (std::size_t l = 0; l < m; ++l) {
       series[l] = block(l, 0);
@@ -399,18 +398,18 @@ TEST(Twdp, RealTimeMeanAddsDeterministicWaveTrajectories) {
   const double f1 = 0.04;
   const double f2 = -0.025;
 
-  core::RealTimeOptions plain_options;
+  core::FadingStreamOptions plain_options;
   plain_options.idft_size = 256;
-  const core::RealTimeGenerator plain(plan, plain_options);
+  const core::FadingStream plain(plan, plain_options);
 
-  core::RealTimeOptions twdp_options = plain_options;
+  core::FadingStreamOptions twdp_options = plain_options;
   twdp_options.los_mean = spec.realtime_mean(*plan, f1, f2);
-  const core::RealTimeGenerator generator(plan, twdp_options);
+  const core::FadingStream generator(plan, twdp_options);
 
   random::Rng rng_a(11);
   random::Rng rng_b(11);
-  const CMatrix z0 = plain.generate_block(rng_a);
-  const CMatrix z1 = generator.generate_block(rng_b);
+  const CMatrix z0 = plain.generate_block_from(rng_a);
+  const CMatrix z1 = generator.generate_block_from(rng_b);
   const TwdpSpec::SpecularWaves waves = spec.specular_waves(*plan);
   for (std::size_t l = 0; l < z0.rows(); ++l) {
     const cdouble rot1 = std::polar(
@@ -470,13 +469,28 @@ TEST(Twdp, RejectsInvalidParameters) {
 
 // --- cascaded real-time ------------------------------------------------------
 
-TEST(CascadedRealTime, BlocksAreDeterministicAndStagesIndependent) {
-  scenario::CascadedRealTimeOptions options;
-  options.idft_size = 256;
-  options.first_doppler = 0.05;
-  options.second_doppler = 0.11;
-  const CascadedRealTimeGenerator gen(paper_k(), tridiagonal_covariance(3),
-                                      options);
+/// Stage options of the real-time cascade tests: independent blocks of M
+/// samples at stage-1 Doppler \p fm1.
+core::FadingStreamOptions stage_options(std::size_t m, double fm1) {
+  core::FadingStreamOptions options;
+  options.idft_size = m;
+  options.normalized_doppler = fm1;
+  return options;
+}
+
+/// The real-time cascade of stage covariances \p k1, \p k2.
+core::FadingStream cascaded_stream(const CMatrix& k1, const CMatrix& k2,
+                                   double fm2,
+                                   const core::FadingStreamOptions& options) {
+  return scenario::cascaded_fading_stream(ColoringPlan::create(k1),
+                                          ColoringPlan::create(k2), fm2,
+                                          options);
+}
+
+TEST(CascadedStream, BlocksAreDeterministicAndStagesIndependent) {
+  const core::FadingStreamOptions options = stage_options(256, 0.05);
+  const core::FadingStream gen =
+      cascaded_stream(paper_k(), tridiagonal_covariance(3), 0.11, options);
   EXPECT_EQ(gen.dimension(), 3u);
   EXPECT_EQ(gen.block_size(), 256u);
 
@@ -489,10 +503,14 @@ TEST(CascadedRealTime, BlocksAreDeterministicAndStagesIndependent) {
 
   // The product block is exactly stage1 (.) stage2 drawn from the
   // disjoint stage streams.
-  random::Rng rng1(CascadedRealTimeGenerator::stage_seed(42, 0), 8);
-  random::Rng rng2(CascadedRealTimeGenerator::stage_seed(42, 1), 8);
-  const CMatrix z1 = gen.first_stage().generate_block(rng1);
-  const CMatrix z2 = gen.second_stage().generate_block(rng2);
+  core::FadingStreamOptions stage2 = options;
+  stage2.normalized_doppler = 0.11;
+  const core::FadingStream first_stage(paper_k(), options);
+  const core::FadingStream second_stage(tridiagonal_covariance(3), stage2);
+  random::Rng rng1(CascadedRayleighGenerator::stage_seed(42, 0), 8);
+  random::Rng rng2(CascadedRayleighGenerator::stage_seed(42, 1), 8);
+  const CMatrix z1 = first_stage.generate_block_from(rng1);
+  const CMatrix z2 = second_stage.generate_block_from(rng2);
   const CMatrix product = gen.generate_block(42, 7);
   for (std::size_t i = 0; i < product.size(); ++i) {
     EXPECT_EQ(product.data()[i], z1.data()[i] * z2.data()[i]);
@@ -502,26 +520,23 @@ TEST(CascadedRealTime, BlocksAreDeterministicAndStagesIndependent) {
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_EQ(gen.effective_covariance()(i, j),
-                gen.first_stage().effective_covariance()(i, j) *
-                    gen.second_stage().effective_covariance()(i, j));
+                gen.plan()->effective_covariance()(i, j) *
+                    gen.second_stage()->effective_covariance()(i, j));
     }
   }
 
   // Dimension mismatch between the stages is rejected up front.
-  EXPECT_THROW(CascadedRealTimeGenerator(paper_k(),
-                                         tridiagonal_covariance(5), options),
+  EXPECT_THROW((void)cascaded_stream(paper_k(), tridiagonal_covariance(5),
+                                     0.11, options),
                ContractViolation);
 }
 
-TEST(CascadedRealTime, AutocorrelationIsTheProductOfStageLaws) {
+TEST(CascadedStream, AutocorrelationIsTheProductOfStageLaws) {
   // The acceptance claim: the cascaded autocorrelation matches
   // K1_jj K2_jj rho1(d) rho2(d) — the product of the two stages'
   // analytic Eq. (17) laws with their *different* Dopplers.
-  scenario::CascadedRealTimeOptions options;
-  options.idft_size = 512;
-  options.first_doppler = 0.06;
-  options.second_doppler = 0.13;
-  const CascadedRealTimeGenerator gen(paper_k(), paper_k(), options);
+  const core::FadingStream gen =
+      cascaded_stream(paper_k(), paper_k(), 0.13, stage_options(512, 0.06));
 
   const std::size_t max_lag = 40;
   const int blocks = 80;
@@ -540,7 +555,7 @@ TEST(CascadedRealTime, AutocorrelationIsTheProductOfStageLaws) {
   }
 
   const numeric::RVector rho_product =
-      gen.theoretical_normalized_autocorrelation(max_lag);
+      scenario::cascaded_normalized_autocorrelation(gen, max_lag);
   const double power = gen.effective_covariance()(0, 0).real();
   EXPECT_NEAR(accumulated[0].real(), power, 0.12 * power);
   for (std::size_t d = 0; d <= max_lag; d += 4) {
@@ -552,25 +567,21 @@ TEST(CascadedRealTime, AutocorrelationIsTheProductOfStageLaws) {
   // first few lags (both factors < 1).
   const numeric::RVector rho1 =
       doppler::theoretical_normalized_autocorrelation(
-          gen.first_stage().branch().filter(), max_lag);
+          gen.branch().filter(), max_lag);
   for (std::size_t d = 2; d <= 8; ++d) {
     EXPECT_LT(rho_product[d], std::abs(rho1[d]) + 1e-12);
   }
 }
 
-TEST(CascadedRealTime, EnvelopeMarginalIsDoubleRayleigh) {
+TEST(CascadedStream, EnvelopeMarginalIsDoubleRayleigh) {
   // Marginal check on the Doppler-faded cascade: the per-instant law is
   // the closed-form Bessel-K double-Rayleigh.  Samples within a block
   // are temporally correlated, so KS needs decorrelated draws: take a
   // thinned subsequence across many blocks.
-  scenario::CascadedRealTimeOptions options;
-  options.idft_size = 256;
-  options.first_doppler = 0.1;
-  options.second_doppler = 0.17;
-  const CascadedRealTimeGenerator gen(paper_k(), tridiagonal_covariance(3),
-                                      options);
+  const core::FadingStream gen = cascaded_stream(
+      paper_k(), tridiagonal_covariance(3), 0.17, stage_options(256, 0.1));
 
-  const auto marginal = gen.branch_marginal(0);
+  const auto marginal = scenario::cascaded_branch_marginal(gen, 0);
   numeric::RVector thinned;
   stats::RunningStats moments;
   const std::size_t stride = 32;  // ~3 Doppler periods at fm = 0.1

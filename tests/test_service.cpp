@@ -20,7 +20,7 @@
 #include "rfade/core/generator.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/scenario/composite/suzuki.hpp"
-#include "rfade/scenario/timevarying/cascaded_realtime.hpp"
+#include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
 #include "rfade/service/accumulators.hpp"
 #include "rfade/service/channel_service.hpp"
@@ -332,7 +332,7 @@ TEST(Session, RicianAndSuzukiStreamsMatchTheirEngines) {
       bit_equal(suzuki_session.next_block(), suzuki_reference.next_block()));
 }
 
-TEST(Session, CascadedStreamMatchesRealTimeGenerator) {
+TEST(Session, CascadedStreamIsTheProductOfItsStageStreams) {
   const CMatrix k = paper_covariance();
   const ChannelSpec spec = ChannelSpec::Builder()
                                .cascaded(k, k)
@@ -343,11 +343,20 @@ TEST(Session, CascadedStreamMatchesRealTimeGenerator) {
   ChannelService svc;
   Session session = svc.open_session(spec, 5);
   const auto channel = svc.compile(spec);
-  const scenario::CascadedRealTimeGenerator reference =
-      channel->make_cascaded_stream(5);
+  // Stage s is a plain stream on the stage-s plan and Doppler, keyed by
+  // stage_seed(5, s); the session block is their elementwise product.
+  core::FadingStreamOptions first = channel->stream_options(5);
+  first.seed = scenario::CascadedRayleighGenerator::stage_seed(5, 0);
+  core::FadingStreamOptions second = first;
+  second.normalized_doppler = 0.02;
+  second.seed = scenario::CascadedRayleighGenerator::stage_seed(5, 1);
+  const core::FadingStream stage1(channel->plan(), first);
+  const core::FadingStream stage2(channel->second_plan(), second);
   for (std::uint64_t b = 0; b < 2; ++b) {
-    EXPECT_TRUE(bit_equal(session.next_block(),
-                          reference.generate_block(5, b)));
+    CMatrix expected = stage1.generate_block(first.seed, b);
+    numeric::multiply_elementwise(expected,
+                                  stage2.generate_block(second.seed, b));
+    EXPECT_TRUE(bit_equal(session.next_block(), expected));
   }
 }
 
@@ -436,7 +445,14 @@ TEST(Session, InterleavedWalkMatchesKeyedScenarioFamilies) {
                    .wave_dopplers(0.01, -0.02)
                    .precision(core::Precision::Float32)
                    .idft_size(256)
-                   .build()}};
+                   .build()},
+      {"cascaded", ChannelSpec::Builder()
+                       .cascaded(k, k)
+                       .backend(doppler::StreamBackend::WindowedOverlapAdd)
+                       .idft_size(256)
+                       .doppler(0.05)
+                       .second_doppler(0.02)
+                       .build()}};
   for (const auto& [label, spec] : specs) {
     Session session = svc.open_session(spec, 9);
     const core::FadingStream reference = svc.compile(spec)->make_stream(9);
@@ -445,21 +461,6 @@ TEST(Session, InterleavedWalkMatchesKeyedScenarioFamilies) {
         [&](std::uint64_t b) { return reference.generate_block(9, b); },
         label);
   }
-
-  const ChannelSpec cascaded =
-      ChannelSpec::Builder()
-          .cascaded(k, k)
-          .backend(doppler::StreamBackend::WindowedOverlapAdd)
-          .idft_size(256)
-          .doppler(0.05)
-          .second_doppler(0.02)
-          .build();
-  Session session = svc.open_session(cascaded, 5);
-  const scenario::CascadedRealTimeGenerator reference =
-      svc.compile(cascaded)->make_cascaded_stream(5);
-  expect_walk_matches_keyed(
-      session, [&](std::uint64_t b) { return reference.generate_block(5, b); },
-      "cascaded");
 }
 
 TEST(Session, OutOfRangeSeekFailsOnThePullAndLeavesTheCursor) {
