@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rfade/core/fading_stream.hpp"
@@ -261,6 +262,100 @@ std::vector<Fingerprint> compute_fingerprints() {
                                        .build();
   out.push_back({"cascaded/ols/f32/0x5EED/b1000",
                  stream_fingerprint(cascaded_f32, 0x5EED, 1000)});
+
+  // Instant sessions of every family, N = 17 (recorded before the
+  // instant families became keyed pipeline stages of CompiledChannel):
+  // TWDP with both waves active, the cascade with the unequal stage-2
+  // diagonal above, and Suzuki shadowing over the keyed diffuse draw.
+  std::vector<scenario::TwdpBranch> twdp_branches;
+  for (std::size_t j = 0; j < 17; ++j) {
+    twdp_branches.push_back({2.0 + 0.5 * double(j % 4),
+                             0.3 + 0.2 * double(j % 3), 0.1 * double(j),
+                             -0.2 * double(j)});
+  }
+  scenario::composite::ShadowingSpec shadowing;
+  shadowing.sigma_db = 6.0;
+  shadowing.mean_db = 1.5;
+  shadowing.decorrelation_samples = 300.0;
+  shadowing.spacing = 8;
+  const std::pair<const char*, ChannelSpec> instant_families[] = {
+      {"twdp", ChannelSpec::Builder()
+                   .twdp(k17, twdp_branches)
+                   .instant()
+                   .block_size(256)
+                   .build()},
+      {"cascaded", ChannelSpec::Builder()
+                       .cascaded(k17, k2)
+                       .instant()
+                       .block_size(256)
+                       .build()},
+      {"suzuki", ChannelSpec::Builder()
+                     .suzuki(k17, shadowing)
+                     .instant()
+                     .block_size(256)
+                     .build()},
+  };
+  for (const auto& [family, spec] : instant_families) {
+    for (const std::uint64_t seed : {0x5EEDull, 0xF1A9E2ull}) {
+      for (const std::uint64_t block : {0ull, 1000ull}) {
+        char name[64];
+        std::snprintf(name, sizeof(name), "instant/%s/0x%llX/b%llu", family,
+                      static_cast<unsigned long long>(seed),
+                      static_cast<unsigned long long>(block));
+        out.push_back({name, session_fingerprint(spec, seed, block)});
+      }
+    }
+  }
+
+  // One case each: Rician with K = 4 and a LOS phase, Rayleigh with a
+  // constant mean, TWDP with every Delta = 0 (the single-wave pass) and
+  // a copula channel's envelope block.
+  numeric::CVector mean(17);
+  for (std::size_t j = 0; j < 17; ++j) {
+    mean[j] = std::polar(0.5 + 0.1 * double(j), 0.4 * double(j));
+  }
+  const std::pair<const char*, ChannelSpec> instant_singles[] = {
+      {"instant/rician/0x5EED/b1000", ChannelSpec::Builder()
+                                          .rician(k17, 4.0, 0.7)
+                                          .instant()
+                                          .block_size(256)
+                                          .build()},
+      {"instant/rayleigh-mean/0x5EED/b1000", ChannelSpec::Builder()
+                                                 .rayleigh(k17)
+                                                 .constant_mean(mean)
+                                                 .instant()
+                                                 .block_size(256)
+                                                 .build()},
+      {"instant/twdp-delta0/0x5EED/b1000", ChannelSpec::Builder()
+                                               .twdp(k17, 3.0, 0.0)
+                                               .instant()
+                                               .block_size(256)
+                                               .build()},
+  };
+  for (const auto& [name, spec] : instant_singles) {
+    out.push_back({name, session_fingerprint(spec, 0x5EED, 1000)});
+  }
+  numeric::RMatrix envelope_target(17, 17);
+  std::vector<service::MarginalSpec> marginals;
+  for (std::size_t i = 0; i < 17; ++i) {
+    for (std::size_t j = 0; j < 17; ++j) {
+      envelope_target(i, j) = std::pow(0.6, std::abs(double(i) - double(j)));
+    }
+    marginals.push_back(i % 2 == 0 ? service::MarginalSpec::nakagami(
+                                         1.5 + 0.25 * double(i % 3), 1.2)
+                                   : service::MarginalSpec::weibull(2.5, 1.1));
+  }
+  service::Session copula(ChannelSpec::Builder()
+                              .copula(envelope_target, marginals)
+                              .block_size(256)
+                              .build()
+                              .compile(),
+                          0x5EED);
+  copula.seek(1000);
+  const numeric::RMatrix copula_cursor = copula.next_envelope_block();
+  out.push_back({"instant/copula/0x5EED/b1000",
+                 fnv1a(copula.generate_envelope_block(1000),
+                       fnv1a(copula_cursor))});
   return out;
 }
 
@@ -273,7 +368,9 @@ struct TierTable {
 // Recorded once, before the float/double kernel fold, and never
 // re-recorded: a mismatch means output bits changed.  Later cases are
 // appended — the cascaded f64 sessions recorded before the cascade moved
-// onto the FadingStream product stage, the cascaded f32 stream after.
+// onto the FadingStream product stage, the cascaded f32 stream after,
+// and the instant sessions of every family before they became keyed
+// pipeline stages of CompiledChannel.
 const std::vector<TierTable>& recorded_tables() {
   static const std::vector<TierTable> tables = {
       {"gcc-12/glibc-2.36", "avx512f",
@@ -317,6 +414,22 @@ const std::vector<TierTable>& recorded_tables() {
            0x87D7C75A0BA8380DULL,  // cascaded/ols/f64/0xF1A9E2/b0
            0xF195B0F542D85825ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
            0x7A07636C1CF7D539ULL,  // cascaded/ols/f32/0x5EED/b1000
+           0x2891CBFBA39FA1D5ULL,  // instant/twdp/0x5EED/b0
+           0x3479FABC3A725771ULL,  // instant/twdp/0x5EED/b1000
+           0xD874F9A03C38FF95ULL,  // instant/twdp/0xF1A9E2/b0
+           0x25BBE0E51E487871ULL,  // instant/twdp/0xF1A9E2/b1000
+           0x0C68385D4B792695ULL,  // instant/cascaded/0x5EED/b0
+           0x157DFAE8E8A38819ULL,  // instant/cascaded/0x5EED/b1000
+           0x9AB16A29125A25A5ULL,  // instant/cascaded/0xF1A9E2/b0
+           0x15793BED950A8D25ULL,  // instant/cascaded/0xF1A9E2/b1000
+           0x7042C361380A4505ULL,  // instant/suzuki/0x5EED/b0
+           0x132D490233BA25A5ULL,  // instant/suzuki/0x5EED/b1000
+           0xE3E2092258D789D5ULL,  // instant/suzuki/0xF1A9E2/b0
+           0xA83490C8AF5F1C35ULL,  // instant/suzuki/0xF1A9E2/b1000
+           0x840F622C25BF94ADULL,  // instant/rician/0x5EED/b1000
+           0xC342B911FD8845D5ULL,  // instant/rayleigh-mean/0x5EED/b1000
+           0x2132E7C01B22DF95ULL,  // instant/twdp-delta0/0x5EED/b1000
+           0xE78EE9C30A8EA2E5ULL,  // instant/copula/0x5EED/b1000
        }},
       {"gcc-12/glibc-2.36", "sanitized",
        {
@@ -359,6 +472,22 @@ const std::vector<TierTable>& recorded_tables() {
            0x1900BA8E6F079C69ULL,  // cascaded/ols/f64/0xF1A9E2/b0
            0x3417EE40A3AA93E5ULL,  // cascaded/ols/f64/0xF1A9E2/b1000
            0x0B082B0763F3FA95ULL,  // cascaded/ols/f32/0x5EED/b1000
+           0xDAA4739915D55669ULL,  // instant/twdp/0x5EED/b0
+           0x91B2442C6356E5F5ULL,  // instant/twdp/0x5EED/b1000
+           0xE95B194FC14D1FD1ULL,  // instant/twdp/0xF1A9E2/b0
+           0x88234FC0F2801EE5ULL,  // instant/twdp/0xF1A9E2/b1000
+           0x69DA4932C744C165ULL,  // instant/cascaded/0x5EED/b0
+           0x409D51289DFA120DULL,  // instant/cascaded/0x5EED/b1000
+           0xB44D4313BEDDC3FDULL,  // instant/cascaded/0xF1A9E2/b0
+           0x82A8654A3AA1C0C9ULL,  // instant/cascaded/0xF1A9E2/b1000
+           0x16A371F3EDB14E59ULL,  // instant/suzuki/0x5EED/b0
+           0xE5971AE339180D7DULL,  // instant/suzuki/0x5EED/b1000
+           0xF485F6B1A7079D11ULL,  // instant/suzuki/0xF1A9E2/b0
+           0x81BB8B6F4E059481ULL,  // instant/suzuki/0xF1A9E2/b1000
+           0xE4D2D25ED246C275ULL,  // instant/rician/0x5EED/b1000
+           0xADBCFD7A88E99DC9ULL,  // instant/rayleigh-mean/0x5EED/b1000
+           0xF6BA90E71C51BC81ULL,  // instant/twdp-delta0/0x5EED/b1000
+           0xB4A0C42062D95DE9ULL,  // instant/copula/0x5EED/b1000
        }},
   };
   return tables;
