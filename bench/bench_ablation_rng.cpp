@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/distributions.hpp"
 #include "rfade/stats/ks_test.hpp"
@@ -36,7 +36,7 @@ void quality_table() {
   table.set_header({"engine", "gaussian", "KS distance", "KS p-value"});
   const auto k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   const auto rayleigh = stats::RayleighDistribution::from_gaussian_power(1.0);
   for (const EngineKind engine : {EngineKind::Philox, EngineKind::Xoshiro}) {
     for (const GaussianAlgorithm algorithm :
@@ -97,7 +97,7 @@ BENCHMARK(ComplexGaussianSample)->Arg(0)->Arg(1);
 void EndToEndEnvelopes(benchmark::State& state) {
   const auto k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   Rng rng(static_cast<EngineKind>(state.range(0)), 0xA2D, 0,
           static_cast<GaussianAlgorithm>(state.range(1)));
   numeric::CVector z(3);

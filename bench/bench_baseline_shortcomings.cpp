@@ -19,7 +19,7 @@
 #include "rfade/baselines/salz_winters.hpp"
 #include "rfade/baselines/sorooshyari_daut.hpp"
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/support/table.hpp"
@@ -120,7 +120,8 @@ int main() {
   const std::vector<std::pair<std::string, Builder>> methods = {
       {"proposed (this paper)",
        [](const CMatrix& k) {
-         auto gen = std::make_shared<core::EnvelopeGenerator>(k);
+         auto gen = std::make_shared<core::SamplePipeline>(
+             core::ColoringPlan::create(k));
          // Non-PSD K is *approximated*: measure against the effective one.
          return [gen](random::Rng& rng) { return gen->sample(rng); };
        }},
@@ -157,13 +158,13 @@ int main() {
         // For the proposed method, measure against the effective (forced)
         // covariance — it approximates non-PSD K by the nearest PSD matrix.
         try {
-          const core::EnvelopeGenerator gen(k);
+          const core::SamplePipeline gen(core::ColoringPlan::create(k));
           const double err =
               measure(k.rows(),
                       [&gen](random::Rng& rng) { return gen.sample(rng); },
-                      gen.effective_covariance());
+                      gen.plan().effective_covariance());
           std::string cell = "OK (err " + support::scientific(err, 1) + ")";
-          if (!gen.coloring().psd.was_psd) {
+          if (!gen.plan().coloring().psd.was_psd) {
             cell += " [forced PSD]";
           }
           row.push_back(cell);

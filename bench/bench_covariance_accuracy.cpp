@@ -12,7 +12,7 @@
 #include <cstdlib>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/support/table.hpp"
@@ -73,7 +73,7 @@ int main() {
       {"case", "n=1e3", "n=1e4", "n=1e5", "n=1e6", "~1/sqrt(10) steps?"});
 
   for (const Case& c : cases) {
-    const core::EnvelopeGenerator gen(c.k);
+    const core::SamplePipeline gen(core::ColoringPlan::create(c.k));
     std::vector<std::string> row = {c.name};
     numeric::RVector errors;
     for (const std::size_t n :
@@ -100,7 +100,7 @@ int main() {
   moments.set_header({"case", "max |mean err|", "max |var err|",
                       "worst KS p-value", "Rayleigh?"});
   for (const Case& c : cases) {
-    const core::EnvelopeGenerator gen(c.k);
+    const core::SamplePipeline gen(core::ColoringPlan::create(c.k));
     const auto report = core::validate_generator(
         gen, {.samples = 400000, .seed = 0xE5B, .parallel = true,
               .chunk_size = 8192, .ks_samples_per_branch = 50000});

@@ -14,9 +14,10 @@
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/fading_stream.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/random/rng.hpp"
+#include "rfade/service/channel_spec.hpp"
 
 using namespace rfade;
 using numeric::cdouble;
@@ -35,7 +36,8 @@ CMatrix tridiagonal_covariance(std::size_t n) {
 
 void InstantModeSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const core::EnvelopeGenerator gen(tridiagonal_covariance(n));
+  const core::SamplePipeline gen(
+      core::ColoringPlan::create(tridiagonal_covariance(n)));
   random::Rng rng(0xE10);
   numeric::CVector z(n);
   for (auto _ : state) {
@@ -55,7 +57,8 @@ void PerSampleBlockBaseline(benchmark::State& state) {
   // The seed hot loop: one streaming matvec per draw, serial.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto block = static_cast<std::size_t>(state.range(1));
-  const core::EnvelopeGenerator gen(tridiagonal_covariance(n));
+  const core::SamplePipeline gen(
+      core::ColoringPlan::create(tridiagonal_covariance(n)));
   random::Rng rng(0xE10A);
   numeric::CVector z(n);
   for (auto _ : state) {
@@ -76,7 +79,8 @@ void BatchedBlockSerial(benchmark::State& state) {
   // Batched draw + blocked GEMM, single thread, per-draw-compatible rng.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto block = static_cast<std::size_t>(state.range(1));
-  const core::EnvelopeGenerator gen(tridiagonal_covariance(n));
+  const core::SamplePipeline gen(
+      core::ColoringPlan::create(tridiagonal_covariance(n)));
   random::Rng rng(0xE10A);
   for (auto _ : state) {
     const CMatrix z = gen.sample_block(block, rng);
@@ -95,7 +99,8 @@ void BatchedStreamParallel(benchmark::State& state) {
   // fanned over the global thread pool (deterministic for any count).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto block = static_cast<std::size_t>(state.range(1));
-  const core::EnvelopeGenerator gen(tridiagonal_covariance(n));
+  const core::SamplePipeline gen(
+      core::ColoringPlan::create(tridiagonal_covariance(n)));
   std::uint64_t seed = 0xE10B;
   for (auto _ : state) {
     const CMatrix z = gen.sample_stream(block, seed++);
@@ -115,8 +120,9 @@ void GeneratorConstruction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const CMatrix k = tridiagonal_covariance(n);
   for (auto _ : state) {
-    const core::EnvelopeGenerator gen(k);
-    benchmark::DoNotOptimize(&gen);
+    const auto channel =
+        service::ChannelSpec::Builder().rayleigh(k).instant().build().compile();
+    benchmark::DoNotOptimize(channel.get());
   }
 }
 BENCHMARK(GeneratorConstruction)
@@ -153,7 +159,7 @@ void MonteCarloValidation(benchmark::State& state) {
   const bool parallel = state.range(0) != 0;
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   core::ValidationOptions options;
   options.samples = 200000;
   options.seed = 0xE10C;

@@ -10,11 +10,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/mean_source.hpp"
 #include "rfade/core/plan.hpp"
 #include "rfade/scenario/cascaded.hpp"
-#include "rfade/scenario/timevarying/twdp.hpp"
+#include "rfade/service/channel_service.hpp"
+#include "rfade/service/channel_spec.hpp"
 
 using namespace rfade;
 using numeric::cdouble;
@@ -84,12 +88,21 @@ BENCHMARK(MeanSourceStream)
 void TwdpStreamParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto block = static_cast<std::size_t>(state.range(1));
-  const scenario::TwdpSpec spec =
-      scenario::TwdpSpec::uniform(tridiagonal_covariance(n), 4.0, 0.8);
-  const scenario::TwdpGenerator generator(spec.build_plan(), spec);
+  const auto channel = service::ChannelSpec::Builder()
+                           .twdp(tridiagonal_covariance(n), 4.0, 0.8)
+                           .instant()
+                           .build()
+                           .compile();
   std::uint64_t seed = 0x7DD;
   for (auto _ : state) {
-    const CMatrix z = generator.sample_stream(block, seed++);
+    // Blocks 0, 1, ... of a fresh tenant in one thread-pool sweep.
+    const service::Session session(channel, seed++);
+    std::vector<service::BlockRequest> requests;
+    for (std::uint64_t b = 0; b * channel->block_size() < block; ++b) {
+      requests.push_back({&session, b});
+    }
+    const std::vector<CMatrix> z =
+        service::ChannelService::generate_blocks(requests);
     benchmark::DoNotOptimize(z.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -6,17 +6,25 @@
 //
 //   build/examples/cascaded_rayleigh [--samples 200000] [--seed 7]
 //
-// The closing tables verify the product-channel theory: E[r] =
+// The keyed instant blocks of the cascade (what a Session serves) are
+// folded into the exact envelope-moment and covariance accumulators, and
+// the closing tables verify the product-channel theory: E[r] =
 // (pi/4) s1 s2, E[r^2] = s1^2 s2^2, amount of fading ~ 3 (vs 1 for plain
 // Rayleigh — cascades fade much deeper), and the complex covariance of
 // the product equals the Hadamard product of the stage covariances.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/numeric/matrix.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/scenario/cascaded.hpp"
+#include "rfade/service/accumulators.hpp"
+#include "rfade/service/channel_spec.hpp"
+#include "rfade/stats/covariance.hpp"
 #include "rfade/support/cli.hpp"
 #include "rfade/support/table.hpp"
 
@@ -40,46 +48,76 @@ int main(int argc, char** argv) {
   k2(1, 2) = cdouble(0.3, -0.1);
   k2(2, 1) = cdouble(0.3, 0.1);
 
-  const scenario::CascadedRayleighGenerator gen(k1, k2);
-  const auto report = gen.envelope_moment_diagnostics(samples, seed);
+  const auto channel = service::ChannelSpec::Builder()
+                           .cascaded(k1, k2)
+                           .instant()
+                           .build()
+                           .compile();
+  const std::size_t n = channel->dimension();
+
+  // The first `samples` instants: keyed blocks 0, 1, ... of `seed`.
+  service::EnvelopeMomentAccumulator measured(n);
+  service::ComplexCovarianceAccumulator covariance(n);
+  std::vector<double> first_branch;
+  for (std::uint64_t b = 0; covariance.count() < samples; ++b) {
+    const std::size_t rows = std::min<std::size_t>(
+        channel->block_size(), samples - covariance.count());
+    const numeric::CMatrix block = channel->instant_block(rows, seed, b);
+    measured.accumulate(block);
+    covariance.accumulate(block);
+    for (std::size_t t = 0; t < rows; ++t) {
+      first_branch.push_back(std::abs(block(t, 0)));
+    }
+  }
 
   support::TablePrinter moments(
       "cascaded envelope moments vs product-channel theory");
   moments.set_header({"branch", "E[r] theory", "E[r] meas", "E[r^2] theory",
                       "E[r^2] meas", "AF meas (theory 3)"});
-  for (std::size_t j = 0; j < gen.dimension(); ++j) {
-    moments.add_row({std::to_string(j + 1),
-                     support::fixed(report.expected_mean[j], 4),
-                     support::fixed(report.measured_mean[j], 4),
-                     support::fixed(report.expected_second_moment[j], 4),
-                     support::fixed(report.measured_second_moment[j], 4),
-                     support::fixed(report.measured_amount_of_fading[j], 3)});
+  double max_mean_err = 0.0;
+  double max_second_err = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto theory = scenario::cascaded_branch_marginal(
+        *channel->plan(), *channel->second_plan(), j);
+    const service::EnvelopeMoments m = measured.finalize(j);
+    max_mean_err = std::max(max_mean_err,
+                            std::abs(m.mean - theory.mean()) / theory.mean());
+    max_second_err = std::max(
+        max_second_err, std::abs(m.second_moment - theory.second_moment()) /
+                            theory.second_moment());
+    moments.add_row({std::to_string(j + 1), support::fixed(theory.mean(), 4),
+                     support::fixed(m.mean, 4),
+                     support::fixed(theory.second_moment(), 4),
+                     support::fixed(m.second_moment, 4),
+                     support::fixed(m.amount_of_fading, 3)});
   }
   moments.print();
 
+  numeric::CMatrix hadamard = channel->plan()->effective_covariance();
+  numeric::multiply_elementwise(hadamard,
+                                channel->second_plan()->effective_covariance());
   std::printf(
       "\ncovariance check: ||K_hat - K1 (.) K2||_F / ||K1 (.) K2||_F = "
       "%.2e\n",
-      report.covariance_rel_error);
+      stats::relative_frobenius_error(covariance.finalize(), hadamard));
   std::printf("max mean rel err = %.2e, max E[r^2] rel err = %.2e over %zu "
               "samples\n",
-              report.max_mean_rel_error, report.max_second_moment_rel_error,
-              report.samples);
+              max_mean_err, max_second_err,
+              static_cast<std::size_t>(covariance.count()));
 
   // Deep-fade comparison: the cascade's defining behaviour.  Count
   // envelope samples below 10%% of the RMS for branch 1 and compare with
   // the single-Rayleigh prediction P[r < t] = 1 - exp(-t^2/s^2) ~ 1e-2.
-  const numeric::RMatrix envelopes = gen.sample_envelope_stream(samples, seed);
-  const double rms = std::sqrt(gen.envelope_second_moment(0));
+  const double rms = std::sqrt(hadamard(0, 0).real());
   const double threshold = 0.1 * rms;
   std::size_t deep = 0;
-  for (std::size_t t = 0; t < envelopes.rows(); ++t) {
-    if (envelopes(t, 0) < threshold) {
+  for (const double r : first_branch) {
+    if (r < threshold) {
       ++deep;
     }
   }
   const double p_cascaded = static_cast<double>(deep) /
-                            static_cast<double>(envelopes.rows());
+                            static_cast<double>(first_branch.size());
   const double p_rayleigh = 1.0 - std::exp(-0.01);
   std::printf(
       "\ndeep fades below 0.1 RMS (branch 1): cascaded %.4f vs Rayleigh "

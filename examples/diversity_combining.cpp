@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "rfade/channel/spatial.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/support/cli.hpp"
 #include "rfade/support/table.hpp"
@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
   const numeric::CMatrix k_corr =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
   const numeric::CMatrix k_indep = numeric::CMatrix::identity(3);
-  const core::EnvelopeGenerator correlated(k_corr);
-  const core::EnvelopeGenerator independent(k_indep);
+  const core::SamplePipeline correlated(core::ColoringPlan::create(k_corr));
+  const core::SamplePipeline independent(core::ColoringPlan::create(k_indep));
   const numeric::RMatrix env_corr =
-      correlated.pipeline().sample_envelope_stream(samples, 0xD100);
+      correlated.sample_envelope_stream(samples, 0xD100);
   const numeric::RMatrix env_indep =
-      independent.pipeline().sample_envelope_stream(samples, 0xD101);
+      independent.sample_envelope_stream(samples, 0xD101);
 
   support::TablePrinter table(
       "selection-combining outage: correlated (Eq. 23) vs independent");

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "rfade/channel/spatial.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/numeric/eigen_hermitian.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/moments.hpp"
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("\neffective rank of K: %.2f of %zu\n", effective_rank(k), n);
 
   // Correlated envelope draws + measured envelope correlation.
-  const core::EnvelopeGenerator generator(k);
+  const core::SamplePipeline generator(core::ColoringPlan::create(k));
   random::Rng rng(0x3130);
   const std::size_t draws = 50000;
   std::vector<numeric::RVector> envelopes(n, numeric::RVector(draws));

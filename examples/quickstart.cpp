@@ -6,8 +6,8 @@
 // Steps (paper Sec. 4.4):
 //   1. describe the desired covariance matrix K of the complex Gaussians,
 //   2. build the ColoringPlan once (PSD forcing + eigen-coloring, steps
-//      1-5) and hand it to an EnvelopeGenerator — the same plan can feed
-//      any number of generators and pipelines,
+//      1-5) and hand it to a SamplePipeline (steps 6-7) — the same plan
+//      can feed any number of pipelines and streams,
 //   3. draw samples; the moduli are the correlated Rayleigh envelopes.
 //      Per-draw calls suit callbacks; the batched sample_stream path is
 //      the thread-pool throughput route.
@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "rfade/core/covariance_spec.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/support/cli.hpp"
@@ -38,11 +38,12 @@ int main(int argc, char** argv) {
   builder.set_cross_entry(0, 2, {0.1, 0.1});
   const numeric::CMatrix k = builder.build();
 
-  // 2. Build the coloring plan once; share it with the generator.  (The
-  // one-argument EnvelopeGenerator(k) constructor does this internally —
-  // building the plan explicitly lets many generators reuse it.)
+  // 2. Build the coloring plan once; share it with the draw pipeline.
+  // (ChannelSpec::Builder().rayleigh(k).instant() compiles the same plan
+  // for served sessions — building it explicitly lets many pipelines and
+  // streams reuse it.)
   const auto plan = core::ColoringPlan::create(k);
-  const core::EnvelopeGenerator generator(plan);
+  const core::SamplePipeline generator(plan);
 
   // 3. A few draws.
   random::Rng rng(seed);

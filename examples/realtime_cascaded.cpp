@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   table.print();
 
   // Per-instant marginal: the closed-form double-Rayleigh law.
-  const auto marginal = scenario::cascaded_branch_marginal(generator, 0);
+  const auto marginal = scenario::cascaded_branch_marginal(
+      *generator.plan(), *generator.second_stage()->plan(), 0);
   const auto ks = stats::ks_test(
       thinned, [&marginal](double r) { return marginal.cdf(r); });
   std::printf(

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const std::size_t idft = args.get_size("idft", 512);
   const std::size_t blocks = args.get_size("blocks", 4);
 
-  const numeric::CMatrix k = tridiagonal_covariance(3);
+  const auto plan = core::ColoringPlan::create(tridiagonal_covariance(3));
 
   support::TablePrinter table(
       "Suzuki composite envelopes (branch 0; lognormal x Rayleigh)");
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     shadowing.sigma_db = sweep_sigma;
     shadowing.decorrelation_samples = decorrelation;
     shadowing.spacing = 1;
-    const SuzukiGenerator generator(k, shadowing);
+    const SuzukiGenerator generator(plan, shadowing);
     core::ValidationOptions options;
     options.samples = samples;
     options.seed = seed;
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   shadowing.sigma_db = sigma_db;
   shadowing.decorrelation_samples = 8.0 * static_cast<double>(idft);
   shadowing.spacing = 64;
-  const SuzukiGenerator generator(k, shadowing);
+  const SuzukiGenerator generator(plan, shadowing);
   std::printf("\nContinuous Suzuki streams (M = %zu, %zu blocks):\n", idft,
               blocks);
   for (const doppler::StreamBackend backend :

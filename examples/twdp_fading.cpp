@@ -20,6 +20,8 @@
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
+#include "rfade/service/channel_service.hpp"
+#include "rfade/service/channel_spec.hpp"
 #include "rfade/support/cli.hpp"
 #include "rfade/support/table.hpp"
 
@@ -43,26 +45,43 @@ int main(int argc, char** argv) {
   for (const double delta : {0.0, 0.5, 0.9, 1.0}) {
     const scenario::TwdpSpec spec =
         scenario::TwdpSpec::uniform(k, k_factor, delta);
-    const scenario::TwdpGenerator generator(plan, spec);
+    const auto channel = service::ChannelSpec::Builder()
+                             .twdp(k, k_factor, delta)
+                             .instant()
+                             .build()
+                             .compile();
 
+    // Envelope-domain validation over the channel's keyed blocks (one per
+    // validation chunk) against the exact TWDP marginals.
     core::ValidationOptions validation;
     validation.samples = samples;
     validation.seed = seed;
     validation.ks_samples_per_branch = 4000;
-    const auto report = scenario::validate_twdp(generator, validation);
+    const auto report = core::validate_envelope_source(
+        channel->dimension(),
+        [&channel](std::size_t count, std::uint64_t key, std::uint64_t b) {
+          return numeric::elementwise_abs(
+              channel->instant_block(count, key, b));
+        },
+        spec.marginals(*plan), validation);
 
-    // Deep fades on branch 1: envelope below 10% of its RMS.
+    // Deep fades on branch 1 over the first `samples` instants of a
+    // session: envelope below 10% of its RMS.
     const auto marginal = spec.branch_marginal(*plan, 0);
     const double rms = std::sqrt(marginal.second_moment());
-    const numeric::RMatrix envelopes =
-        generator.sample_envelope_stream(samples, seed);
+    service::Session session(channel, seed);
     std::size_t deep = 0;
-    for (std::size_t t = 0; t < envelopes.rows(); ++t) {
-      if (envelopes(t, 0) < 0.1 * rms) {
-        ++deep;
+    std::size_t drawn = 0;
+    while (drawn < samples) {
+      const numeric::CMatrix block = session.next_block();
+      for (std::size_t t = 0; t < block.rows() && drawn < samples;
+           ++t, ++drawn) {
+        if (std::abs(block(t, 0)) < 0.1 * rms) {
+          ++deep;
+        }
       }
     }
-    const double p_deep = double(deep) / double(envelopes.rows());
+    const double p_deep = double(deep) / double(samples);
     // A Rayleigh branch with the same total power 2 sigma^2 (1 + K).
     const double p_rayleigh = 1.0 - std::exp(-0.01);
     sweep.add_row({support::fixed(delta, 2),

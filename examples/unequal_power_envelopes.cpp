@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "rfade/core/covariance_spec.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/power.hpp"
 #include "rfade/stats/moments.hpp"
 #include "rfade/support/cli.hpp"
@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
   builder.set_cross_entry(0, 2, {0.1 * std::sqrt(g0 * g2), 0.0});
   const numeric::CMatrix k = builder.build();
 
-  const core::EnvelopeGenerator generator(k);
+  const core::SamplePipeline generator(core::ColoringPlan::create(k));
 
   // Batched + thread-pool path: one deterministic envelope stream instead
   // of a per-draw loop (bit-identical for any thread count).
   const numeric::RMatrix envelopes =
-      generator.pipeline().sample_envelope_stream(samples, 0x0E0);
+      generator.sample_envelope_stream(samples, 0x0E0);
   std::vector<stats::RunningStats> env(3);
   for (std::size_t t = 0; t < envelopes.rows(); ++t) {
     for (std::size_t j = 0; j < 3; ++j) {

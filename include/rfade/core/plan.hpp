@@ -22,10 +22,10 @@
 ///                   per-block Philox substreams (random::block_substream),
 ///                   so results are bit-identical for any thread count.
 ///
-/// One plan can feed any number of pipelines and generators
-/// (EnvelopeGenerator, FadingStream, the baselines' block coloring),
-/// which is what makes plan construction — the only expensive part — a
-/// one-time cost per scenario.
+/// One plan can feed any number of pipelines and streams (the instant
+/// stages of service::CompiledChannel, FadingStream, the baselines' block
+/// coloring), which is what makes plan construction — the only expensive
+/// part — a one-time cost per scenario.
 
 #include <cstdint>
 #include <memory>

@@ -4,8 +4,9 @@
 /// \brief Monte-Carlo verification of the generator's statistical claims
 ///        (paper Sec. 4.5), with deterministic parallel execution.
 ///
-/// Draws n samples from an EnvelopeGenerator, fanned over the global thread
-/// pool in fixed-size chunks with per-chunk Philox streams, and reports:
+/// Draws n samples from a SamplePipeline (the paper's steps 6-7 over a
+/// ColoringPlan), fanned over the global thread pool in fixed-size chunks
+/// with per-chunk Philox streams, and reports:
 ///   * relative Frobenius error between the sample covariance and the
 ///     effective covariance K_bar,
 ///   * per-branch envelope mean/variance against Eqs. (14)-(15),
@@ -19,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/numeric/matrix.hpp"
 
 namespace rfade::core {
@@ -53,9 +54,10 @@ struct ValidationReport {
   double worst_ks_p_value = 1.0;
 };
 
-/// Run the validation Monte-Carlo.
+/// Run the validation Monte-Carlo against \p pipeline's effective
+/// covariance (a zero-mean, unit-gain pipeline: the Rayleigh claims).
 [[nodiscard]] ValidationReport validate_generator(
-    const EnvelopeGenerator& generator, const ValidationOptions& options = {});
+    const SamplePipeline& pipeline, const ValidationOptions& options = {});
 
 // --- envelope-domain validation (scenario extensions) ------------------------
 //

@@ -27,9 +27,10 @@
 ///   E[r^2] = sigma_1^2 sigma_2^2
 ///   E[r^4] = 4 sigma_1^4 sigma_2^4  =>  amount of fading = 3 (vs 1 for
 ///   Rayleigh — the deeper-fade signature of the cascade).
-///
-/// envelope_moment_diagnostics() measures all of the above against theory
-/// with the same deterministic chunked Monte-Carlo the validators use.
+/// stats::DoubleRayleighDistribution carries the closed forms; an
+/// instant cascade (ChannelSpec::Builder::cascaded(...).instant()) draws
+/// each keyed block as the Hadamard product of two stage pipelines keyed
+/// by core::FadingStream::stage_seed.
 ///
 /// Mobile-to-mobile channels are the *real-time* version of the same
 /// product: both ends move, so each stage is a full Sec. 5 Doppler-faded
@@ -42,149 +43,31 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/plan.hpp"
-#include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix.hpp"
 #include "rfade/stats/distributions.hpp"
 
 namespace rfade::scenario {
 
-/// Options for CascadedRayleighGenerator.
-struct CascadedOptions {
-  /// Rows per block in sample_stream (also the Philox substream
-  /// granularity, so changing it changes the stream's bit pattern).
-  std::size_t block_size = 4096;
-  /// Fan stream blocks over the global thread pool (bit-identical either
-  /// way).
-  bool parallel = true;
-  /// Coloring options applied when plans are built from raw covariances.
-  core::ColoringOptions coloring;
-};
-
-/// Measured-vs-theory report of envelope_moment_diagnostics().
-struct CascadedMomentReport {
-  std::size_t samples = 0;
-  numeric::RVector measured_mean;
-  numeric::RVector expected_mean;
-  numeric::RVector mean_rel_error;
-  numeric::RVector measured_second_moment;
-  numeric::RVector expected_second_moment;
-  numeric::RVector second_moment_rel_error;
-  /// Measured E[r^4]/E[r^2]^2 - 1 per branch (theory: 3).
-  numeric::RVector measured_amount_of_fading;
-  /// Sample complex covariance of Z vs the Hadamard product K1 (.) K2,
-  /// relative Frobenius.
-  double covariance_rel_error = 0.0;
-  double max_mean_rel_error = 0.0;
-  double max_second_moment_rel_error = 0.0;
-};
-
-/// Generator of N cascaded Rayleigh envelopes with per-stage correlation.
-class CascadedRayleighGenerator {
- public:
-  /// Share two stage plans (equal dimension).  CascadedOptions::coloring
-  /// is ignored — the plans already encode it.
-  CascadedRayleighGenerator(std::shared_ptr<const core::ColoringPlan> first,
-                            std::shared_ptr<const core::ColoringPlan> second,
-                            CascadedOptions options = {});
-
-  /// Build both plans from raw stage covariances.
-  CascadedRayleighGenerator(numeric::CMatrix first_covariance,
-                            numeric::CMatrix second_covariance,
-                            CascadedOptions options = {});
-
-  /// Number of envelopes N.
-  [[nodiscard]] std::size_t dimension() const noexcept {
-    return first_.dimension();
-  }
-  [[nodiscard]] const core::SamplePipeline& first_stage() const noexcept {
-    return first_;
-  }
-  [[nodiscard]] const core::SamplePipeline& second_stage() const noexcept {
-    return second_;
-  }
-
-  /// The Hadamard product K1 (.) K2 of the stage effective covariances —
-  /// the covariance the cascaded process realises.
-  [[nodiscard]] const numeric::CMatrix& effective_covariance() const noexcept {
-    return effective_;
-  }
-
-  // --- theory (per branch, from the stage effective diagonals) -------------
-
-  /// Closed-form double-Rayleigh marginal of branch \p j (envelope CDF
-  /// 1 - x K_1(x) via Bessel K), from the stage effective diagonals —
-  /// what upgrades the cascaded validator from moment checks to KS tests.
-  [[nodiscard]] stats::DoubleRayleighDistribution branch_marginal(
-      std::size_t j) const;
-
-  /// All N marginals for core::validate_envelope_source.
-  [[nodiscard]] std::vector<core::EnvelopeMarginal> marginals() const;
-
-  /// E[r_j] = (pi/4) sigma_1j sigma_2j.
-  [[nodiscard]] double envelope_mean(std::size_t j) const;
-  /// E[r_j^2] = sigma_1j^2 sigma_2j^2.
-  [[nodiscard]] double envelope_second_moment(std::size_t j) const;
-  /// Var[r_j] = sigma_1j^2 sigma_2j^2 (1 - pi^2/16).
-  [[nodiscard]] double envelope_variance(std::size_t j) const;
-  /// E[r_j^4] = 4 sigma_1j^4 sigma_2j^4.
-  [[nodiscard]] double envelope_fourth_moment(std::size_t j) const;
-
-  // --- draws (deterministic, block-keyed like SamplePipeline) --------------
-
-  /// One block of \p count cascaded draws keyed by (\p seed,
-  /// \p block_index): the Hadamard product of the two stages' batched
-  /// blocks.  Stage s draws from Philox keys derived as stage_seed(seed,
-  /// s), so the stages are mutually independent and both are pure
-  /// functions of the arguments.
-  [[nodiscard]] numeric::CMatrix sample_block(std::size_t count,
-                                              std::uint64_t seed,
-                                              std::uint64_t block_index) const;
-
-  /// \p count cascaded draws as a count x N matrix, block-parallel over
-  /// the thread pool; bit-identical for any thread count.
-  [[nodiscard]] numeric::CMatrix sample_stream(std::size_t count,
-                                               std::uint64_t seed) const;
-
-  /// Envelope moduli of sample_stream: count x N real matrix.
-  [[nodiscard]] numeric::RMatrix sample_envelope_stream(
-      std::size_t count, std::uint64_t seed) const;
-
-  /// Deterministic chunked Monte-Carlo of the envelope moments and the
-  /// Hadamard covariance claim.
-  [[nodiscard]] CascadedMomentReport envelope_moment_diagnostics(
-      std::size_t samples, std::uint64_t seed) const;
-
-  /// The derived Philox seed of stage \p stage (0 or 1),
-  /// core::FadingStream::stage_seed — the keys of the real-time cascade
-  /// too; exposed so tests can reproduce stage draws independently.
-  [[nodiscard]] static std::uint64_t stage_seed(std::uint64_t seed,
-                                                std::uint64_t stage);
-
- private:
-  core::SamplePipeline first_;
-  core::SamplePipeline second_;
-  CascadedOptions options_;
-  numeric::CMatrix effective_;
-};
-
-/// One-call envelope-domain validation of a cascaded generator against
-/// its closed-form double-Rayleigh marginals — KS tests on the exact
-/// Bessel-K CDF, not just moment checks.
-[[nodiscard]] core::EnvelopeValidationReport validate_cascaded(
-    const CascadedRayleighGenerator& generator,
-    const core::ValidationOptions& options = {});
+/// Closed-form double-Rayleigh marginal of branch \p j of the cascade
+/// whose stages color with \p first and \p second (envelope CDF
+/// 1 - x K_1(x) via Bessel K, from the stage effective diagonals) — the
+/// marginal of the instant cascade and of every instant of the
+/// real-time one.  \throws ContractViolation when the plan dimensions
+/// differ or \p j is out of range.
+[[nodiscard]] stats::DoubleRayleighDistribution cascaded_branch_marginal(
+    const core::ColoringPlan& first, const core::ColoringPlan& second,
+    std::size_t j);
 
 // --- real-time (Doppler-faded) cascade --------------------------------------
 
 /// The cascaded stream Z[l] = Z1[l] (.) Z2[l]: stage 1 is a FadingStream
 /// on \p first with \p options, stage 2 one on \p second with the same
 /// options at \p second_doppler and neither mean nor gain, and stage s
-/// is keyed by stage_seed(options.seed, s), the instant cascade's stage
-/// keys (core::FadingStream::product).  Non-null designs are shared and
+/// is keyed by core::FadingStream::stage_seed(options.seed, s), the
+/// instant cascade's stage keys (core::FadingStream::product).  Non-null designs are shared and
 /// must match their stage's options.  \throws ContractViolation when the
 /// plan dimensions differ.
 [[nodiscard]] core::FadingStream cascaded_fading_stream(
@@ -200,10 +83,5 @@ class CascadedRayleighGenerator {
 /// the product of its stage filters' Eq. (17) laws.
 [[nodiscard]] numeric::RVector cascaded_normalized_autocorrelation(
     const core::FadingStream& stream, std::size_t max_lag);
-
-/// Closed-form double-Rayleigh marginal of branch \p j of the cascaded
-/// product \p stream, from the stage effective diagonals.
-[[nodiscard]] stats::DoubleRayleighDistribution cascaded_branch_marginal(
-    const core::FadingStream& stream, std::size_t j);
 
 }  // namespace rfade::scenario

@@ -53,20 +53,14 @@ struct SuzukiOptions {
   /// Fan stream blocks over the global thread pool (bit-identical either
   /// way).
   bool parallel = true;
-  /// Coloring options applied when the plan is built from a raw
-  /// covariance.
-  core::ColoringOptions coloring;
 };
 
 /// Generator of N jointly-correlated Suzuki envelopes: correlated
 /// lognormal shadowing over the paper's correlated Rayleigh core.
 class SuzukiGenerator {
  public:
-  /// Build the diffuse plan from a raw covariance.
-  SuzukiGenerator(numeric::CMatrix diffuse_covariance, ShadowingSpec shadowing,
-                  SuzukiOptions options = {});
-
-  /// Share an existing diffuse plan; options.coloring is ignored.
+  /// Shadow the diffuse plan \p plan (ChannelSpec::Builder::suzuki
+  /// compiles one, CompiledChannel::suzuki_generator).
   SuzukiGenerator(std::shared_ptr<const core::ColoringPlan> plan,
                   ShadowingSpec shadowing, SuzukiOptions options = {});
 

@@ -24,9 +24,9 @@
 /// per-branch K-factors/phases.  It produces the shared ColoringPlan,
 /// derives the LOS mean vector from the plan's *effective* covariance
 /// (post PSD-forcing — the diffuse power the generator actually
-/// realises), threads the mean into SamplePipeline / EnvelopeGenerator /
-/// FadingStream options, and exposes the analytic per-branch
-/// envelope marginals the envelope-domain validators compare against.
+/// realises), threads the mean into SamplePipeline / FadingStream
+/// options, and exposes the analytic per-branch envelope marginals the
+/// envelope-domain validators compare against.
 ///
 /// Cascaded (double) Rayleigh scenarios — the other extension axis, after
 /// Ibdah & Ding, "Statistical Simulation Models for Cascaded Rayleigh

@@ -21,9 +21,10 @@
 ///
 /// Two generation modes, matching the source model:
 ///
-///   * *instant mode* (TwdpGenerator): each draw is an independent
-///     channel realisation — the wave phases phi1, phi2 are uniformly
-///     random per draw, drawn from a dedicated per-block Philox
+///   * *instant mode* (add_twdp_waves over a keyed diffuse block, as an
+///     instant service::CompiledChannel draws it): each draw is an
+///     independent channel realisation — the wave phases phi1, phi2 are
+///     uniformly random per draw, drawn from a dedicated per-block Philox
 ///     substream so blocks stay pure functions of (seed, block index)
 ///     like every other batched path.  The envelope marginal is the
 ///     exact stats::TwdpDistribution.
@@ -132,88 +133,18 @@ class TwdpSpec {
   bool has_specular_ = false;
 };
 
-/// Options for TwdpGenerator.
-struct TwdpOptions {
-  /// Rows per block in sample_stream (also the Philox substream
-  /// granularity of both the diffuse draws and the wave phases).
-  std::size_t block_size = 4096;
-  /// Fan stream blocks over the global thread pool (bit-identical
-  /// either way).
-  bool parallel = true;
-  /// Coloring options applied when the plan is built from the spec.
-  core::ColoringOptions coloring;
-};
-
-/// Instant-mode TWDP generator: correlated diffuse draws through the
-/// batched SamplePipeline paths plus the two specular waves with
-/// per-draw uniformly-random phases.  A K = 0 scenario skips the
-/// specular pass (and its phase stream) entirely — bit-identical to the
-/// plain Rayleigh pipeline.
-class TwdpGenerator {
- public:
-  /// Share an existing plan; TwdpOptions::coloring is ignored.
-  TwdpGenerator(std::shared_ptr<const core::ColoringPlan> plan, TwdpSpec spec,
-                TwdpOptions options = {});
-
-  /// Build the plan from the spec's diffuse covariance.
-  explicit TwdpGenerator(TwdpSpec spec, TwdpOptions options = {});
-
-  [[nodiscard]] std::size_t dimension() const noexcept {
-    return pipeline_.dimension();
-  }
-  [[nodiscard]] const TwdpSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const core::SamplePipeline& pipeline() const noexcept {
-    return pipeline_;
-  }
-
-  /// One deterministic block keyed by (\p seed, \p block_index): diffuse
-  /// rows from the bulk batched path plus, per row, the two waves at
-  /// phases drawn from the block's phase substream.
-  [[nodiscard]] numeric::CMatrix sample_block(std::size_t count,
-                                              std::uint64_t seed,
-                                              std::uint64_t block_index) const;
-
-  /// \p count draws as a count x N matrix, block-parallel over the
-  /// thread pool; bit-identical for any thread count.
-  [[nodiscard]] numeric::CMatrix sample_stream(std::size_t count,
-                                               std::uint64_t seed) const;
-
-  /// Envelope moduli of sample_stream: count x N real matrix.
-  [[nodiscard]] numeric::RMatrix sample_envelope_stream(
-      std::size_t count, std::uint64_t seed) const;
-
-  /// The analytic marginals under the generator's plan.
-  [[nodiscard]] std::vector<core::EnvelopeMarginal> marginals() const {
-    return spec_.marginals(pipeline_.plan());
-  }
-
-  /// The derived Philox seed of the wave-phase stream — disjoint from
-  /// the diffuse draw stream, exposed so tests can reproduce phases.
-  [[nodiscard]] static std::uint64_t phase_seed(std::uint64_t seed);
-
- private:
-  /// Add the specular waves (random phases from the block's phase
-  /// substream) to the `count` x N diffuse rows in `out`; no-op when the
-  /// spec has no specular component.
-  void add_waves(std::size_t count, std::uint64_t seed,
-                 std::uint64_t block_index, numeric::cdouble* out) const;
-
-  core::SamplePipeline pipeline_;
-  TwdpSpec spec_;
-  /// Complex wave amplitudes (phase offsets folded in) under the plan.
-  numeric::CVector first_wave_;
-  numeric::CVector second_wave_;
-  /// False when every branch has Delta = 0 (second wave identically
-  /// zero) — the second rotation and add pass are skipped entirely.
-  bool second_wave_active_ = false;
-  TwdpOptions options_;
-};
-
-/// One-call envelope-domain validation of an instant-mode TWDP scenario
-/// against its exact marginals.
-[[nodiscard]] core::EnvelopeValidationReport validate_twdp(
-    const TwdpGenerator& generator,
-    const core::ValidationOptions& options = {});
+/// The instant-mode wave pass over a keyed diffuse block: adds \p waves
+/// (TwdpSpec::specular_waves) to every row of \p block (count x N) at
+/// uniformly random phases, one phase pair per row shared by all branches
+/// (the two physical waves are common; per-branch offsets are folded into
+/// the complex amplitudes).  The phases come from Philox substream
+/// \p block_index of a seed derived from \p seed, disjoint from the
+/// diffuse draw keys, so the block stays a pure function of (seed, block
+/// index).  When every second wave is zero (Delta = 0) each row draws one
+/// phase and the second rotation is skipped; when both are zero (K = 0)
+/// nothing is drawn or added.  \pre waves.first.size() == block.cols().
+void add_twdp_waves(const TwdpSpec::SpecularWaves& waves, std::uint64_t seed,
+                    std::uint64_t block_index, numeric::CMatrix& block);
 
 /// Continuous real-time TWDP stream: \p options' diffuse Doppler backend
 /// plus the spec's two deterministic wave trajectories (realtime_mean at

@@ -26,11 +26,11 @@
 ///
 /// compile() runs the expensive build phase once — PSD forcing +
 /// eigendecomposition coloring (the paper's steps 1-5), shadowing FIR
-/// design, copula Laguerre tables, instant-mode engines — and returns the
-/// immutable CompiledChannel bundle.  Everything inside is const and
-/// internally synchronisation-free, so one compiled channel is shared by
-/// any number of concurrent tenant Sessions (channel_service.hpp); each
-/// session only adds a seed and a cursor.
+/// design, copula Laguerre tables, the instant families' keyed draw
+/// stages — and returns the immutable CompiledChannel bundle.  Everything
+/// inside is const and internally synchronisation-free, so one compiled
+/// channel is shared by any number of concurrent tenant Sessions
+/// (channel_service.hpp); each session only adds a seed and a cursor.
 
 #include <cstdint>
 #include <memory>
@@ -40,7 +40,6 @@
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/plan.hpp"
 #include "rfade/numeric/matrix.hpp"
-#include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/composite/copula.hpp"
 #include "rfade/scenario/composite/shadowing.hpp"
 #include "rfade/scenario/composite/suzuki.hpp"
@@ -69,8 +68,8 @@ enum class EmissionMode {
   /// Temporally Doppler-correlated blocks of one continuous realisation
   /// (core::FadingStream / the real-time cascade).  The default.
   Stream,
-  /// Temporally-white draws from the batched instant pipelines
-  /// (SamplePipeline and the instant-mode scenario generators).
+  /// Temporally-white keyed draws (the paper's Sec. 4 draw per family,
+  /// CompiledChannel::instant_block).
   Instant
 };
 
@@ -153,9 +152,6 @@ class ChannelSpec {
   [[nodiscard]] double first_wave_doppler() const noexcept { return wave1_; }
   [[nodiscard]] double second_wave_doppler() const noexcept { return wave2_; }
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
-  [[nodiscard]] double sample_variance() const noexcept {
-    return sample_variance_;
-  }
   [[nodiscard]] bool parallel() const noexcept { return parallel_; }
   [[nodiscard]] const core::ColoringOptions& coloring() const noexcept {
     return coloring_;
@@ -217,7 +213,6 @@ class ChannelSpec {
   double wave1_ = 0.0;
   double wave2_ = 0.0;
   std::size_t block_size_ = 4096;
-  double sample_variance_ = 1.0;
   bool parallel_ = true;
   core::ColoringOptions coloring_;
   std::size_t laguerre_terms_ = 96;
@@ -292,8 +287,6 @@ class ChannelSpec::Builder {
   Builder& wave_dopplers(double first, double second);
   /// Instant mode: rows per block (Philox substream granularity).
   Builder& block_size(std::size_t block_size);
-  /// Instant mode: sigma_w^2 of the step-6 white draws.
-  Builder& sample_variance(double variance);
   Builder& parallel(bool parallel);
   Builder& coloring(core::ColoringOptions options);
   Builder& laguerre_terms(std::size_t terms);
@@ -317,7 +310,7 @@ class ChannelSpec::Builder {
 };
 
 /// The immutable product of ChannelSpec::compile(): every build-once
-/// artifact (plans, shadowing design, copula tables, instant engines,
+/// artifact (plans, shadowing design, copula tables, instant draw stages,
 /// mean sources) bundled behind const accessors.  Shared by any number
 /// of concurrent sessions; engine factories mint the cheap per-seed
 /// stateful parts.
@@ -378,18 +371,27 @@ class CompiledChannel {
   /// UnsupportedOperationError for instant specs.
   [[nodiscard]] core::FadingStream make_stream(std::uint64_t seed) const;
 
-  // --- shared instant engines (const, keyed per call, thread-safe) ---------
+  // --- instant draws (const, keyed per call, thread-safe) -----------------
 
-  /// Instant Rayleigh/Rician draw pipeline (also what the legacy
-  /// EnvelopeGenerator wrapper rides on).
+  /// The first \p count rows of keyed instant block \p block_index for
+  /// generation seed \p seed — the paper's Sec. 4 draw (steps 6-7,
+  /// Z = L W / sigma_w, as SamplePipeline::sample_block) plus the
+  /// family's stage:
+  ///   * Rayleigh / Rician: pipeline().sample_block(count, seed, b);
+  ///   * TWDP: the diffuse block, then scenario::add_twdp_waves;
+  ///   * cascaded: the Hadamard product of the two stage pipelines' blocks
+  ///     keyed by core::FadingStream::stage_seed(seed, 0 / 1);
+  ///   * Suzuki: suzuki_generator().sample_block(count, seed, b).
+  /// Session::generate_block draws block_size() rows.  \throws
+  /// UnsupportedOperationError for stream specs and copula channels
+  /// (envelope-only: copula_transform()).
+  [[nodiscard]] numeric::CMatrix instant_block(std::size_t count,
+                                               std::uint64_t seed,
+                                               std::uint64_t block_index)
+      const;
+
+  /// Instant Rayleigh/Rician draw pipeline.
   [[nodiscard]] const core::SamplePipeline& pipeline() const;
-
-  /// Instant TWDP engine.
-  [[nodiscard]] const scenario::TwdpGenerator& twdp_generator() const;
-
-  /// Instant cascaded engine.
-  [[nodiscard]] const scenario::CascadedRayleighGenerator&
-  cascaded_generator() const;
 
   /// Suzuki engine (serves both modes: keyed sample_block and
   /// make_stream).
@@ -409,11 +411,13 @@ class CompiledChannel {
   std::shared_ptr<const core::ColoringPlan> plan_;
   std::shared_ptr<const core::ColoringPlan> second_plan_;
   core::MeanSource stream_mean_;
-  core::MeanSource instant_mean_;
   std::optional<scenario::TwdpSpec> twdp_spec_;
-  std::optional<core::SamplePipeline> pipeline_;
-  std::optional<scenario::TwdpGenerator> twdp_generator_;
-  std::optional<scenario::CascadedRayleighGenerator> cascaded_generator_;
+  /// Instant mode: the keyed draw stages — the Rayleigh/Rician pipeline,
+  /// the TWDP diffuse pipeline, or the cascade's two stage pipelines
+  /// (empty otherwise).
+  std::vector<core::SamplePipeline> stages_;
+  /// Instant TWDP: the two specular waves under plan_.
+  scenario::TwdpSpec::SpecularWaves twdp_waves_;
   std::optional<scenario::composite::SuzukiGenerator> suzuki_generator_;
   std::shared_ptr<const scenario::composite::CopulaMarginalTransform> copula_;
   /// The Doppler backend designs every make_stream() session shares

@@ -2,10 +2,6 @@
 
 /// \file gamma.hpp
 /// \brief Regularized incomplete gamma functions P(a,x) and Q(a,x).
-///
-/// Used by the chi-square goodness-of-fit test (stats/chi_square.hpp):
-/// the survival function of a chi-square distribution with k degrees of
-/// freedom is Q(k/2, x/2).
 
 namespace rfade::special {
 
@@ -16,10 +12,6 @@ namespace rfade::special {
 /// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 /// \pre a > 0, x >= 0.
 [[nodiscard]] double regularized_gamma_q(double a, double x);
-
-/// Survival function of the chi-square distribution:
-/// Pr[X > x] for X ~ chi^2(dof).
-[[nodiscard]] double chi_square_survival(double x, double dof);
 
 /// Inverse of the regularized lower incomplete gamma: the x with
 /// P(a, x) = p, by a Wilson-Hilferty / small-a initial guess refined with

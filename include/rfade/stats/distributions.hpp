@@ -83,9 +83,9 @@ class RicianDistribution {
 
 /// Double-Rayleigh (cascaded Rayleigh) distribution of the envelope
 /// r = r1 r2 of the product of two independent Rayleigh factors with
-/// per-dimension scales sigma1, sigma2 — the marginal of
-/// scenario::CascadedRayleighGenerator and of each branch of the
-/// real-time cascade.  With c = sigma1 sigma2 the law is closed-form in
+/// per-dimension scales sigma1, sigma2 — the marginal of each branch of
+/// the instant and the real-time cascade
+/// (scenario::cascaded_branch_marginal).  With c = sigma1 sigma2 the law is closed-form in
 /// the modified Bessel functions of the second kind (special/bessel_k.hpp):
 ///
 ///   pdf(r) = (r / c^2) K_0(r / c),   cdf(r) = 1 - (r / c) K_1(r / c),

@@ -30,9 +30,10 @@ struct ChunkState {
 
 }  // namespace
 
-ValidationReport validate_generator(const EnvelopeGenerator& generator,
+ValidationReport validate_generator(const SamplePipeline& pipeline,
                                     const ValidationOptions& options) {
-  const std::size_t n = generator.dimension();
+  const std::size_t n = pipeline.dimension();
+  const numeric::CMatrix& effective = pipeline.plan().effective_covariance();
   const support::ChunkingOptions chunking{options.chunk_size,
                                           !options.parallel};
   const std::size_t chunks = support::chunk_count(options.samples, chunking);
@@ -56,7 +57,7 @@ ValidationReport validate_generator(const EnvelopeGenerator& generator,
         // blocked GEMM instead of per-draw matvecs, bit-identical to the
         // per-draw loop (same rng order, same accumulation order).
         const numeric::CMatrix block =
-            generator.pipeline().sample_block(end - begin, rng);
+            pipeline.sample_block(end - begin, rng);
         numeric::CVector z(n);
         for (std::size_t t = begin; t < end; ++t) {
           const numeric::cdouble* row = block.data() + (t - begin) * n;
@@ -90,13 +91,13 @@ ValidationReport validate_generator(const EnvelopeGenerator& generator,
   report.samples = options.samples;
   report.sample_covariance = total.covariance.covariance();
   report.covariance_rel_error = stats::relative_frobenius_error(
-      report.sample_covariance, generator.effective_covariance());
+      report.sample_covariance, effective);
 
   report.envelope_mean_rel_error.resize(n);
   report.envelope_variance_rel_error.resize(n);
   report.ks_p_values.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const double power = generator.effective_covariance()(j, j).real();
+    const double power = effective(j, j).real();
     const double expected_mean = envelope_mean_from_gaussian_power(power);
     const double expected_var = envelope_power_from_gaussian_power(power);
     report.envelope_mean_rel_error[j] =

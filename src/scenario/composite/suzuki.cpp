@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "rfade/numeric/matrix_ops.hpp"
-#include "rfade/service/channel_spec.hpp"
 #include "rfade/support/contracts.hpp"
 
 namespace rfade::scenario::composite {
@@ -20,24 +19,6 @@ std::shared_ptr<const ShadowingDesign> make_design(
 }
 
 }  // namespace
-
-// Covariance entry point: a thin wrapper over the canonical ChannelSpec
-// path — the compiled channel carries the exact generator this
-// constructor used to hand-assemble (same plan, same shadowing design,
-// same options), so the copy is bit-identical to the historical path.
-SuzukiGenerator::SuzukiGenerator(numeric::CMatrix diffuse_covariance,
-                                 ShadowingSpec shadowing,
-                                 SuzukiOptions options)
-    : SuzukiGenerator(service::ChannelSpec::Builder()
-                          .suzuki(std::move(diffuse_covariance),
-                                  std::move(shadowing))
-                          .coloring(options.coloring)
-                          .block_size(options.block_size)
-                          .parallel(options.parallel)
-                          .instant()
-                          .build()
-                          .compile()
-                          ->suzuki_generator()) {}
 
 SuzukiGenerator::SuzukiGenerator(std::shared_ptr<const core::ColoringPlan> plan,
                                  ShadowingSpec shadowing,

@@ -2,14 +2,10 @@
 
 #include <cmath>
 #include <complex>
-#include <span>
 #include <utility>
 
-#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/xoshiro.hpp"
-#include "rfade/service/channel_spec.hpp"
 #include "rfade/support/contracts.hpp"
-#include "rfade/support/parallel.hpp"
 
 namespace rfade::scenario {
 
@@ -17,11 +13,22 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-core::PipelineOptions diffuse_pipeline_options(const TwdpOptions& options) {
-  core::PipelineOptions pipeline;
-  pipeline.block_size = options.block_size;
-  pipeline.parallel = options.parallel;
-  return pipeline;
+/// The Philox seed of the instant wave-phase substreams.  splitmix64 over
+/// a fixed tweak keeps these keys disjoint from the diffuse draw keys (the
+/// raw seed) and from the cascade's stage seeds (splitmix of seed + stage
+/// * golden).
+std::uint64_t phase_seed(std::uint64_t seed) {
+  std::uint64_t state = seed ^ 0x7D0B5ED4A11CE5ULL;
+  return random::splitmix64(state);
+}
+
+bool all_zero(const numeric::CVector& wave) {
+  for (const numeric::cdouble& v : wave) {
+    if (v != numeric::cdouble{}) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -123,133 +130,34 @@ std::vector<core::EnvelopeMarginal> TwdpSpec::marginals(
       [&](std::size_t j) { return branch_marginal(plan, j); });
 }
 
-std::uint64_t TwdpGenerator::phase_seed(std::uint64_t seed) {
-  // splitmix64 over a fixed tweak keeps the wave-phase Philox keys
-  // disjoint from the diffuse draw keys (the raw seed) and from the
-  // cascade's stage seeds (splitmix of seed + stage * golden).
-  std::uint64_t state = seed ^ 0x7D0B5ED4A11CE5ULL;
-  return random::splitmix64(state);
-}
-
-TwdpGenerator::TwdpGenerator(std::shared_ptr<const core::ColoringPlan> plan,
-                             TwdpSpec spec, TwdpOptions options)
-    : pipeline_(std::move(plan), diffuse_pipeline_options(options)),
-      spec_(std::move(spec)),
-      options_(options) {
-  RFADE_EXPECTS(spec_.dimension() == pipeline_.dimension(),
-                "TwdpGenerator: spec dimension must match the plan "
-                "dimension");
-  if (spec_.has_specular()) {
-    TwdpSpec::SpecularWaves waves = spec_.specular_waves(pipeline_.plan());
-    first_wave_ = std::move(waves.first);
-    second_wave_ = std::move(waves.second);
-    for (const numeric::cdouble& v : second_wave_) {
-      if (v != numeric::cdouble{}) {
-        second_wave_active_ = true;
-        break;
-      }
-    }
-  }
-}
-
-// Spec entry point: a thin wrapper over the canonical ChannelSpec path —
-// the diffuse plan comes out of compile() (and therefore benefits from
-// PlanCache sharing when the same scenario is also served), then the
-// plan-sharing constructor runs unchanged.  compile()->plan() is the
-// same ColoringPlan::create(diffuse, coloring) product as the historical
-// spec.build_plan(coloring), so the output is bit-identical.
-TwdpGenerator::TwdpGenerator(TwdpSpec spec, TwdpOptions options)
-    : TwdpGenerator(service::ChannelSpec::Builder()
-                        .twdp(spec.diffuse_covariance(), spec.branches())
-                        .coloring(options.coloring)
-                        .block_size(options.block_size)
-                        .parallel(options.parallel)
-                        .instant()
-                        .build()
-                        .compile()
-                        ->plan(),
-                    spec, options) {}
-
-void TwdpGenerator::add_waves(std::size_t count, std::uint64_t seed,
-                              std::uint64_t block_index,
-                              numeric::cdouble* out) const {
-  if (!spec_.has_specular()) {
+void add_twdp_waves(const TwdpSpec::SpecularWaves& waves, std::uint64_t seed,
+                    std::uint64_t block_index, numeric::CMatrix& block) {
+  const std::size_t n = block.cols();
+  RFADE_EXPECTS(waves.first.size() == n && waves.second.size() == n,
+                "add_twdp_waves: one wave amplitude per branch required");
+  const bool second_active = !all_zero(waves.second);
+  if (!second_active && all_zero(waves.first)) {
     // K = 0: no wave pass, no phase stream — bit-identical to the plain
     // Rayleigh batched path.
     return;
   }
-  const std::size_t n = dimension();
   random::Rng phases = random::block_substream(phase_seed(seed), block_index);
-  if (!second_wave_active_) {
-    // Delta = 0 everywhere: a single wave per row (random-phase Rician);
-    // skip the second rotation and its add-zeros pass entirely.
-    for (std::size_t t = 0; t < count; ++t) {
-      const numeric::cdouble rot1 =
-          std::polar(1.0, kTwoPi * phases.uniform01());
-      numeric::cdouble* row = out + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        row[j] += first_wave_[j] * rot1;
-      }
-    }
-    return;
-  }
-  for (std::size_t t = 0; t < count; ++t) {
-    // One phase pair per draw, shared by all branches (the two physical
-    // waves are common; per-branch offsets are folded into the complex
-    // amplitudes).
+  for (std::size_t t = 0; t < block.rows(); ++t) {
+    numeric::cdouble* row = block.data() + t * n;
     const numeric::cdouble rot1 = std::polar(1.0, kTwoPi * phases.uniform01());
+    if (!second_active) {
+      // Delta = 0 everywhere: a single wave per row (random-phase
+      // Rician); no second rotation and no add-zeros pass.
+      for (std::size_t j = 0; j < n; ++j) {
+        row[j] += waves.first[j] * rot1;
+      }
+      continue;
+    }
     const numeric::cdouble rot2 = std::polar(1.0, kTwoPi * phases.uniform01());
-    numeric::cdouble* row = out + t * n;
     for (std::size_t j = 0; j < n; ++j) {
-      row[j] += first_wave_[j] * rot1 + second_wave_[j] * rot2;
+      row[j] += waves.first[j] * rot1 + waves.second[j] * rot2;
     }
   }
-}
-
-numeric::CMatrix TwdpGenerator::sample_block(std::size_t count,
-                                             std::uint64_t seed,
-                                             std::uint64_t block_index) const {
-  numeric::CMatrix block = pipeline_.sample_block(count, seed, block_index);
-  add_waves(count, seed, block_index, block.data());
-  return block;
-}
-
-numeric::CMatrix TwdpGenerator::sample_stream(std::size_t count,
-                                              std::uint64_t seed) const {
-  const std::size_t n = dimension();
-  numeric::CMatrix out(count, n);
-  const support::ChunkingOptions chunking{options_.block_size,
-                                          !options_.parallel};
-  support::parallel_for_chunked(
-      count,
-      [&](std::size_t begin, std::size_t end, std::size_t block) {
-        // Zero-copy: diffuse rows land straight in the output and the
-        // wave pass runs in place — no per-chunk temporary.
-        numeric::cdouble* rows = out.data() + begin * n;
-        pipeline_.sample_block_into(
-            end - begin, seed, block, block * options_.block_size,
-            std::span<numeric::cdouble>(rows, (end - begin) * n));
-        add_waves(end - begin, seed, block, rows);
-      },
-      chunking);
-  return out;
-}
-
-numeric::RMatrix TwdpGenerator::sample_envelope_stream(
-    std::size_t count, std::uint64_t seed) const {
-  return numeric::elementwise_abs(sample_stream(count, seed));
-}
-
-core::EnvelopeValidationReport validate_twdp(
-    const TwdpGenerator& generator, const core::ValidationOptions& options) {
-  return core::validate_envelope_source(
-      generator.dimension(),
-      [&generator](std::size_t count, std::uint64_t seed,
-                   std::uint64_t block_index) {
-        return numeric::elementwise_abs(
-            generator.sample_block(count, seed, block_index));
-      },
-      generator.marginals(), options);
 }
 
 core::FadingStream twdp_fading_stream(

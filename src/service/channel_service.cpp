@@ -110,26 +110,7 @@ numeric::CMatrix Session::generate_block(std::uint64_t block_index) const {
   if (stream_.has_value()) {
     return stream_->generate_block(seed_, block_index);
   }
-  const std::size_t count = channel_->block_size();
-  switch (channel_->family()) {
-    case FadingFamily::Rayleigh:
-    case FadingFamily::Rician:
-      return channel_->pipeline().sample_block(count, seed_, block_index);
-    case FadingFamily::Twdp:
-      return channel_->twdp_generator().sample_block(count, seed_,
-                                                     block_index);
-    case FadingFamily::CascadedRayleigh:
-      return channel_->cascaded_generator().sample_block(count, seed_,
-                                                         block_index);
-    case FadingFamily::Suzuki:
-      return channel_->suzuki_generator().sample_block(count, seed_,
-                                                       block_index);
-    case FadingFamily::CopulaMarginals:
-      break;
-  }
-  throw UnsupportedOperationError(
-      "generate_block: copula channels are envelope-only — use "
-      "generate_envelope_block / next_envelope_block");
+  return channel_->instant_block(channel_->block_size(), seed_, block_index);
 }
 
 numeric::RMatrix Session::generate_envelope_block(

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <utility>
 
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/xoshiro.hpp"
+#include "rfade/scenario/cascaded.hpp"
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/error.hpp"
 #include "rfade/telemetry/telemetry.hpp"
@@ -15,8 +17,9 @@ namespace {
 
 /// Incremental content hash: absorb tagged words, splitmix-mixed after
 /// every absorption.  Stability contract: the serialization below (tags,
-/// field order, canonical values) is append-only — changing it changes
-/// every persisted hash.
+/// field order, canonical values) is append-only within one version —
+/// any other change bumps the version word, since it changes every
+/// persisted hash (V2 dropped the inert instant sample-variance knob).
 class SpecHasher {
  public:
   void u64(std::uint64_t v) {
@@ -79,6 +82,18 @@ bool coloring_equal(const core::ColoringOptions& a,
          a.psd.epsilon == b.psd.epsilon &&
          a.psd.tolerance == b.psd.tolerance &&
          a.psd.eigen_method == b.psd.eigen_method;
+}
+
+/// The keyed draw options of an instant stage: rows per block and the
+/// stream fan-out from the spec, plus the stage's mean (the Rayleigh /
+/// Rician LOS mean; zero for the TWDP diffuse part and cascade stages).
+core::PipelineOptions instant_options(const ChannelSpec& spec,
+                                      core::MeanSource mean) {
+  core::PipelineOptions options;
+  options.mean_offset = std::move(mean);
+  options.block_size = spec.block_size();
+  options.parallel = spec.parallel();
+  return options;
 }
 
 /// Rows a stream-mode session block carries for the given backend
@@ -148,7 +163,7 @@ std::size_t ChannelSpec::dimension() const noexcept {
 
 std::uint64_t ChannelSpec::compute_hash() const {
   SpecHasher h;
-  h.u64(0x52464144452D5631ull);  // serialization version "RFADE-V1"
+  h.u64(0x52464144452D5632ull);  // serialization version "RFADE-V2"
   h.u64(static_cast<std::uint64_t>(family_));
   h.u64(static_cast<std::uint64_t>(mode_));
   h.cmatrix(covariance_);
@@ -192,7 +207,6 @@ std::uint64_t ChannelSpec::compute_hash() const {
   h.f64(wave1_);
   h.f64(wave2_);
   h.size(block_size_);
-  h.f64(sample_variance_);
   h.b(parallel_);
   h.u64(static_cast<std::uint64_t>(coloring_.method));
   h.u64(static_cast<std::uint64_t>(coloring_.psd.policy));
@@ -235,7 +249,6 @@ bool operator==(const ChannelSpec& a, const ChannelSpec& b) {
          a.input_variance_ == b.input_variance_ && a.overlap_ == b.overlap_ &&
          a.los_doppler_ == b.los_doppler_ && a.wave1_ == b.wave1_ &&
          a.wave2_ == b.wave2_ && a.block_size_ == b.block_size_ &&
-         a.sample_variance_ == b.sample_variance_ &&
          a.parallel_ == b.parallel_ &&
          coloring_equal(a.coloring_, b.coloring_) &&
          a.laguerre_terms_ == b.laguerre_terms_ &&
@@ -387,11 +400,6 @@ ChannelSpec::Builder& ChannelSpec::Builder::wave_dopplers(double first,
 ChannelSpec::Builder& ChannelSpec::Builder::block_size(
     std::size_t block_size) {
   spec_.block_size_ = block_size;
-  return *this;
-}
-
-ChannelSpec::Builder& ChannelSpec::Builder::sample_variance(double variance) {
-  spec_.sample_variance_ = variance;
   return *this;
 }
 
@@ -584,7 +592,6 @@ ChannelSpec ChannelSpec::Builder::build() const {
   } else {
     // Instant-only knobs are inert in stream mode.
     spec.block_size_ = 4096;
-    spec.sample_variance_ = 1.0;
   }
   if (spec.mode_ == EmissionMode::Instant) {
     // Instant pipelines have no float32 path; the knob is inert there, so
@@ -661,7 +668,9 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
     case FadingFamily::Rayleigh: {
       plan_ = core::ColoringPlan::create(s.covariance(), s.coloring());
       stream_mean_ = core::MeanSource(s.constant_mean());
-      instant_mean_ = core::MeanSource(s.constant_mean());
+      if (instant) {
+        stages_.emplace_back(plan_, instant_options(s, stream_mean_));
+      }
       break;
     }
     case FadingFamily::Rician: {
@@ -669,7 +678,9 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
           scenario::ScenarioSpec::rician(s.covariance(), s.rician_branches());
       plan_ = scen.build_plan(s.coloring());
       numeric::CVector mean = scen.los_mean(*plan_);
-      instant_mean_ = core::MeanSource(mean);
+      if (instant) {
+        stages_.emplace_back(plan_, instant_options(s, core::MeanSource(mean)));
+      }
       stream_mean_ = s.los_doppler() != 0.0
                          ? scen.doppler_los_mean(*plan_, s.los_doppler())
                          : core::MeanSource(std::move(mean));
@@ -680,11 +691,8 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
                                                   s.twdp_branches());
       plan_ = twdp_spec_->build_plan(s.coloring());
       if (instant) {
-        scenario::TwdpOptions options;
-        options.block_size = s.block_size();
-        options.parallel = s.parallel();
-        options.coloring = s.coloring();
-        twdp_generator_.emplace(plan_, *twdp_spec_, options);
+        stages_.emplace_back(plan_, instant_options(s, {}));
+        twdp_waves_ = twdp_spec_->specular_waves(*plan_);
       }
       break;
     }
@@ -693,11 +701,8 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
       second_plan_ =
           core::ColoringPlan::create(s.second_covariance(), s.coloring());
       if (instant) {
-        scenario::CascadedOptions options;
-        options.block_size = s.block_size();
-        options.parallel = s.parallel();
-        options.coloring = s.coloring();
-        cascaded_generator_.emplace(plan_, second_plan_, options);
+        stages_.emplace_back(plan_, instant_options(s, {}));
+        stages_.emplace_back(second_plan_, instant_options(s, {}));
       }
       break;
     }
@@ -706,7 +711,6 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
       scenario::composite::SuzukiOptions options;
       options.block_size = s.block_size();
       options.parallel = s.parallel();
-      options.coloring = s.coloring();
       suzuki_generator_.emplace(plan_, s.shadowing(), options);
       break;
     }
@@ -731,16 +735,6 @@ CompiledChannel::CompiledChannel(ChannelSpec spec) : spec_(std::move(spec)) {
   }
 
   dimension_ = plan_->dimension();
-  if (instant &&
-      (s.family() == FadingFamily::Rayleigh ||
-       s.family() == FadingFamily::Rician)) {
-    core::PipelineOptions options;
-    options.sample_variance = s.sample_variance();
-    options.mean_offset = instant_mean_;
-    options.block_size = s.block_size();
-    options.parallel = s.parallel();
-    pipeline_.emplace(plan_, options);
-  }
   block_size_ = instant ? s.block_size()
                         : stream_block_rows(s.backend(), s.idft_size(),
                                             s.overlap());
@@ -801,29 +795,47 @@ core::FadingStream CompiledChannel::make_stream(std::uint64_t seed) const {
       fading_family_name(spec_.family()));
 }
 
+numeric::CMatrix CompiledChannel::instant_block(
+    std::size_t count, std::uint64_t seed, std::uint64_t block_index) const {
+  if (spec_.mode() != EmissionMode::Instant) {
+    throw UnsupportedOperationError(
+        "instant_block: spec was compiled for stream emission");
+  }
+  switch (spec_.family()) {
+    case FadingFamily::Rayleigh:
+    case FadingFamily::Rician:
+      return stages_[0].sample_block(count, seed, block_index);
+    case FadingFamily::Twdp: {
+      numeric::CMatrix block =
+          stages_[0].sample_block(count, seed, block_index);
+      scenario::add_twdp_waves(twdp_waves_, seed, block_index, block);
+      return block;
+    }
+    case FadingFamily::CascadedRayleigh: {
+      numeric::CMatrix z = stages_[0].sample_block(
+          count, core::FadingStream::stage_seed(seed, 0), block_index);
+      numeric::multiply_elementwise(
+          z, stages_[1].sample_block(
+                 count, core::FadingStream::stage_seed(seed, 1), block_index));
+      return z;
+    }
+    case FadingFamily::Suzuki:
+      return suzuki_generator_->sample_block(count, seed, block_index);
+    case FadingFamily::CopulaMarginals:
+      break;
+  }
+  throw UnsupportedOperationError(
+      "instant_block: copula channels are envelope-only — use "
+      "generate_envelope_block / next_envelope_block");
+}
+
 const core::SamplePipeline& CompiledChannel::pipeline() const {
-  if (!pipeline_.has_value()) {
+  if (stages_.empty() || (spec_.family() != FadingFamily::Rayleigh &&
+                          spec_.family() != FadingFamily::Rician)) {
     throw UnsupportedOperationError(
         "pipeline: spec is not an instant-mode rayleigh/rician channel");
   }
-  return *pipeline_;
-}
-
-const scenario::TwdpGenerator& CompiledChannel::twdp_generator() const {
-  if (!twdp_generator_.has_value()) {
-    throw UnsupportedOperationError(
-        "twdp_generator: spec is not an instant-mode twdp channel");
-  }
-  return *twdp_generator_;
-}
-
-const scenario::CascadedRayleighGenerator& CompiledChannel::cascaded_generator()
-    const {
-  if (!cascaded_generator_.has_value()) {
-    throw UnsupportedOperationError(
-        "cascaded_generator: spec is not an instant-mode cascade");
-  }
-  return *cascaded_generator_;
+  return stages_[0];
 }
 
 const scenario::composite::SuzukiGenerator& CompiledChannel::suzuki_generator()

@@ -78,12 +78,6 @@ double regularized_gamma_q(double a, double x) {
                      : gamma_q_continued_fraction(a, x);
 }
 
-double chi_square_survival(double x, double dof) {
-  RFADE_EXPECTS(dof > 0.0, "chi_square_survival: dof must be positive");
-  RFADE_EXPECTS(x >= 0.0, "chi_square_survival: x must be non-negative");
-  return regularized_gamma_q(0.5 * dof, 0.5 * x);
-}
-
 double inverse_regularized_gamma_p(double a, double p) {
   RFADE_EXPECTS(a > 0.0, "inverse_regularized_gamma_p: a must be positive");
   RFADE_EXPECTS(p >= 0.0 && p < 1.0,

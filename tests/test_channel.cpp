@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "rfade/channel/mobility.hpp"
 #include "rfade/channel/spatial.hpp"
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/psd.hpp"
@@ -251,26 +250,6 @@ TEST(CovarianceBuilder, RejectsMisuse) {
   // Unset diagonal power must fail at build().
   builder.set_gaussian_power(0, 1.0);
   EXPECT_THROW((void)builder.build(), ContractViolation);
-}
-
-TEST(Mobility, PaperSection6Kinematics) {
-  // Sec. 6: carrier 900 MHz, v = 60 km/h => Fm ~ 50 Hz, fm = 0.05 at 1 kHz.
-  const double fm_hz = channel::max_doppler_hz_kmh(900e6, 60.0);
-  EXPECT_NEAR(fm_hz, 50.0, 0.1);
-  EXPECT_NEAR(channel::normalized_doppler(fm_hz, 1000.0), 0.05, 1e-4);
-  EXPECT_NEAR(channel::wavelength_m(900e6), 0.333, 1e-3);
-}
-
-TEST(Mobility, CoherenceSummaries) {
-  // Coherence time shrinks with Doppler; bandwidth shrinks with spread.
-  EXPECT_GT(channel::coherence_time_s(10.0), channel::coherence_time_s(100.0));
-  EXPECT_NEAR(channel::coherence_time_s(50.0), 9.0 / (16.0 * M_PI * 50.0),
-              1e-12);
-  EXPECT_NEAR(channel::coherence_bandwidth_hz(1e-6), 200e3, 1e-6);
-  EXPECT_THROW((void)channel::coherence_time_s(0.0), ContractViolation);
-  EXPECT_THROW((void)channel::max_doppler_hz(0.0, 10.0), ContractViolation);
-  EXPECT_THROW((void)channel::normalized_doppler(50.0, 0.0),
-               ContractViolation);
 }
 
 }  // namespace

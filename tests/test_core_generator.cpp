@@ -1,18 +1,18 @@
-// Tests for the instant-mode envelope generator (paper Sec. 4.4-4.5):
-// achieved covariance, envelope moments (Eqs. 14-15), Rayleigh-ness,
-// arbitrary powers, non-PSD handling, determinism and parallel validation.
+// Tests for the instant-mode draw (paper Sec. 4.4-4.5: a SamplePipeline
+// over a ColoringPlan): achieved covariance, envelope moments
+// (Eqs. 14-15), Rayleigh-ness, arbitrary powers, non-PSD handling,
+// determinism and parallel validation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/power.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
-#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/stats/moments.hpp"
 #include "rfade/support/error.hpp"
@@ -20,8 +20,9 @@
 namespace {
 
 using namespace rfade;
-using core::EnvelopeGenerator;
-using core::GeneratorOptions;
+using core::ColoringPlan;
+using core::PipelineOptions;
+using core::SamplePipeline;
 using numeric::cdouble;
 using numeric::CMatrix;
 
@@ -43,10 +44,11 @@ TEST(Power, Eq11RoundTrip) {
 TEST(Generator, AccessorsAndShapes) {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   EXPECT_EQ(gen.dimension(), 3u);
-  EXPECT_LT(numeric::max_abs_diff(gen.desired_covariance(), k), 1e-15);
-  EXPECT_LT(numeric::max_abs_diff(gen.effective_covariance(), k), 1e-12);
+  EXPECT_LT(numeric::max_abs_diff(gen.plan().desired_covariance(), k), 1e-15);
+  EXPECT_LT(numeric::max_abs_diff(gen.plan().effective_covariance(), k),
+            1e-12);
 
   random::Rng rng(1);
   EXPECT_EQ(gen.sample(rng).size(), 3u);
@@ -60,7 +62,7 @@ TEST(Generator, AccessorsAndShapes) {
 TEST(Generator, DeterministicGivenSeed) {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   random::Rng a(77);
   random::Rng b(77);
   for (int i = 0; i < 20; ++i) {
@@ -76,7 +78,7 @@ TEST(Generator, AchievesDesiredCovariance) {
   // Experiment E5's core assertion at test scale.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   random::Rng rng(2);
   stats::CovarianceAccumulator acc(3);
   numeric::CVector z(3);
@@ -93,12 +95,13 @@ TEST(Generator, SampleVarianceOptionDoesNotChangeStatistics) {
   // must make the output statistics invariant.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  GeneratorOptions big_variance;
+  PipelineOptions big_variance;
   big_variance.sample_variance = 25.0;
-  const EnvelopeGenerator unit(k);
-  const EnvelopeGenerator scaled(k, big_variance);
+  const auto plan = ColoringPlan::create(k);
+  const SamplePipeline unit(plan);
+  const SamplePipeline scaled(plan, big_variance);
 
-  for (const EnvelopeGenerator* gen : {&unit, &scaled}) {
+  for (const SamplePipeline* gen : {&unit, &scaled}) {
     random::Rng rng(3);
     stats::CovarianceAccumulator acc(3);
     numeric::CVector z(3);
@@ -108,9 +111,9 @@ TEST(Generator, SampleVarianceOptionDoesNotChangeStatistics) {
     }
     EXPECT_LT(stats::relative_frobenius_error(acc.covariance(), k), 0.02);
   }
-  EXPECT_THROW((void)EnvelopeGenerator(k, GeneratorOptions{.coloring = {},
-                                                     .sample_variance = 0.0}),
-               ContractViolation);
+  EXPECT_THROW(
+      (void)SamplePipeline(plan, PipelineOptions{.sample_variance = 0.0}),
+      ContractViolation);
 }
 
 TEST(Generator, UnequalPowersAreRealised) {
@@ -125,7 +128,7 @@ TEST(Generator, UnequalPowersAreRealised) {
   const CMatrix k = builder.build();
   ASSERT_TRUE(core::is_positive_semidefinite(k));
 
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   const auto report = core::validate_generator(
       gen, {.samples = 150000, .seed = 4, .parallel = true,
             .chunk_size = 8192, .ks_samples_per_branch = 20000});
@@ -144,7 +147,7 @@ TEST(Generator, DesiredEnvelopePowersViaEq11) {
   core::CovarianceBuilder builder(2);
   builder.set_envelope_power(0, sigma_r2).set_envelope_power(1, sigma_r2);
   builder.set_cross_entry(0, 1, cdouble(0.5, 0.0));
-  const EnvelopeGenerator gen(builder.build());
+  const SamplePipeline gen(ColoringPlan::create(builder.build()));
 
   random::Rng rng(5);
   stats::RunningStats env0;
@@ -163,9 +166,9 @@ TEST(Generator, NonPsdInputRealisesForcedCovariance) {
   CMatrix k = CMatrix::identity(2);
   k(0, 1) = cdouble(1.4, 0.0);  // |corr| > 1 => eigenvalues {2.4, -0.4}
   k(1, 0) = cdouble(1.4, 0.0);
-  const EnvelopeGenerator gen(k);
-  EXPECT_FALSE(gen.coloring().psd.was_psd);
-  EXPECT_GT(numeric::max_abs_diff(gen.effective_covariance(), k), 0.1);
+  const SamplePipeline gen(ColoringPlan::create(k));
+  EXPECT_FALSE(gen.plan().coloring().psd.was_psd);
+  EXPECT_GT(numeric::max_abs_diff(gen.plan().effective_covariance(), k), 0.1);
 
   random::Rng rng(6);
   stats::CovarianceAccumulator acc(2);
@@ -175,14 +178,14 @@ TEST(Generator, NonPsdInputRealisesForcedCovariance) {
     acc.add(z);
   }
   EXPECT_LT(stats::relative_frobenius_error(acc.covariance(),
-                                            gen.effective_covariance()),
+                                            gen.plan().effective_covariance()),
             0.02);
 }
 
 TEST(Generator, FullyCorrelatedDegenerateCase) {
   // K = ones(2,2): rank 1, envelopes identical up to phase.
   CMatrix k(2, 2, cdouble(1.0, 0.0));
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   random::Rng rng(7);
   for (int i = 0; i < 100; ++i) {
     const auto z = gen.sample(rng);
@@ -197,7 +200,7 @@ TEST(Generator, ParallelValidationMatchesSerial) {
   // Chunk-keyed streams: identical results for serial and parallel runs.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const EnvelopeGenerator gen(k);
+  const SamplePipeline gen(ColoringPlan::create(k));
   core::ValidationOptions serial{.samples = 30000,
                                  .seed = 8,
                                  .parallel = false,
@@ -218,9 +221,9 @@ TEST(Generator, ParallelValidationMatchesSerial) {
 TEST(Generator, CholeskyColoringOptionWorksOnPdMatrix) {
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  GeneratorOptions options;
-  options.coloring.method = core::ColoringMethod::Cholesky;
-  const EnvelopeGenerator gen(k, options);
+  core::ColoringOptions options;
+  options.method = core::ColoringMethod::Cholesky;
+  const SamplePipeline gen(ColoringPlan::create(k, options));
   random::Rng rng(9);
   stats::CovarianceAccumulator acc(3);
   numeric::CVector z(3);
@@ -232,14 +235,14 @@ TEST(Generator, CholeskyColoringOptionWorksOnPdMatrix) {
 }
 
 TEST(Generator, RejectsInvalidCovariance) {
-  EXPECT_THROW((void)EnvelopeGenerator(CMatrix(2, 3)), ContractViolation);
+  EXPECT_THROW((void)ColoringPlan::create(CMatrix(2, 3)), ContractViolation);
   CMatrix bad_diag = CMatrix::identity(2);
   bad_diag(0, 0) = cdouble(-1.0, 0.0);
-  EXPECT_THROW((void)EnvelopeGenerator(bad_diag), ContractViolation);
+  EXPECT_THROW((void)ColoringPlan::create(bad_diag), ContractViolation);
 }
 
 TEST(Generator, SampleIntoValidatesSize) {
-  const EnvelopeGenerator gen(CMatrix::identity(3));
+  const SamplePipeline gen(ColoringPlan::create(CMatrix::identity(3)));
   random::Rng rng(10);
   numeric::CVector wrong(2);
   EXPECT_THROW((void)gen.sample_into(rng, wrong), ContractViolation);

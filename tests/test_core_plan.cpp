@@ -16,13 +16,13 @@
 #include <vector>
 
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
 #include "rfade/core/plan.hpp"
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/bulk_gaussian.hpp"
 #include "rfade/random/philox.hpp"
 #include "rfade/random/rng.hpp"
+#include "rfade/service/channel_spec.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/support/error.hpp"
 #include "rfade/support/parallel.hpp"
@@ -31,7 +31,6 @@ namespace {
 
 using namespace rfade;
 using core::ColoringPlan;
-using core::EnvelopeGenerator;
 using core::SamplePipeline;
 using numeric::cdouble;
 using numeric::CMatrix;
@@ -64,14 +63,17 @@ TEST(ColoringPlan, SharedAcrossGeneratorsBitIdentical) {
   const CMatrix k = paper_k();
   const auto plan = ColoringPlan::create(k);
 
-  // One plan, three consumers: per-class construction and plan reuse must
-  // produce the same bits with the same seed.
-  const EnvelopeGenerator from_matrix(k);
-  const EnvelopeGenerator from_plan(plan);
+  // One plan, three consumers: the compiled instant channel's pipeline,
+  // a fresh plan and plan reuse must produce the same bits with the same
+  // seed.
+  const auto channel =
+      service::ChannelSpec::Builder().rayleigh(k).instant().build().compile();
+  const SamplePipeline& from_matrix = channel->pipeline();
+  const SamplePipeline from_plan(ColoringPlan::create(k));
   const SamplePipeline pipeline(plan);
 
-  EXPECT_LT(numeric::max_abs_diff(from_matrix.coloring_matrix(),
-                                  from_plan.coloring_matrix()),
+  EXPECT_LT(numeric::max_abs_diff(from_matrix.plan().coloring_matrix(),
+                                  from_plan.plan().coloring_matrix()),
             1e-300);
   random::Rng a(42);
   random::Rng b(42);
@@ -613,13 +615,6 @@ TEST(SamplePipeline, StreamComposesWithOuterPoolWork) {
   for (const CMatrix& result : nested) {
     EXPECT_EQ(result, direct);
   }
-}
-
-TEST(EnvelopeGenerator, StreamConvenienceMatchesPipeline) {
-  const CMatrix k = paper_k();
-  const EnvelopeGenerator gen(k);
-  EXPECT_EQ(gen.sample_stream(1000, 77),
-            gen.pipeline().sample_stream(1000, 77));
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Tests for the extension modules: Gauss 2F1, the exact envelope
-// correlation map (forward + inverse, validated against Monte-Carlo) and
-// the whitening transform.
+// Tests for the extension modules: Gauss 2F1 and the exact envelope
+// correlation map (forward + inverse, validated against Monte-Carlo).
 
 #include <gtest/gtest.h>
 
@@ -8,8 +7,7 @@
 
 #include "rfade/core/covariance_spec.hpp"
 #include "rfade/core/envelope_correlation.hpp"
-#include "rfade/core/generator.hpp"
-#include "rfade/core/whitening.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/special/hypergeometric.hpp"
@@ -109,7 +107,8 @@ TEST(EnvelopeCorrelation, MatchesMonteCarlo) {
     builder.set_gaussian_power(0, 1.0).set_gaussian_power(1, 2.0);
     const cdouble mu = mag * std::sqrt(2.0) * std::polar(1.0, 0.7);
     builder.set_cross_entry(0, 1, mu);
-    const core::EnvelopeGenerator gen(builder.build());
+    const core::SamplePipeline gen(
+        core::ColoringPlan::create(builder.build()));
     const double predicted =
         core::envelope_correlation_from_gaussian(mu, 1.0, 2.0);
 
@@ -140,69 +139,6 @@ TEST(EnvelopeCorrelation, MatrixForm) {
   EXPECT_NEAR(rho(0, 1), rho(1, 0), 1e-15);
   EXPECT_GT(rho(0, 1), rho(1, 2));  // 0.8 vs 0.5 magnitude
   EXPECT_NEAR(rho(0, 2), 0.0, 1e-14);
-}
-
-// ---------------------------------------------------------------------------
-// Whitening transform
-// ---------------------------------------------------------------------------
-
-TEST(Whitening, InvertsColoringOnFullRankMatrix) {
-  core::CovarianceBuilder builder(3);
-  builder.set_gaussian_power(0, 1.0)
-      .set_gaussian_power(1, 2.0)
-      .set_gaussian_power(2, 0.5);
-  builder.set_cross_entry(0, 1, cdouble(0.4, 0.3));
-  builder.set_cross_entry(1, 2, cdouble(0.2, -0.1));
-  builder.set_cross_entry(0, 2, cdouble(0.1, 0.0));
-  const CMatrix k = builder.build();
-  const core::EnvelopeGenerator gen(k);
-  const core::WhiteningTransform whitener(k);
-  EXPECT_EQ(whitener.rank(), 3u);
-
-  // Whitened samples must have identity covariance.
-  random::Rng rng(0xEC1);
-  stats::CovarianceAccumulator acc(3);
-  for (int t = 0; t < 100000; ++t) {
-    acc.add(whitener.whiten(gen.sample(rng)));
-  }
-  EXPECT_LT(stats::relative_frobenius_error(acc.covariance(),
-                                            CMatrix::identity(3)),
-            0.02);
-}
-
-TEST(Whitening, PseudoInverseOnRankDeficientMatrix) {
-  // K = v v^H: rank 1; whitening keeps one unit-variance direction and
-  // returns zero in the annihilated one.
-  const numeric::CVector v = {cdouble(1, 0), cdouble(0, 1)};
-  CMatrix k(2, 2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      k(i, j) = v[i] * std::conj(v[j]);
-    }
-  }
-  const core::WhiteningTransform whitener(k);
-  EXPECT_EQ(whitener.rank(), 1u);
-
-  const core::EnvelopeGenerator gen(k);
-  random::Rng rng(0xEC2);
-  stats::RunningStats power_kept;
-  stats::RunningStats power_null;
-  for (int t = 0; t < 20000; ++t) {
-    const auto w = whitener.whiten(gen.sample(rng));
-    // Exactly one coordinate carries power; identify by magnitude order.
-    const double p0 = std::norm(w[0]);
-    const double p1 = std::norm(w[1]);
-    power_kept.add(std::max(p0, p1));
-    power_null.add(std::min(p0, p1));
-  }
-  EXPECT_NEAR(power_kept.mean(), 1.0, 0.05);
-  EXPECT_LT(power_null.mean(), 1e-12);
-}
-
-TEST(Whitening, ValidatesInput) {
-  EXPECT_THROW(core::WhiteningTransform{CMatrix(2, 3)}, ContractViolation);
-  const core::WhiteningTransform w(CMatrix::identity(2));
-  EXPECT_THROW((void)w.whiten(numeric::CVector(3)), ContractViolation);
 }
 
 }  // namespace

@@ -737,8 +737,7 @@ TEST(CascadedStream, Float32KeyedEqualsCursorAndSeek) {
     EXPECT_EQ(cursor.seed(), options.seed);
     ASSERT_NE(cursor.second_stage(), nullptr);
     EXPECT_EQ(cursor.second_stage()->seed(),
-              scenario::CascadedRayleighGenerator::stage_seed(options.seed,
-                                                              1));
+              FadingStream::stage_seed(options.seed, 1));
 
     std::vector<numeric::CMatrixF> blocks;
     for (std::uint64_t b = 0; b < 4; ++b) {

@@ -11,7 +11,7 @@
 #include "rfade/baselines/sorooshyari_daut.hpp"
 #include "rfade/channel/spatial.hpp"
 #include "rfade/channel/spectral.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
@@ -30,7 +30,7 @@ TEST(Integration, SpectralScenarioEndToEnd) {
   // Paper Sec. 6 spectral case: scenario -> Eq. (22) -> generator -> stats.
   const auto scenario = channel::paper_spectral_scenario();
   const CMatrix k = channel::spectral_covariance_matrix(scenario);
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   const auto report = core::validate_generator(
       gen, {.samples = 200000, .seed = 71, .parallel = true,
             .chunk_size = 8192, .ks_samples_per_branch = 20000});
@@ -45,7 +45,7 @@ TEST(Integration, SpectralScenarioEndToEnd) {
 TEST(Integration, SpatialScenarioEndToEnd) {
   const auto scenario = channel::paper_spatial_scenario();
   const CMatrix k = channel::spatial_covariance_matrix(scenario);
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   const auto report = core::validate_generator(
       gen, {.samples = 200000, .seed = 72, .parallel = true,
             .chunk_size = 8192, .ks_samples_per_branch = 20000});
@@ -58,7 +58,7 @@ TEST(Integration, ProposedMatchesBeaulieuMeraniInsideItsScope) {
   // the proposed method's advantage is only *outside* this scope.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  const core::EnvelopeGenerator proposed(k);
+  const core::SamplePipeline proposed(core::ColoringPlan::create(k));
   const baselines::BeaulieuMeraniGenerator conventional(k);
 
   random::Rng rng_a(73);
@@ -90,8 +90,8 @@ TEST(Integration, ProposedHandlesWhatBaselinesCannot) {
   const CMatrix k = builder.build();
   ASSERT_FALSE(core::is_positive_semidefinite(k));
 
-  const core::EnvelopeGenerator gen(k);
-  EXPECT_FALSE(gen.coloring().psd.was_psd);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
+  EXPECT_FALSE(gen.plan().coloring().psd.was_psd);
   const auto report = core::validate_generator(
       gen, {.samples = 150000, .seed = 75, .parallel = true,
             .chunk_size = 8192, .ks_samples_per_branch = 15000});
@@ -196,13 +196,12 @@ TEST(Integration, EigenMethodAblationProducesIdenticalStatistics) {
   // A1 sanity: Jacobi- and QL-based coloring realise the same covariance.
   const CMatrix k =
       channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
-  core::GeneratorOptions jacobi;
-  jacobi.coloring.psd.eigen_method = numeric::EigenMethod::Jacobi;
-  const core::EnvelopeGenerator gen_jacobi(k, jacobi);
-  const core::EnvelopeGenerator gen_ql(k);
-  EXPECT_LT(numeric::max_abs_diff(
-                numeric::gram(gen_jacobi.coloring_matrix()),
-                numeric::gram(gen_ql.coloring_matrix())),
+  core::ColoringOptions jacobi;
+  jacobi.psd.eigen_method = numeric::EigenMethod::Jacobi;
+  const auto plan_jacobi = core::ColoringPlan::create(k, jacobi);
+  const auto plan_ql = core::ColoringPlan::create(k);
+  EXPECT_LT(numeric::max_abs_diff(numeric::gram(plan_jacobi->coloring_matrix()),
+                                  numeric::gram(plan_ql->coloring_matrix())),
             1e-9);
 }
 

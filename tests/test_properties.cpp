@@ -9,7 +9,7 @@
 #include "rfade/channel/spatial.hpp"
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/envelope_correlation.hpp"
-#include "rfade/core/generator.hpp"
+#include "rfade/core/plan.hpp"
 #include "rfade/core/psd.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/doppler/filter.hpp"
@@ -247,7 +247,7 @@ TEST(EnvelopeTheory, SpatialScenarioEnvelopeCorrelationsPredicted) {
   const CMatrix k =
       channel::spatial_covariance_matrix(channel::paper_spatial_scenario());
   const auto predicted = core::envelope_correlation_matrix(k);
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   random::Rng rng(0x0E23);
   const std::size_t n = 150000;
   std::vector<numeric::RVector> env(3, numeric::RVector(n));
@@ -280,7 +280,7 @@ TEST_P(GeneratorDimensions, TridiagonalCovarianceRealised) {
     k(i + 1, i) = cdouble(0.45, -0.2);
   }
   ASSERT_TRUE(core::is_positive_semidefinite(k));
-  const core::EnvelopeGenerator gen(k);
+  const core::SamplePipeline gen(core::ColoringPlan::create(k));
   const auto report = core::validate_generator(
       gen, {.samples = 60000, .seed = 0xD13 + n, .parallel = true,
             .chunk_size = 8192, .ks_samples_per_branch = 5000});

@@ -2,22 +2,28 @@
 // threaded through the SamplePipeline hot paths (K = 0 degenerates to the
 // plain Rayleigh path bit-for-bit; batched == per-draw with a mean), the
 // Rician K-factor sweep against the analytic envelope marginals, and the
-// cascaded Rayleigh generator against product-channel theory (second
-// moments, Hadamard effective covariance, amount of fading ~ 3).
+// instant cascaded-Rayleigh channel against product-channel theory
+// (second moments, Hadamard effective covariance, amount of fading ~ 3).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <utility>
+#include <vector>
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/plan.hpp"
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/scenario_spec.hpp"
+#include "rfade/service/accumulators.hpp"
+#include "rfade/service/channel_service.hpp"
+#include "rfade/service/channel_spec.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/support/error.hpp"
 
@@ -28,8 +34,8 @@ using core::ColoringPlan;
 using core::SamplePipeline;
 using numeric::cdouble;
 using numeric::CMatrix;
-using scenario::CascadedRayleighGenerator;
 using scenario::ScenarioSpec;
+using service::ChannelSpec;
 
 CMatrix paper_k() {
   return channel::spectral_covariance_matrix(channel::paper_spectral_scenario());
@@ -222,86 +228,128 @@ TEST(ScenarioSpec, RejectsInvalidInput) {
 
 // --- cascaded Rayleigh -------------------------------------------------------
 
+/// An instant cascade on stage covariances \p k1 and \p k2.
+ChannelSpec instant_cascade(CMatrix k1, CMatrix k2,
+                            std::size_t block_size = 4096) {
+  return ChannelSpec::Builder()
+      .cascaded(std::move(k1), std::move(k2))
+      .instant()
+      .block_size(block_size)
+      .build();
+}
+
+/// Envelope moments and sample covariance of at least \p samples
+/// instants: the keyed session blocks 0, 1, ... of seed \p seed folded
+/// into the exact shard-mergeable accumulators.
+struct CascadedMoments {
+  explicit CascadedMoments(std::size_t n) : envelope(n), covariance(n) {}
+  service::EnvelopeMomentAccumulator envelope;
+  service::ComplexCovarianceAccumulator covariance;
+};
+
+CascadedMoments fold_session_blocks(const ChannelSpec& spec,
+                                    std::size_t samples, std::uint64_t seed) {
+  service::Session session(spec.compile(), seed);
+  CascadedMoments moments(spec.dimension());
+  while (moments.covariance.count() < samples) {
+    const CMatrix block = session.next_block();
+    moments.envelope.accumulate(block);
+    moments.covariance.accumulate(block);
+  }
+  return moments;
+}
+
 TEST(Cascaded, SecondMomentsMatchProductChannelTheory) {
-  const CascadedRayleighGenerator gen(paper_k(), tridiagonal_covariance(3));
-  const auto report = gen.envelope_moment_diagnostics(200000, 0xCA5CADE);
-  EXPECT_LT(report.max_mean_rel_error, 0.01);
-  EXPECT_LT(report.max_second_moment_rel_error, 0.02);
-  for (std::size_t j = 0; j < gen.dimension(); ++j) {
+  const ChannelSpec spec =
+      instant_cascade(paper_k(), tridiagonal_covariance(3));
+  const auto channel = spec.compile();
+  const CascadedMoments measured =
+      fold_session_blocks(spec, 200000, 0xCA5CADE);
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto theory = scenario::cascaded_branch_marginal(
+        *channel->plan(), *channel->second_plan(), j);
+    const service::EnvelopeMoments m = measured.envelope.finalize(j);
+    EXPECT_LT(std::abs(m.mean - theory.mean()) / theory.mean(), 0.01)
+        << "branch " << j;
+    EXPECT_LT(std::abs(m.second_moment - theory.second_moment()) /
+                  theory.second_moment(),
+              0.02)
+        << "branch " << j;
     // Amount of fading E[r^4]/E[r^2]^2 - 1 = 3 for the cascade (vs 1 for
     // Rayleigh) — the fourth moment converges slowly, hence the loose band.
-    EXPECT_NEAR(report.measured_amount_of_fading[j], 3.0, 0.35)
-        << "branch " << j;
+    EXPECT_NEAR(m.amount_of_fading, 3.0, 0.35) << "branch " << j;
   }
 }
 
 TEST(Cascaded, EffectiveCovarianceIsHadamardProduct) {
   const CMatrix k1 = paper_k();
   const CMatrix k2 = tridiagonal_covariance(3);
-  const CascadedRayleighGenerator gen(k1, k2);
+  const ChannelSpec spec = instant_cascade(k1, k2);
+  const auto channel = spec.compile();
+  CMatrix hadamard = channel->plan()->effective_covariance();
+  numeric::multiply_elementwise(hadamard,
+                                channel->second_plan()->effective_covariance());
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(gen.effective_covariance()(i, j), k1(i, j) * k2(i, j));
+      EXPECT_EQ(hadamard(i, j), k1(i, j) * k2(i, j));
     }
   }
-  const auto report = gen.envelope_moment_diagnostics(200000, 0xFACADE);
-  EXPECT_LT(report.covariance_rel_error, 0.02);
+  const CascadedMoments measured = fold_session_blocks(spec, 200000, 0xFACADE);
+  EXPECT_LT(stats::relative_frobenius_error(measured.covariance.finalize(),
+                                            hadamard),
+            0.02);
 }
 
 TEST(Cascaded, TheoreticalMomentFormulas) {
-  const CascadedRayleighGenerator gen(paper_k(), paper_k());
-  for (std::size_t j = 0; j < gen.dimension(); ++j) {
-    const double s1 = gen.first_stage().plan().effective_covariance()(j, j).real();
-    const double s2 =
-        gen.second_stage().plan().effective_covariance()(j, j).real();
-    EXPECT_NEAR(gen.envelope_mean(j),
-                0.25 * 3.14159265358979324 * std::sqrt(s1 * s2), 1e-12);
-    EXPECT_NEAR(gen.envelope_second_moment(j), s1 * s2, 1e-12);
-    EXPECT_NEAR(gen.envelope_fourth_moment(j), 4.0 * s1 * s2 * s1 * s2, 1e-12);
-    EXPECT_NEAR(gen.envelope_variance(j),
-                gen.envelope_second_moment(j) -
-                    gen.envelope_mean(j) * gen.envelope_mean(j),
+  const auto plan = ColoringPlan::create(paper_k());
+  for (std::size_t j = 0; j < plan->dimension(); ++j) {
+    const double s = plan->effective_covariance()(j, j).real();
+    const auto marginal = scenario::cascaded_branch_marginal(*plan, *plan, j);
+    EXPECT_NEAR(marginal.mean(), 0.25 * 3.14159265358979324 * s, 1e-12);
+    EXPECT_NEAR(marginal.second_moment(), s * s, 1e-12);
+    EXPECT_NEAR(marginal.variance(),
+                marginal.second_moment() - marginal.mean() * marginal.mean(),
                 1e-12);
   }
+  const auto other = ColoringPlan::create(tridiagonal_covariance(4));
+  EXPECT_THROW((void)scenario::cascaded_branch_marginal(*plan, *other, 0),
+               ContractViolation);
+  EXPECT_THROW((void)scenario::cascaded_branch_marginal(*plan, *plan, 3),
+               ContractViolation);
 }
 
 TEST(Cascaded, StreamDeterministicAndBlockwiseRegenerable) {
-  scenario::CascadedOptions serial;
-  serial.block_size = 700;
-  serial.parallel = false;
-  scenario::CascadedOptions parallel = serial;
-  parallel.parallel = true;
-  const auto plan1 = ColoringPlan::create(tridiagonal_covariance(4));
-  const auto plan2 = ColoringPlan::create(paper_k());
-  const CascadedRayleighGenerator serial_gen(plan1, plan1, serial);
-  const CascadedRayleighGenerator parallel_gen(plan1, plan1, parallel);
-  const CMatrix a = serial_gen.sample_stream(3000, 99);
-  const CMatrix b = parallel_gen.sample_stream(3000, 99);
-  EXPECT_EQ(a, b);
+  const ChannelSpec spec = instant_cascade(tridiagonal_covariance(4),
+                                           tridiagonal_covariance(4), 700);
+  const auto channel = spec.compile();
+  const service::Session session(channel, 99);
 
-  // Blocks regenerate independently, in any order.
-  CMatrix rebuilt(3000, serial_gen.dimension());
-  for (std::size_t block = 5; block-- > 0;) {
-    const std::size_t begin = block * serial.block_size;
-    const std::size_t rows = std::min(serial.block_size, 3000 - begin);
-    if (begin >= 3000) {
-      continue;
-    }
-    const CMatrix piece = serial_gen.sample_block(rows, 99, block);
-    std::copy(piece.data(), piece.data() + piece.size(),
-              rebuilt.data() + begin * rebuilt.cols());
+  // The batcher's pool sweep equals the blocks regenerated one at a time,
+  // in reverse order.
+  std::vector<service::BlockRequest> requests;
+  for (std::uint64_t block = 0; block < 5; ++block) {
+    requests.push_back({&session, block});
   }
-  EXPECT_EQ(a, rebuilt);
+  const std::vector<CMatrix> swept =
+      service::ChannelService::generate_blocks(requests);
+  for (std::uint64_t block = 5; block-- > 0;) {
+    EXPECT_EQ(swept[block], session.generate_block(block)) << block;
+  }
 
-  // The two stages draw from disjoint Philox keys: equal plans must still
-  // give different (independent) stage samples.
-  const CMatrix z1 = serial_gen.first_stage().sample_block(
-      16, CascadedRayleighGenerator::stage_seed(99, 0), 0);
-  const CMatrix z2 = serial_gen.second_stage().sample_block(
-      16, CascadedRayleighGenerator::stage_seed(99, 1), 0);
+  // The product is stage 1 (.) stage 2, drawn from disjoint Philox keys:
+  // equal plans must still give different (independent) stage samples.
+  const SamplePipeline stage(channel->plan());
+  const CMatrix z1 =
+      stage.sample_block(16, core::FadingStream::stage_seed(99, 0), 0);
+  const CMatrix z2 =
+      stage.sample_block(16, core::FadingStream::stage_seed(99, 1), 0);
   EXPECT_NE(z1, z2);
+  CMatrix product = z1;
+  numeric::multiply_elementwise(product, z2);
+  EXPECT_EQ(channel->instant_block(16, 99, 0), product);
 
-  EXPECT_THROW(CascadedRayleighGenerator(plan1, plan2), ContractViolation);
+  EXPECT_THROW((void)instant_cascade(tridiagonal_covariance(4), paper_k()),
+               InvalidSpecError);
 }
 
 // --- envelope-domain validator contracts ------------------------------------

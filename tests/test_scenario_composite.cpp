@@ -405,7 +405,8 @@ TEST(Suzuki, MarginalsPassKsAgainstLognormalMixture) {
   // Fast shadowing + stride 32 so retained samples are effectively
   // independent draws of the composite law (see validate_suzuki docs).
   ShadowingSpec spec = fast_shadowing();
-  const SuzukiGenerator generator(tridiagonal_covariance(3), spec);
+  const SuzukiGenerator generator(
+      ColoringPlan::create(tridiagonal_covariance(3)), spec);
   core::ValidationOptions options;
   options.samples = 60000;
   options.chunk_size = 2048;
@@ -420,8 +421,9 @@ TEST(Suzuki, KeyedBlockIndexOverflowIsAContractViolation) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   scenario::composite::SuzukiOptions options;
   options.block_size = 64;
-  const SuzukiGenerator generator(tridiagonal_covariance(2), fast_shadowing(),
-                                  options);
+  const SuzukiGenerator generator(
+      ColoringPlan::create(tridiagonal_covariance(2)), fast_shadowing(),
+      options);
   // Block b covers instants [64 b, 64 b + 63]: the last one ends at kMax.
   const std::uint64_t last = kMax / 64;
   const CMatrix z = generator.sample_block(64, 11, last);
@@ -441,7 +443,8 @@ TEST(Suzuki, MomentsHoldUnderPhysicalSlowShadowing) {
   spec.sigma_db = 4.0;
   spec.decorrelation_samples = 1024.0;
   spec.spacing = 64;
-  const SuzukiGenerator generator(tridiagonal_covariance(2), spec);
+  const SuzukiGenerator generator(
+      ColoringPlan::create(tridiagonal_covariance(2)), spec);
   core::ValidationOptions options;
   options.samples = 400000;
   options.seed = 0x5A;
@@ -459,7 +462,8 @@ TEST(Suzuki, StreamingMatchesKeyedBlocksAndSeeks) {
   spec.sigma_db = 5.0;
   spec.decorrelation_samples = 256.0;
   spec.spacing = 16;
-  const SuzukiGenerator generator(tridiagonal_covariance(3), spec);
+  const SuzukiGenerator generator(
+      ColoringPlan::create(tridiagonal_covariance(3)), spec);
   for (const doppler::StreamBackend backend :
        {doppler::StreamBackend::IndependentBlock,
         doppler::StreamBackend::WindowedOverlapAdd,
@@ -512,7 +516,8 @@ TEST(Suzuki, StreamAcfFollowsJ0TimesGudmundsonProductLaw) {
   spec.decorrelation_samples = 32.0;
   spec.spacing = 1;  // exact per-sample synthesis: no interpolation bias
   const double fm = 0.02;
-  const SuzukiGenerator generator(CMatrix::identity(1), spec);
+  const SuzukiGenerator generator(ColoringPlan::create(CMatrix::identity(1)),
+                                  spec);
 
   // Two estimator traps handled here: (a) at fm = 0.02 the Jakes
   // spectrum occupies only a handful of bins of a small IDFT grid, so
@@ -572,8 +577,8 @@ TEST(Suzuki, RejectsNullPlan) {
                             ShadowingSpec{}),
       ContractViolation);
   core::ValidationOptions options;
-  const SuzukiGenerator generator(tridiagonal_covariance(2),
-                                  fast_shadowing());
+  const SuzukiGenerator generator(
+      ColoringPlan::create(tridiagonal_covariance(2)), fast_shadowing());
   EXPECT_THROW((void)validate_suzuki(generator, options, 0),
                ContractViolation);
 }

@@ -3,8 +3,9 @@
 // block forms, with the zero and constant fast paths bit-identical to
 // the PR-2 behaviour), TWDP fading in instant and real-time modes
 // (degeneracies: Delta = 0 -> Rician, K = 0 -> bit-identical Rayleigh),
-// and the real-time cascaded product stream (product autocorrelation,
-// double-Rayleigh KS, Hadamard covariance).
+// the instant cascade's double-Rayleigh KS, and the real-time cascaded
+// product stream (product autocorrelation, double-Rayleigh KS, Hadamard
+// covariance).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/mean_source.hpp"
@@ -20,10 +23,13 @@
 #include "rfade/core/fading_stream.hpp"
 #include "rfade/core/validation.hpp"
 #include "rfade/doppler/filter.hpp"
+#include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/random/rng.hpp"
 #include "rfade/scenario/cascaded.hpp"
 #include "rfade/scenario/scenario_spec.hpp"
 #include "rfade/scenario/timevarying/twdp.hpp"
+#include "rfade/service/channel_service.hpp"
+#include "rfade/service/channel_spec.hpp"
 #include "rfade/stats/autocorrelation.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/stats/ks_test.hpp"
@@ -39,9 +45,8 @@ using core::SamplePipeline;
 using numeric::cdouble;
 using numeric::CMatrix;
 using numeric::CVector;
-using scenario::CascadedRayleighGenerator;
-using scenario::TwdpGenerator;
 using scenario::TwdpSpec;
+using service::ChannelSpec;
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
@@ -278,14 +283,45 @@ TEST(DopplerLos, RealTimeAutocorrelationGainsTheSpectralLine) {
 
 // --- TWDP --------------------------------------------------------------------
 
+/// The instant TWDP channel of \p spec, \p block_size rows per block.
+std::shared_ptr<const service::CompiledChannel> instant_twdp(
+    const TwdpSpec& spec, std::size_t block_size) {
+  return ChannelSpec::Builder()
+      .twdp(spec.diffuse_covariance(), spec.branches())
+      .instant()
+      .block_size(block_size)
+      .build()
+      .compile();
+}
+
+/// Envelope-domain validation of an instant channel against
+/// \p marginals, over its keyed blocks (one block per validation chunk).
+core::EnvelopeValidationReport validate_instant(
+    const service::CompiledChannel& channel,
+    const std::vector<core::EnvelopeMarginal>& marginals,
+    const core::ValidationOptions& options) {
+  return core::validate_envelope_source(
+      channel.dimension(),
+      [&channel](std::size_t count, std::uint64_t seed, std::uint64_t block) {
+        return numeric::elementwise_abs(
+            channel.instant_block(count, seed, block));
+      },
+      marginals, options);
+}
+
 TEST(Twdp, KZeroIsBitIdenticalToPlainRayleigh) {
   const auto plan = ColoringPlan::create(paper_k());
   const TwdpSpec spec = TwdpSpec::uniform(paper_k(), 0.0, 0.9);
   EXPECT_FALSE(spec.has_specular());
-  const TwdpGenerator generator(plan, spec);
   const SamplePipeline plain(plan);
-  EXPECT_EQ(generator.sample_stream(5000, 0xCAFE),
-            plain.sample_stream(5000, 0xCAFE));
+  const CMatrix diffuse = plain.sample_block(5000, 0xCAFE, 0);
+  CMatrix block = diffuse;
+  scenario::add_twdp_waves(spec.specular_waves(*plan), 0xCAFE, 0, block);
+  EXPECT_EQ(block, diffuse);
+  // The instant K = 0 spec canonicalizes to the Rayleigh family.
+  const auto channel = instant_twdp(spec, 4096);
+  EXPECT_EQ(channel->family(), service::FadingFamily::Rayleigh);
+  EXPECT_EQ(channel->instant_block(5000, 0xCAFE, 0), diffuse);
   // realtime_mean of a K = 0 spec is the zero MeanSource.
   EXPECT_TRUE(spec.realtime_mean(*plan, 0.01, 0.02).is_zero());
 }
@@ -307,12 +343,13 @@ TEST(Twdp, DeltaZeroReproducesTheRicianScenario) {
     }
   }
   // And the generated envelopes pass validation against those marginals.
-  const TwdpGenerator generator(plan, twdp);
   core::ValidationOptions options;
   options.samples = 50000;
   options.seed = 0x0D;
   options.ks_samples_per_branch = 3000;
-  const auto report = scenario::validate_twdp(generator, options);
+  const auto channel = instant_twdp(twdp, options.chunk_size);
+  const auto report =
+      validate_instant(*channel, twdp.marginals(*channel->plan()), options);
   EXPECT_LT(report.max_mean_rel_error, 0.01);
   EXPECT_GT(report.worst_ks_p_value, 1e-3);
 }
@@ -322,12 +359,13 @@ TEST(Twdp, KsSweepAgainstExactMarginals) {
   for (const auto& [k_factor, delta] :
        {std::pair{1.0, 1.0}, std::pair{3.0, 0.5}, std::pair{5.0, 0.9}}) {
     const TwdpSpec spec = TwdpSpec::uniform(paper_k(), k_factor, delta);
-    const TwdpGenerator generator(plan, spec);
     core::ValidationOptions options;
     options.samples = 60000;
     options.seed = 0x7DDB;
     options.ks_samples_per_branch = 3000;
-    const auto report = scenario::validate_twdp(generator, options);
+    const auto channel = instant_twdp(spec, options.chunk_size);
+    const auto report =
+        validate_instant(*channel, spec.marginals(*plan), options);
     EXPECT_LT(report.max_mean_rel_error, 0.01)
         << "K=" << k_factor << " Delta=" << delta;
     EXPECT_LT(report.max_second_moment_rel_error, 0.02)
@@ -338,42 +376,27 @@ TEST(Twdp, KsSweepAgainstExactMarginals) {
 }
 
 TEST(Twdp, StreamDeterministicAndBlockwiseRegenerable) {
-  scenario::TwdpOptions serial;
-  serial.block_size = 700;
-  serial.parallel = false;
-  scenario::TwdpOptions parallel = serial;
-  parallel.parallel = true;
   const auto plan = ColoringPlan::create(tridiagonal_covariance(4));
   const TwdpSpec spec = TwdpSpec::uniform(tridiagonal_covariance(4), 2.0, 0.7);
-  const TwdpGenerator serial_gen(plan, spec, serial);
-  const TwdpGenerator parallel_gen(plan, spec, parallel);
-  const CMatrix a = serial_gen.sample_stream(3000, 99);
-  EXPECT_EQ(a, parallel_gen.sample_stream(3000, 99));
+  const auto channel = instant_twdp(spec, 700);
+  const service::Session session(channel, 99);
 
-  // Blocks regenerate independently, in any order.
-  CMatrix rebuilt(3000, serial_gen.dimension());
-  for (std::size_t block = 5; block-- > 0;) {
-    const std::size_t begin = block * serial.block_size;
-    if (begin >= 3000) {
-      continue;
-    }
-    const std::size_t rows = std::min<std::size_t>(serial.block_size,
-                                                   3000 - begin);
-    const CMatrix piece = serial_gen.sample_block(rows, 99, block);
-    std::copy(piece.data(), piece.data() + piece.size(),
-              rebuilt.data() + begin * rebuilt.cols());
+  // The batcher's pool sweep equals the blocks regenerated one at a time,
+  // in reverse order.
+  std::vector<service::BlockRequest> requests;
+  for (std::uint64_t block = 0; block < 5; ++block) {
+    requests.push_back({&session, block});
   }
-  EXPECT_EQ(a, rebuilt);
+  const std::vector<CMatrix> swept =
+      service::ChannelService::generate_blocks(requests);
+  for (std::uint64_t block = 5; block-- > 0;) {
+    EXPECT_EQ(swept[block], session.generate_block(block)) << block;
+  }
 
   // The wave-phase stream is disjoint from the diffuse stream: adding
   // the waves does not perturb the diffuse bits.
-  const SamplePipeline plain(plan, [&] {
-    core::PipelineOptions options;
-    options.block_size = serial.block_size;
-    options.parallel = false;
-    return options;
-  }());
-  const CMatrix diffuse = plain.sample_stream(3000, 99);
+  const CMatrix& a = swept[0];
+  const CMatrix diffuse = SamplePipeline(plan).sample_block(700, 99, 0);
   const TwdpSpec::SpecularWaves waves = spec.specular_waves(*plan);
   // Each row's specular addition has modulus within the wave triangle
   // bounds for every branch.
@@ -448,7 +471,11 @@ TEST(Twdp, RejectsInvalidParameters) {
                ContractViolation);
   EXPECT_THROW((void)spec.realtime_mean(*wrong_plan, 0.01, 0.02),
                ContractViolation);
-  EXPECT_THROW(TwdpGenerator(wrong_plan, spec), ContractViolation);
+  CMatrix wrong_block(4, 5);
+  EXPECT_THROW(scenario::add_twdp_waves(
+                   spec.specular_waves(*ColoringPlan::create(paper_k())), 1,
+                   0, wrong_block),
+               ContractViolation);
   // Wave Doppler outside the normalised band — rejected even on a K = 0
   // scenario whose mean would vanish (fail where the bad value appears).
   const auto plan = ColoringPlan::create(paper_k());
@@ -507,8 +534,8 @@ TEST(CascadedStream, BlocksAreDeterministicAndStagesIndependent) {
   stage2.normalized_doppler = 0.11;
   const core::FadingStream first_stage(paper_k(), options);
   const core::FadingStream second_stage(tridiagonal_covariance(3), stage2);
-  random::Rng rng1(CascadedRayleighGenerator::stage_seed(42, 0), 8);
-  random::Rng rng2(CascadedRayleighGenerator::stage_seed(42, 1), 8);
+  random::Rng rng1(core::FadingStream::stage_seed(42, 0), 8);
+  random::Rng rng2(core::FadingStream::stage_seed(42, 1), 8);
   const CMatrix z1 = first_stage.generate_block_from(rng1);
   const CMatrix z2 = second_stage.generate_block_from(rng2);
   const CMatrix product = gen.generate_block(42, 7);
@@ -581,7 +608,8 @@ TEST(CascadedStream, EnvelopeMarginalIsDoubleRayleigh) {
   const core::FadingStream gen = cascaded_stream(
       paper_k(), tridiagonal_covariance(3), 0.17, stage_options(256, 0.1));
 
-  const auto marginal = scenario::cascaded_branch_marginal(gen, 0);
+  const auto marginal = scenario::cascaded_branch_marginal(
+      *gen.plan(), *gen.second_stage()->plan(), 0);
   numeric::RVector thinned;
   stats::RunningStats moments;
   const std::size_t stride = 32;  // ~3 Doppler periods at fm = 0.1
@@ -606,23 +634,24 @@ TEST(CascadedStream, EnvelopeMarginalIsDoubleRayleigh) {
 // --- instant-mode cascade: KS upgrade ---------------------------------------
 
 TEST(Cascaded, ValidatorRunsKsAgainstDoubleRayleigh) {
-  const scenario::CascadedRayleighGenerator gen(paper_k(),
-                                                tridiagonal_covariance(3));
   core::ValidationOptions options;
   options.samples = 60000;
   options.seed = 0xDB1;
   options.ks_samples_per_branch = 4000;
-  const auto report = scenario::validate_cascaded(gen, options);
+  const auto channel = ChannelSpec::Builder()
+                           .cascaded(paper_k(), tridiagonal_covariance(3))
+                           .instant()
+                           .block_size(options.chunk_size)
+                           .build()
+                           .compile();
+  const auto marginals = core::make_marginals(3, [&](std::size_t j) {
+    return scenario::cascaded_branch_marginal(*channel->plan(),
+                                              *channel->second_plan(), j);
+  });
+  const auto report = validate_instant(*channel, marginals, options);
   EXPECT_LT(report.max_mean_rel_error, 0.01);
   EXPECT_LT(report.max_second_moment_rel_error, 0.02);
   EXPECT_GT(report.worst_ks_p_value, 1e-3);
-  // The marginal agrees with the generator's own moment formulas.
-  for (std::size_t j = 0; j < gen.dimension(); ++j) {
-    const auto marginal = gen.branch_marginal(j);
-    EXPECT_NEAR(marginal.mean(), gen.envelope_mean(j), 1e-12);
-    EXPECT_NEAR(marginal.second_moment(), gen.envelope_second_moment(j),
-                1e-12);
-  }
 }
 
 }  // namespace

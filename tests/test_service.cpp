@@ -17,7 +17,6 @@
 
 #include "rfade/channel/spectral.hpp"
 #include "rfade/core/fading_stream.hpp"
-#include "rfade/core/generator.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/scenario/composite/suzuki.hpp"
 #include "rfade/scenario/cascaded.hpp"
@@ -346,10 +345,10 @@ TEST(Session, CascadedStreamIsTheProductOfItsStageStreams) {
   // Stage s is a plain stream on the stage-s plan and Doppler, keyed by
   // stage_seed(5, s); the session block is their elementwise product.
   core::FadingStreamOptions first = channel->stream_options(5);
-  first.seed = scenario::CascadedRayleighGenerator::stage_seed(5, 0);
+  first.seed = core::FadingStream::stage_seed(5, 0);
   core::FadingStreamOptions second = first;
   second.normalized_doppler = 0.02;
-  second.seed = scenario::CascadedRayleighGenerator::stage_seed(5, 1);
+  second.seed = core::FadingStream::stage_seed(5, 1);
   const core::FadingStream stage1(channel->plan(), first);
   const core::FadingStream stage2(channel->second_plan(), second);
   for (std::uint64_t b = 0; b < 2; ++b) {
@@ -509,9 +508,8 @@ TEST(Session, InstantWalkMatchesKeyedPipelines) {
                                .block_size(64)
                                .build();
   Session twdp_session = svc.open_session(twdp, 21);
-  EXPECT_TRUE(bit_equal(
-      twdp_session.next_block(),
-      svc.compile(twdp)->twdp_generator().sample_block(64, 21, 0)));
+  EXPECT_TRUE(bit_equal(twdp_session.next_block(),
+                        svc.compile(twdp)->instant_block(64, 21, 0)));
 }
 
 TEST(Session, CopulaChannelsAreEnvelopeOnly) {
@@ -794,49 +792,6 @@ TEST(ChannelService, TwoShardAccumulatorMergeEqualsSingleRun) {
   const CMatrix merged_cov = covariance_a.finalize();
   const CMatrix direct_cov = single_covariance.finalize();
   EXPECT_TRUE(bit_equal(merged_cov, direct_cov));
-}
-
-// --- legacy wrappers --------------------------------------------------------
-
-TEST(LegacyWrappers, EnvelopeGeneratorMatchesPlanConstruction) {
-  const CMatrix k = paper_covariance();
-  core::GeneratorOptions options;
-  options.sample_variance = 2.0;
-  options.mean_offset = numeric::CVector(3, cdouble(0.1, -0.2));
-  const core::EnvelopeGenerator wrapped(k, options);
-  const core::EnvelopeGenerator direct(
-      core::ColoringPlan::create(k, options.coloring), options);
-  EXPECT_TRUE(bit_equal(wrapped.sample_stream(96, 5),
-                        direct.sample_stream(96, 5)));
-}
-
-TEST(LegacyWrappers, SuzukiGeneratorMatchesPlanConstruction) {
-  const CMatrix k = paper_covariance();
-  scenario::composite::ShadowingSpec shadowing;
-  shadowing.sigma_db = 5.0;
-  shadowing.decorrelation_samples = 128.0;
-  const scenario::composite::SuzukiGenerator wrapped(k, shadowing, {});
-  const scenario::composite::SuzukiGenerator direct(
-      core::ColoringPlan::create(k, {}), shadowing, {});
-  EXPECT_TRUE(bit_equal(wrapped.sample_block(64, 7, 0),
-                        direct.sample_block(64, 7, 0)));
-}
-
-TEST(LegacyWrappers, TwdpGeneratorMatchesPlanConstruction) {
-  const CMatrix k = paper_covariance();
-  const auto spec = scenario::TwdpSpec::uniform(k, 6.0, 0.7);
-  const scenario::TwdpGenerator wrapped(spec, {});
-  const scenario::TwdpGenerator direct(spec.build_plan({}), spec, {});
-  EXPECT_TRUE(bit_equal(wrapped.sample_block(64, 13, 2),
-                        direct.sample_block(64, 13, 2)));
-  // K = 0 canonicalizes to the Rayleigh family inside the wrapper but
-  // must still construct and match.
-  const auto zero_k = scenario::TwdpSpec::uniform(k, 0.0, 0.0);
-  const scenario::TwdpGenerator wrapped_zero(zero_k, {});
-  const scenario::TwdpGenerator direct_zero(zero_k.build_plan({}), zero_k,
-                                            {});
-  EXPECT_TRUE(bit_equal(wrapped_zero.sample_block(32, 1, 0),
-                        direct_zero.sample_block(32, 1, 0)));
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 namespace {
 
-using rfade::special::chi_square_survival;
 using rfade::special::kolmogorov_p_value;
 using rfade::special::kolmogorov_survival;
 using rfade::special::regularized_gamma_p;
@@ -62,20 +61,6 @@ TEST(Gamma, RejectsBadArguments) {
   EXPECT_THROW((void)regularized_gamma_p(0.0, 1.0), rfade::ContractViolation);
   EXPECT_THROW((void)regularized_gamma_p(-1.0, 1.0), rfade::ContractViolation);
   EXPECT_THROW((void)regularized_gamma_q(1.0, -1.0), rfade::ContractViolation);
-}
-
-TEST(ChiSquare, SurvivalKnownValues) {
-  // dof = 2: survival = e^{-x/2}.
-  for (const double x : {0.5, 2.0, 6.0}) {
-    EXPECT_NEAR(chi_square_survival(x, 2.0), std::exp(-0.5 * x), 1e-12);
-  }
-  // Median of chi^2(1) is ~0.4549.
-  EXPECT_NEAR(chi_square_survival(0.45493642311957, 1.0), 0.5, 1e-9);
-}
-
-TEST(ChiSquare, TailsBehave) {
-  EXPECT_NEAR(chi_square_survival(0.0, 5.0), 1.0, 1e-14);
-  EXPECT_LT(chi_square_survival(100.0, 5.0), 1e-15);
 }
 
 TEST(Kolmogorov, LimitsAndKnownValue) {

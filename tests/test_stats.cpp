@@ -1,5 +1,5 @@
 // Tests for the statistics module: moments, covariance accumulation,
-// autocorrelation, GoF tests, histogram, fading metrics.
+// autocorrelation, KS tests, fading metrics.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +7,9 @@
 
 #include "rfade/random/rng.hpp"
 #include "rfade/stats/autocorrelation.hpp"
-#include "rfade/stats/chi_square.hpp"
 #include "rfade/stats/covariance.hpp"
 #include "rfade/stats/distributions.hpp"
 #include "rfade/stats/fading_metrics.hpp"
-#include "rfade/stats/histogram.hpp"
 #include "rfade/stats/ks_test.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
 #include "rfade/special/gamma.hpp"
@@ -552,46 +550,6 @@ TEST(KsTest, TwoSample) {
   }
   EXPECT_LT(stats::ks_two_sample_statistic(a, b), 0.05);
   EXPECT_GT(stats::ks_two_sample_statistic(a, c), 0.3);
-}
-
-TEST(ChiSquareGof, AcceptsAndRejects) {
-  random::Rng rng(9);
-  const auto rayleigh = stats::RayleighDistribution::from_gaussian_power(1.0);
-  RVector samples(20000);
-  for (auto& s : samples) {
-    s = std::abs(rng.complex_gaussian(1.0));
-  }
-  const auto good = stats::chi_square_gof(
-      samples, [&](double p) { return rayleigh.quantile(p); }, 32);
-  EXPECT_EQ(good.dof, 31u);
-  EXPECT_GT(good.p_value, 1e-3);
-
-  const auto wrong = stats::RayleighDistribution::from_gaussian_power(1.5);
-  const auto bad = stats::chi_square_gof(
-      samples, [&](double p) { return wrong.quantile(p); }, 32);
-  EXPECT_LT(bad.p_value, 1e-10);
-
-  EXPECT_THROW((void)stats::chi_square_gof(
-                   RVector(10), [](double p) { return p; }, 8),
-               ContractViolation);
-}
-
-TEST(Histogram, CountsAndDensity) {
-  stats::Histogram h(0.0, 10.0, 10);
-  for (double x = 0.5; x < 10.0; x += 1.0) {
-    h.add(x);
-  }
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < 10; ++b) {
-    EXPECT_EQ(h.count(b), 1u);
-    EXPECT_NEAR(h.density(b), 0.1, 1e-12);
-    EXPECT_NEAR(h.center(b), 0.5 + double(b), 1e-12);
-  }
-  // Out-of-range values clamp to edge bins.
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
 }
 
 TEST(FadingMetrics, TheoreticalFormulas) {
