@@ -4,11 +4,18 @@
 # fft.cpp and matrix_ops.cpp are compiled with -ffp-contract=off and carry
 # target_clones("default", "avx2", "avx512f") wrappers (or, for the
 # coloring GEMM and the FFT butterflies, per-ISA target versions) around
-# one shared template body per kernel.  Their objects must contain no
-# fused multiply-add, vfmaddsub included (contraction would change the
-# bits of the kernels against the std::complex reference paths), and must
-# contain zmm instructions (the avx512f clones still vectorise at full
-# width).
+# one shared template body per kernel.  The compiler must contract nothing
+# in them: contraction is compiler- and ISA-chosen, so it would change the
+# bits of the kernels between clones and against their scalar references.
+#
+# The one place fused multiply-adds belong is the coloring GEMM
+# (coloring_gemm_kernel in matrix_ops.cpp), where they are written
+# explicitly, per lane, in a fixed order: its avx512f versions
+# ("avx512f,fma") must hold FMA on zmm and its avx2 versions ("avx2,fma")
+# FMA on ymm, or the kernel fell back to a narrower or unfused form.  Every
+# other function of matrix_ops.cpp.o, and all of fft.cpp.o, must hold no
+# fused multiply-add.  Both objects must contain zmm instructions (the
+# avx512f clones and versions still vectorise at full width).
 #
 # metrics/accumulators.cpp and support/exact_sum.cpp are compiled with
 # -ffp-contract=off too and must hold no fused multiply-add either: the
@@ -16,6 +23,10 @@
 # products and mutual-information terms must be the very products the
 # shard merges re-form.  accumulators.cpp carries no versions, so no zmm
 # is required there.
+#
+# None of the four objects may hold vfmaddsub / vfmsubadd: GCC's SLP
+# complex-multiply pattern emits it for scalar arrays of interleaved
+# accumulators, fused with an ISA-dependent rounding.
 #
 # Per-ISA target versions must have their avx512f version on zmm and
 # their avx2 version on ymm, or they fell back to the 16-byte default
@@ -34,6 +45,7 @@
 set -eu
 build=${1:-build}
 status=0
+fma='vfn?m(add|sub)'
 
 # Prints the path of the object whose path ends in /$1 (a file name, or
 # dir/file where the name alone is ambiguous), or reports it missing and
@@ -47,39 +59,82 @@ find_object() {
   echo "$obj"
 }
 
-for name in fft.cpp.o matrix_ops.cpp.o; do
-  obj=$(find_object "$name") || { status=1; continue; }
-  fma=$(objdump -d "$obj" | grep -cE 'vfn?m(add|sub)' || true)
-  zmm=$(objdump -d "$obj" | grep -c 'zmm' || true)
-  echo "$name: fma=$fma zmm=$zmm"
-  if [ "$fma" -ne 0 ]; then
-    echo "$name: fused multiply-add instructions in a strict-FP TU" >&2
-    status=1
-  fi
-  if [ "$zmm" -eq 0 ]; then
-    echo "$name: no zmm instructions — the avx512f clones stopped vectorising" >&2
-    status=1
-  fi
-done
-
-for name in metrics/accumulators.cpp.o support/exact_sum.cpp.o; do
-  obj=$(find_object "$name") || { status=1; continue; }
-  fma=$(objdump -d "$obj" | grep -cE 'vfn?m(add|sub)' || true)
-  echo "$name: fma=$fma"
-  if [ "$fma" -ne 0 ]; then
-    echo "$name: fused multiply-add instructions in a strict-FP TU" >&2
-    status=1
-  fi
-done
-
-# Lines holding register $3 inside the object $1's functions whose symbol
-# contains $2 and ends in ".$4" (one target version of one kernel).
+# Lines matching the extended regex $3 inside the object $1's functions
+# whose symbol contains $2 and whose target-version suffix names the
+# feature $4 (".avx2", or ".avx2_fma" for a version with several
+# features): one target version of one kernel.
 version_count() {
-  objdump -d "$1" | awk -v k="$2" -v reg="$3" -v isa="$4" '
-    />:$/ { inside = index($0, k) && index($0, "." isa ">:") }
-    inside && index($0, reg) { n++ }
+  objdump -d "$1" | awk -v k="$2" -v re="$3" -v isa="$4" '
+    />:$/ {
+      inside = 0
+      sym = $0
+      sub(/>:$/, "", sym)
+      pieces = split(sym, parts, ".")
+      if (index(sym, k) && pieces > 1) {
+        count = split(parts[pieces], features, "_")
+        for (i = 1; i <= count; i++) inside = inside || features[i] == isa
+      }
+    }
+    inside && $0 ~ re { n++ }
     END { print n + 0 }'
 }
+
+# Lines matching the extended regex $3 in the object $1 outside every
+# function whose symbol contains $2 (an empty $2 exempts nothing).
+count_outside() {
+  objdump -d "$1" | awk -v k="$2" -v re="$3" '
+    />:$/ { inside = k != "" && index($0, k) }
+    !inside && $0 ~ re { n++ }
+    END { print n + 0 }'
+}
+
+# Checks that the object named $1 holds no fused multiply-add outside the
+# functions whose symbol contains $2, and no vfmaddsub / vfmsubadd at all;
+# with $3 = zmm, that it holds zmm code too.
+check_unfused() {
+  obj=$(find_object "$1") || { status=1; return; }
+  stray=$(count_outside "$obj" "$2" "$fma")
+  addsub=$(count_outside "$obj" "" 'vfm(addsub|subadd)')
+  line="$1: fma outside ${2:-any kernel}=$stray vfmaddsub=$addsub"
+  if [ "${3:-}" = zmm ]; then
+    zmm=$(objdump -d "$obj" | grep -c 'zmm' || true)
+    line="$line zmm=$zmm"
+    if [ "$zmm" -eq 0 ]; then
+      echo "$1: no zmm instructions — the avx512f clones stopped vectorising" >&2
+      status=1
+    fi
+  fi
+  echo "$line"
+  if [ "$stray" -ne 0 ] || [ "$addsub" -ne 0 ]; then
+    echo "$1: fused multiply-add instructions outside the explicit FMA kernel" >&2
+    status=1
+  fi
+}
+
+check_unfused fft.cpp.o "" zmm
+check_unfused matrix_ops.cpp.o coloring_gemm_kernel zmm
+check_unfused metrics/accumulators.cpp.o ""
+check_unfused support/exact_sum.cpp.o ""
+
+# The coloring GEMM's explicit FMAs: on zmm in the avx512f versions and on
+# ymm in the avx2 versions, double (EPKd) and float (EPKf) each.
+if obj=$(find_object matrix_ops.cpp.o); then
+  for kernel in coloring_gemm_kernelEPKd coloring_gemm_kernelEPKf; do
+    zmm=$(version_count "$obj" "$kernel" "$fma.*zmm" avx512f)
+    ymm=$(version_count "$obj" "$kernel" "$fma.*ymm" avx2)
+    echo "matrix_ops.cpp.o: $kernel avx512f fma zmm=$zmm avx2 fma ymm=$ymm"
+    if [ "$zmm" -eq 0 ]; then
+      echo "matrix_ops.cpp.o: no zmm FMA in the avx512f $kernel — the version is gone, narrow or unfused" >&2
+      status=1
+    fi
+    if [ "$ymm" -eq 0 ]; then
+      echo "matrix_ops.cpp.o: no ymm FMA in the avx2 $kernel — the version is gone, narrow or unfused" >&2
+      status=1
+    fi
+  done
+else
+  status=1
+fi
 
 # Checks that the object $1 has zmm code in the avx512f version and ymm
 # code in the avx2 version of each kernel named after it.

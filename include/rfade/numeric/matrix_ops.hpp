@@ -9,6 +9,9 @@
 /// contracts and throws rfade::DimensionError-compatible ContractViolation
 /// on mismatch.
 
+#include <cmath>
+#include <complex>
+
 #include "rfade/numeric/matrix.hpp"
 
 namespace rfade::numeric {
@@ -70,24 +73,41 @@ void multiply_elementwise(CMatrixF& a, const CMatrixF& b);
 
 // --- batched (blocked) products ---------------------------------------------
 
+/// acc + a * b in the coloring GEMM's fused order:
+///   re = fma(a.imag, -b.imag, fma(a.real, b.real, acc.real))
+///   im = fma(a.imag,  b.real, fma(a.real, b.imag, acc.imag))
+/// each std::fma rounded once.  Every scalar path that must reproduce the
+/// blocked GEMMs bit for bit (the per-draw matvec, test references)
+/// accumulates through this one helper.
+template <typename T>
+[[nodiscard]] inline std::complex<T> fused_mac(std::complex<T> acc,
+                                               std::complex<T> a,
+                                               std::complex<T> b) {
+  const T re = std::fma(a.real(), b.real(), acc.real());
+  const T im = std::fma(a.real(), b.imag(), acc.imag());
+  return {std::fma(a.imag(), -b.imag(), re), std::fma(a.imag(), b.real(), im)};
+}
+
 /// Raw kernel behind multiply_block: c = a * b with a (m x k), b (k x n) and
-/// c (m x n), all dense row-major.  The accumulation over k is strictly
-/// ascending from a (+0, +0) start for every output element, so the result
-/// is bit-identical to a naive std::complex dot product (and hence to the
-/// per-sample matvec loops it replaces) for finite operands; non-finite
-/// products follow the plain formula, without std::complex's Annex G
-/// infinity recovery.  A register-blocked kernel (one version per ISA, at
-/// that ISA's vector width) keeps a 4-row tile of c in vector registers
-/// across the whole k loop and stores it once, interleaved; b is repacked
-/// per call into a per-thread buffer (4kn scalars) that only grows, so
-/// steady-state calls allocate nothing.
+/// c (m x n), all dense row-major.  Every output element is accumulated as
+/// acc = fused_mac(acc, a(t, kk), b(kk, j)) over strictly ascending kk from
+/// a (+0, +0) start, so the result is bit-identical to that scalar loop
+/// (and hence to the per-sample matvec) for all operands, at every vector
+/// width and ISA: each fused multiply-add is correctly rounded, whether it
+/// is a vfmadd lane or libm's std::fma.  Non-finite products follow the
+/// plain formula, without std::complex's Annex G infinity recovery.  A
+/// register-blocked kernel (one version per ISA, at that ISA's vector
+/// width) keeps a tile of c in vector registers across the whole k loop
+/// and stores it once, interleaved; b is repacked per call into a
+/// per-thread buffer (4kn scalars) that only grows, so steady-state calls
+/// allocate nothing.
 /// \p c must not alias \p a or \p b.
 ///
 /// Every batched kernel below comes in a double and a float overload
-/// sharing one body: same accumulation order and contraction discipline
-/// (the implementation TU keeps -ffp-contract=off), so each float kernel
-/// is bit-identical to its own scalar float loop at every ISA width —
-/// float is its own bit-reference, not required to match double bitwise.
+/// sharing one body: same accumulation order and rounding steps, so each
+/// float kernel is bit-identical to its own scalar float loop at every ISA
+/// width — float is its own bit-reference, not required to match double
+/// bitwise.
 void multiply_block_raw(const cdouble* a, std::size_t m, std::size_t k,
                         const cdouble* b, std::size_t n, cdouble* c);
 void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
@@ -97,9 +117,8 @@ void multiply_block_raw(const cfloat* a, std::size_t m, std::size_t k,
 void multiply_block_into(const CMatrix& a, const CMatrix& b, CMatrix& out);
 
 /// Blocked GEMM a * b: the multiply_block_raw contract on Matrix operands,
-/// for block-of-draws workloads where a has thousands of rows.  Equal to
-/// multiply(a, b) bit for bit on finite operands whenever a has no zero
-/// entries (multiply skips those terms, which can flip a zero's sign).
+/// for block-of-draws workloads where a has thousands of rows.  Agrees
+/// with the unfused multiply(a, b) to rounding, not bit for bit.
 [[nodiscard]] CMatrix multiply_block(const CMatrix& a, const CMatrix& b);
 
 /// Planar-operand variant of multiply_block_raw: a is given as split

@@ -287,6 +287,9 @@ class ChannelSpec::Builder {
   Builder& wave_dopplers(double first, double second);
   /// Instant mode: rows per block (Philox substream granularity).
   Builder& block_size(std::size_t block_size);
+  /// Stream mode: fill the branches across the thread pool.  Inert under
+  /// instant emission (an instant block never fans out), where build()
+  /// collapses it to the default, true.
   Builder& parallel(bool parallel);
   Builder& coloring(core::ColoringOptions options);
   Builder& laguerre_terms(std::size_t terms);

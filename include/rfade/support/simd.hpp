@@ -12,20 +12,34 @@
 /// NEON and there is no wider tier to clone (SVE multiversioning needs the
 /// GCC 14+ "arch=" FMV syntax; revisit when the toolchain floor moves).
 ///
-/// Bit-identity contract: the clones deliberately do *not* enable FMA via
-/// the target set (neither "avx2" nor the x86 FMV machinery turns on
-/// -mfma), and AVX-512F — whose 512-bit FMA is part of the base feature —
-/// is kept honest by compiling every strict-FP kernel TU with
-/// -ffp-contract=off (see CMakeLists.txt): fused contraction would change
-/// the bit pattern of the planar kernels against the std::complex
-/// reference paths, and the hot paths promise bit-identical results
-/// across code paths and clone tiers.  The one exception is the bulk
-/// Box-Muller tile (random/bulk_gaussian.cpp), whose transcendental calls
-/// go through libmvec: vector variants of log/sin/cos differ across ISA
-/// widths by a few ulp, so that kernel's cross-ISA contract is ulp-level
-/// (its within-process purity is still exact — ifunc resolves one clone
-/// per process).  The fill's counter -> uniform stage before it is exact
-/// and bit-identical at every width.  On toolchains or targets without
+/// Bit-identity contract: fused multiply-add is never the compiler's
+/// choice.  Every strict-FP kernel TU is compiled with -ffp-contract=off
+/// (see CMakeLists.txt), because contraction is compiler- and ISA-chosen:
+/// the avx512f clones have 512-bit FMA in their base feature set, and a
+/// contracted mul+add would change the bit pattern of one clone against
+/// another and against the scalar reference paths, while the hot paths
+/// promise bit-identical results across code paths and clone tiers.
+///
+/// Where FMA is wanted it is an explicit per-lane contract instead.  The
+/// coloring GEMM (numeric/matrix_ops.cpp) computes every output lane as
+/// acc = fma(ai, y, fma(ar, x, acc)), kk ascending from +0 (on the real
+/// lane fma(ai, -bi, fma(ar, br, acc)), on the imaginary lane
+/// fma(ai, br, fma(ar, bi, acc))), written with vfmadd intrinsics in its
+/// "avx2,fma" and "avx512f,fma" versions and std::fma per lane in its
+/// default version (SSE2, NEON and every sanitizer build).  Each fused
+/// op is correctly rounded wherever it runs, and the tile shape never
+/// changes an element's sequence of ops, so the GEMM's bits are the same
+/// at every ISA tier and equal the scalar numeric::fused_mac loop.  The
+/// FFT butterflies, the crossfade, the strided scale and the metrics
+/// accumulators stay unfused (mul and add rounded separately).
+///
+/// The one exception to exact cross-tier bits is the bulk Box-Muller tile
+/// (random/bulk_gaussian.cpp), whose transcendental calls go through
+/// libmvec: vector variants of log/sin/cos differ across ISA widths by a
+/// few ulp, so that kernel's cross-ISA contract is ulp-level (its
+/// within-process purity is still exact — ifunc resolves one clone per
+/// process).  The fill's counter -> uniform stage before it is exact and
+/// bit-identical at every width.  On toolchains or targets without
 /// multiversioning support the macros expand to nothing and the baseline
 /// loop is used everywhere.
 ///
@@ -49,7 +63,9 @@
 /// single rounding) in the avx512f clone, which changes the bits.
 /// Explicit vectors hand the vectorizer nothing to pattern-match.
 /// bench/check_strict_fp_objects.sh (run by CI) rejects any fused
-/// multiply-add, vfmaddsub included, in the strict-FP objects.
+/// multiply-add in the strict-FP objects outside the coloring GEMM's
+/// versions (and vfmaddsub everywhere), and requires FMA on zmm / ymm in
+/// the GEMM's avx512f / avx2 versions.
 ///
 /// Such a kernel cannot sit behind target_clones: every clone would
 /// compile the same vector width, and a vector wider than the clone's
@@ -61,7 +77,9 @@
 /// at that ISA's register width: a "default" version (16-byte vectors:
 /// SSE2, or NEON on aarch64), then, under RFADE_HAS_TARGET_VERSIONS,
 /// "avx2" (32 bytes) and "avx512f" (64 bytes) versions.  Users:
-///  - the coloring GEMM in numeric/matrix_ops.cpp;
+///  - the coloring GEMM in numeric/matrix_ops.cpp, whose wider versions
+///    are "avx2,fma" and "avx512f,fma" (GCC mangles them .avx2_fma and
+///    .avx512f_fma) and whose avx512f tile is 8 rows x 3 zmm;
 ///  - the FFT butterfly kernel in fft/fft.cpp (fused stage pairs on 4
 ///    points in registers): planar_kernel vectorises transform_batched
 ///    across lanes, interleaved_kernel vectorises transform across
@@ -80,7 +98,14 @@
 /// with "target specific option mismatch".  Give every helper on such a
 /// path its version's target (as the Philox helpers do), or mark the
 /// versioned entry point [[gnu::flatten]] so the intrinsics inline into
-/// it directly.
+/// it directly.  The coloring GEMM takes a third way: its body calls
+/// X86Fma::madd overloads that carry their own target ("fma" or
+/// "avx512f") and are not always_inline, so the target-less body
+/// compiles, and the inliner folds them into the "avx2,fma" /
+/// "avx512f,fma" versions, whose targets include theirs (the object check
+/// fails if one stays out of line).  Pass vectors to such helpers by
+/// reference: a vector argument or return value in a target-less body
+/// draws GCC's -Wpsabi ABI warning.
 
 // Sanitizers and ifunc-based multiversioning do not mix: the clone
 // resolver runs during dynamic relocation, before the sanitizer runtime

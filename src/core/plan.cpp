@@ -153,7 +153,7 @@ void SamplePipeline::sample_into(random::Rng& rng,
     const numeric::cdouble w = rng.complex_gaussian(options_.sample_variance);
     const numeric::cdouble scaled = w * inv_sigma_w_;
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] += l(i, j) * scaled;
+      out[i] = numeric::fused_mac(out[i], scaled, l(i, j));
     }
   }
   finish_rows(instant, 1, out.data());
@@ -187,7 +187,8 @@ void SamplePipeline::fill_colored_rows(random::Rng& rng, std::size_t rows,
     w[t] = rng.complex_gaussian(options_.sample_variance) * inv_sigma_w_;
   }
   // Step 7, batched: Z_block = W_block * L^T via the blocked GEMM, whose
-  // ascending-j accumulation reproduces the per-draw matvec bit-for-bit.
+  // ascending-j fused_mac accumulation reproduces the per-draw matvec
+  // bit-for-bit.
   numeric::multiply_block_raw(w.data(), rows, n,
                               plan_->coloring_matrix_transposed().data(), n,
                               out);

@@ -7,6 +7,10 @@
 
 #include "rfade/support/simd.hpp"
 
+#if RFADE_HAS_TARGET_VERSIONS
+#include <immintrin.h>
+#endif
+
 namespace rfade::numeric {
 
 namespace {
@@ -21,6 +25,63 @@ struct VectorOf {
 template <typename T, std::size_t Bytes>
 using Vector = typename VectorOf<T, Bytes>::type;
 
+/// acc = a * b + acc in every lane with one rounding (a is a scalar
+/// broadcast to all lanes): the only arithmetic of the coloring GEMM.
+/// The default version calls std::fma per lane, which libm rounds
+/// correctly on every CPU (slowly where there is no FMA hardware).
+struct LaneFma {
+  template <typename V, typename T>
+  RFADE_CLONE_BODY static void madd(V& acc, T a, const V& b) {
+    for (std::size_t l = 0; l < sizeof(V) / sizeof(T); ++l) {
+      acc[l] = std::fma(a, b[l], acc[l]);
+    }
+  }
+};
+
+#if RFADE_HAS_TARGET_VERSIONS
+/// The x86 versions: one vfmadd per vector, at each width the tile and
+/// its tails use (a lane-wise std::fma, itself one vfmadd, below 16
+/// bytes).  The helpers carry their own target and are not always_inline,
+/// so the target-less shared bodies calling them compile; each helper's
+/// target is a subset of the "avx2,fma" / "avx512f,fma" versions, so
+/// every call inlines there (bench/check_strict_fp_objects.sh fails on
+/// an FMA left in an out-of-line helper).
+struct X86Fma {
+  template <typename V, typename T>
+  RFADE_CLONE_BODY static void madd(V& acc, T a, const V& b) {
+    LaneFma::madd(acc, a, b);
+  }
+  __attribute__((target("fma"))) static void madd(Vector<double, 16>& acc,
+                                                  double a,
+                                                  const Vector<double, 16>& b) {
+    acc = _mm_fmadd_pd(_mm_set1_pd(a), b, acc);
+  }
+  __attribute__((target("fma"))) static void madd(Vector<float, 16>& acc,
+                                                  float a,
+                                                  const Vector<float, 16>& b) {
+    acc = _mm_fmadd_ps(_mm_set1_ps(a), b, acc);
+  }
+  __attribute__((target("fma"))) static void madd(Vector<double, 32>& acc,
+                                                  double a,
+                                                  const Vector<double, 32>& b) {
+    acc = _mm256_fmadd_pd(_mm256_set1_pd(a), b, acc);
+  }
+  __attribute__((target("fma"))) static void madd(Vector<float, 32>& acc,
+                                                  float a,
+                                                  const Vector<float, 32>& b) {
+    acc = _mm256_fmadd_ps(_mm256_set1_ps(a), b, acc);
+  }
+  __attribute__((target("avx512f"))) static void madd(
+      Vector<double, 64>& acc, double a, const Vector<double, 64>& b) {
+    acc = _mm512_fmadd_pd(_mm512_set1_pd(a), b, acc);
+  }
+  __attribute__((target("avx512f"))) static void madd(
+      Vector<float, 64>& acc, float a, const Vector<float, 64>& b) {
+    acc = _mm512_fmadd_ps(_mm512_set1_ps(a), b, acc);
+  }
+};
+#endif
+
 /// One R-row x (Cols vectors of Bytes) register tile of the coloring GEMM
 /// c = a * b, for the interleaved scalar columns [j, j + Cols * lanes) of
 /// rows 0..R-1.  Every accumulator stays in a register across the whole
@@ -28,14 +89,15 @@ using Vector = typename VectorOf<T, Bytes>::type;
 ///
 /// b1 holds b's (re, im) pairs and b2 the pairs (-im, re), both row-major
 /// with n2 = 2n scalars per row.  Per kk, lane 2p (a real part) computes
-///   acc + (ar*br + ai*(-bi))  ==  acc + (ar*br - ai*bi)
+///   fma(ai, -bi, fma(ar, br, acc))
 /// and lane 2p+1 (its imaginary part)
-///   acc + (ar*bi + ai*br),
-/// because x + (-y) is x - y in IEEE 754 and a sign flip is exact.  With
-/// kk ascending from zero and acc starting at +0, that is the value
-/// sequence of the scalar std::complex loop c += a*b for every output
-/// element, at every vector width.
-template <std::size_t R, std::size_t Cols, std::size_t Bytes, typename T>
+///   fma(ai, br, fma(ar, bi, acc)),
+/// each fma rounded once.  With kk ascending from zero and acc starting at
+/// +0, every output element gets that one operation sequence whatever the
+/// tile shape, vector width or ISA — the value sequence of the scalar
+/// numeric::fused_mac loop.
+template <std::size_t R, std::size_t Cols, std::size_t Bytes, typename Fma,
+          typename T>
 RFADE_CLONE_BODY void gemm_tile(const T* __restrict a_re,
                                 const T* __restrict a_im,
                                 std::size_t a_stride, std::size_t k,
@@ -56,7 +118,8 @@ RFADE_CLONE_BODY void gemm_tile(const T* __restrict a_re,
       const T ar = a_re[(r * k + kk) * a_stride];
       const T ai = a_im[(r * k + kk) * a_stride];
       for (std::size_t q = 0; q < Cols; ++q) {
-        acc[r][q] = acc[r][q] + (ar * x[q] + ai * y[q]);
+        Fma::madd(acc[r][q], ar, x[q]);
+        Fma::madd(acc[r][q], ai, y[q]);
       }
     }
   }
@@ -67,115 +130,94 @@ RFADE_CLONE_BODY void gemm_tile(const T* __restrict a_re,
   }
 }
 
-/// The columns a whole-width tile leaves (fewer than 2 * Bytes / sizeof(T)
-/// scalars): one tile at each halving width down to one complex element,
-/// so every tile covers whole output elements with no padding or masking.
-template <std::size_t R, std::size_t Bytes, typename T>
-RFADE_CLONE_BODY void gemm_tail(const T* a_re, const T* a_im,
-                                std::size_t a_stride, std::size_t k,
-                                const T* b1, const T* b2, std::size_t n2,
-                                std::size_t j, T* c) {
+/// R rows of c from column j on: tiles of Cols vectors while they fit,
+/// then the columns left over at one vector fewer, down to one vector, and
+/// then one tile at each halving width down to one complex element — so
+/// every tile covers whole output elements with no padding or masking.
+template <std::size_t R, std::size_t Cols, std::size_t Bytes, typename Fma,
+          typename T>
+RFADE_CLONE_BODY void gemm_columns(const T* a_re, const T* a_im,
+                                   std::size_t a_stride, std::size_t k,
+                                   const T* b1, const T* b2, std::size_t n2,
+                                   std::size_t j, T* c) {
   constexpr std::size_t kLanes = Bytes / sizeof(T);
-  if (j + kLanes <= n2) {
-    gemm_tile<R, 1, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
-    j += kLanes;
+  for (; j + Cols * kLanes <= n2; j += Cols * kLanes) {
+    gemm_tile<R, Cols, Bytes, Fma>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
   }
-  if constexpr (kLanes > 2) {
-    gemm_tail<R, Bytes / 2>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
+  if constexpr (Cols > 1) {
+    gemm_columns<R, Cols - 1, Bytes, Fma>(a_re, a_im, a_stride, k, b1, b2,
+                                          n2, j, c);
+  } else if constexpr (kLanes > 2) {
+    gemm_columns<R, 1, Bytes / 2, Fma>(a_re, a_im, a_stride, k, b1, b2, n2,
+                                       j, c);
   }
 }
 
-/// R rows of c, two Bytes-wide vectors of columns per tile.
-template <std::size_t R, std::size_t Bytes, typename T>
-RFADE_CLONE_BODY void gemm_rows(const T* a_re, const T* a_im,
-                                std::size_t a_stride, std::size_t k,
-                                const T* b1, const T* b2, std::size_t n2,
-                                T* c) {
-  constexpr std::size_t kLanes = Bytes / sizeof(T);
-  std::size_t j = 0;
-  for (; j + 2 * kLanes <= n2; j += 2 * kLanes) {
-    gemm_tile<R, 2, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
-  }
-  gemm_tail<R, Bytes>(a_re, a_im, a_stride, k, b1, b2, n2, j, c);
-}
-
-/// Rows of the register tile: 4 rows x 2 vectors is 8 accumulators, which
-/// with the 4 b vectors and 2 broadcasts fits in 16 registers.
-constexpr std::size_t kTileRows = 4;
+/// The register tile of each version, rows x vectors of accumulators.
+/// With 16 registers (SSE2 / NEON, avx2): 4 x 2 = 8 accumulators, the 4
+/// b vectors and 2 broadcasts.  With 32 zmm (avx512f): 8 x 3 = 24
+/// accumulators, the 6 b vectors and 2 broadcasts.
+template <std::size_t Bytes>
+struct TileShape {
+  static constexpr std::size_t rows = 4;
+  static constexpr std::size_t cols = 2;
+};
+template <>
+struct TileShape<64> {
+  static constexpr std::size_t rows = 8;
+  static constexpr std::size_t cols = 3;
+};
 
 /// c (m x n, interleaved) = a (m x k) * b in Bytes-wide vectors, with a
 /// read through (a_re, a_im, a_stride): element (t, kk) is
 /// a_re[(t*k + kk) * a_stride] — stride 2 for interleaved std::complex
 /// rows, 1 for split planes.
-template <std::size_t Bytes, typename T>
+template <std::size_t Bytes, typename Fma, typename T>
 RFADE_CLONE_BODY void coloring_gemm_body(const T* a_re, const T* a_im,
                                          std::size_t a_stride, std::size_t m,
                                          std::size_t k, const T* b1,
                                          const T* b2, std::size_t n, T* c) {
+  constexpr std::size_t kRows = TileShape<Bytes>::rows;
+  constexpr std::size_t kCols = TileShape<Bytes>::cols;
   const std::size_t n2 = 2 * n;
   std::size_t t = 0;
-  for (; t + kTileRows <= m; t += kTileRows) {
-    gemm_rows<kTileRows, Bytes>(a_re + t * k * a_stride,
-                                a_im + t * k * a_stride, a_stride, k, b1, b2,
-                                n2, c + t * n2);
+  for (; t + kRows <= m; t += kRows) {
+    gemm_columns<kRows, kCols, Bytes, Fma>(a_re + t * k * a_stride,
+                                           a_im + t * k * a_stride, a_stride,
+                                           k, b1, b2, n2, 0, c + t * n2);
   }
   for (; t < m; ++t) {
-    gemm_rows<1, Bytes>(a_re + t * k * a_stride, a_im + t * k * a_stride,
-                        a_stride, k, b1, b2, n2, c + t * n2);
+    gemm_columns<1, kCols, Bytes, Fma>(a_re + t * k * a_stride,
+                                       a_im + t * k * a_stride, a_stride, k,
+                                       b1, b2, n2, 0, c + t * n2);
   }
 }
 
 // One version per ISA, each at its register width: 16-byte vectors in the
-// baseline (SSE2 / NEON), 32 in avx2, 64 in avx512f.
-RFADE_TARGET_VERSION("default")
-void coloring_gemm_kernel(const double* a_re, const double* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const double* b1, const double* b2, std::size_t n,
-                          double* c) {
-  coloring_gemm_body<16>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
+// baseline (SSE2 / NEON; std::fma per lane), 32 in "avx2,fma" and 64 in
+// "avx512f,fma" (vfmadd at every width).
+#define RFADE_GEMM_KERNELS(isa, bytes, fma)                                  \
+  RFADE_TARGET_VERSION(isa) void coloring_gemm_kernel(                      \
+      const double* a_re, const double* a_im, std::size_t a_stride,          \
+      std::size_t m, std::size_t k, const double* b1, const double* b2,      \
+      std::size_t n, double* c) {                                            \
+    coloring_gemm_body<bytes, fma>(a_re, a_im, a_stride, m, k, b1, b2, n,    \
+                                   c);                                       \
+  }                                                                          \
+  RFADE_TARGET_VERSION(isa) void coloring_gemm_kernel(                      \
+      const float* a_re, const float* a_im, std::size_t a_stride,            \
+      std::size_t m, std::size_t k, const float* b1, const float* b2,        \
+      std::size_t n, float* c) {                                             \
+    coloring_gemm_body<bytes, fma>(a_re, a_im, a_stride, m, k, b1, b2, n,    \
+                                   c);                                       \
+  }
 
-RFADE_TARGET_VERSION("default")
-void coloring_gemm_kernel(const float* a_re, const float* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const float* b1, const float* b2, std::size_t n,
-                          float* c) {
-  coloring_gemm_body<16>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
-
+RFADE_GEMM_KERNELS("default", 16, LaneFma)
 #if RFADE_HAS_TARGET_VERSIONS
-RFADE_TARGET_VERSION("avx2")
-void coloring_gemm_kernel(const double* a_re, const double* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const double* b1, const double* b2, std::size_t n,
-                          double* c) {
-  coloring_gemm_body<32>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
-
-RFADE_TARGET_VERSION("avx2")
-void coloring_gemm_kernel(const float* a_re, const float* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const float* b1, const float* b2, std::size_t n,
-                          float* c) {
-  coloring_gemm_body<32>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
-
-RFADE_TARGET_VERSION("avx512f")
-void coloring_gemm_kernel(const double* a_re, const double* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const double* b1, const double* b2, std::size_t n,
-                          double* c) {
-  coloring_gemm_body<64>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
-
-RFADE_TARGET_VERSION("avx512f")
-void coloring_gemm_kernel(const float* a_re, const float* a_im,
-                          std::size_t a_stride, std::size_t m, std::size_t k,
-                          const float* b1, const float* b2, std::size_t n,
-                          float* c) {
-  coloring_gemm_body<64>(a_re, a_im, a_stride, m, k, b1, b2, n, c);
-}
+RFADE_GEMM_KERNELS("avx2,fma", 32, X86Fma)
+RFADE_GEMM_KERNELS("avx512f,fma", 64, X86Fma)
 #endif
+#undef RFADE_GEMM_KERNELS
 
 /// Both public GEMMs: pack b (read like a, through b_re/b_im/b_stride)
 /// into the kernel's (re, im) / (-im, re) rows — O(k n) against the

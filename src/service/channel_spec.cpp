@@ -594,10 +594,13 @@ ChannelSpec ChannelSpec::Builder::build() const {
     spec.block_size_ = 4096;
   }
   if (spec.mode_ == EmissionMode::Instant) {
-    // Instant pipelines have no float32 path; the knob is inert there, so
-    // collapse it to the default to keep equal specs hashing (and
-    // caching) equal.
+    // Instant pipelines have no float32 path, and an instant block never
+    // fans out (parallel only splits sample_stream, whose bits are the
+    // same for any thread count): both knobs are inert there, so collapse
+    // them to their defaults to keep equal specs hashing (and caching)
+    // equal.
     spec.precision_ = core::Precision::Float64;
+    spec.parallel_ = true;
   }
 
   spec.hash_ = spec.compute_hash();

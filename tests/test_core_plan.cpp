@@ -2,8 +2,9 @@
 // generators is bit-identical to the per-class construction paths, blocked
 // draws agree with per-sample draws bit-for-bit, the bulk batched paths are
 // deterministic and thread-count/order independent, and the blocked GEMM
-// kernels reproduce the naive reference products exactly (this file is
-// compiled with -ffp-contract=off so the scalar reference is unfused).
+// kernels reproduce the scalar numeric::fused_mac reference exactly (this
+// file is compiled with -ffp-contract=off, so the unfused reference the
+// guard test compares against stays unfused).
 
 #include <gtest/gtest.h>
 
@@ -90,8 +91,9 @@ TEST(ColoringPlan, SharedAcrossGeneratorsBitIdentical) {
 }
 
 TEST(ColoringPlan, MatchesHandRolledSeedPath) {
-  // The seed code's per-draw loop (streaming matvec over L), reproduced
-  // verbatim, must match SamplePipeline::sample_into bit-for-bit.
+  // The seed code's per-draw loop (streaming matvec over L), accumulated
+  // through the GEMM's fused_mac, must match SamplePipeline::sample_into
+  // bit-for-bit.
   const CMatrix k = paper_k();
   const auto plan = ColoringPlan::create(k);
   const SamplePipeline pipeline(plan);
@@ -108,7 +110,7 @@ TEST(ColoringPlan, MatchesHandRolledSeedPath) {
       const cdouble w = rng_old.complex_gaussian(1.0);
       const cdouble scaled = w * 1.0;
       for (std::size_t i = 0; i < n; ++i) {
-        z_old[i] += l(i, j) * scaled;
+        z_old[i] = numeric::fused_mac(z_old[i], scaled, l(i, j));
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
@@ -137,7 +139,8 @@ TEST(ColoringPlan, RealTimeSharedPlanBitIdentical) {
 
 TEST(ColoringPlan, RealTimeMatchesHandRolledColoring) {
   // The seed real-time generator colored with a per-instant triple loop;
-  // the stream's blocked coloring must reproduce it bit-for-bit.
+  // accumulated through fused_mac, the stream's blocked coloring must
+  // reproduce it bit-for-bit.
   const CMatrix k = paper_k();
   core::FadingStreamOptions options;
   options.idft_size = 128;
@@ -164,7 +167,7 @@ TEST(ColoringPlan, RealTimeMatchesHandRolledColoring) {
     for (std::size_t j = 0; j < n; ++j) {
       const cdouble w = branch_outputs(j, t) * inv_sigma;
       for (std::size_t i = 0; i < n; ++i) {
-        block_old(t, i) += l(i, j) * w;
+        block_old(t, i) = numeric::fused_mac(block_old(t, i), w, l(i, j));
       }
     }
   }
@@ -275,7 +278,7 @@ TEST(SamplePipeline, ColorBlockMatchesManualLoop) {
     for (std::size_t j = 0; j < n; ++j) {
       const cdouble scaled = w(t, j) * inv_sigma;
       for (std::size_t i = 0; i < n; ++i) {
-        expected(t, i) += l(i, j) * scaled;
+        expected(t, i) = numeric::fused_mac(expected(t, i), scaled, l(i, j));
       }
     }
   }
@@ -344,12 +347,47 @@ TEST(SamplePipeline, CheckedFirstInstantBoundsTheLastRow) {
                ContractViolation);
 }
 
-TEST(MatrixOps, MultiplyBlockBitIdenticalToNaive) {
+/// Scalar reference: c(t, j) = fused_mac over ascending kk of
+/// (a(t, kk), b(kk, j)) from a (+0, +0) start — the value sequence both
+/// blocked GEMMs promise.  With \p fused false, the same loop with a
+/// separate multiply and add per product (the unfused value sequence, for
+/// the guard test).
+template <typename T>
+std::vector<std::complex<T>> reference_gemm(
+    const std::vector<std::complex<T>>& a, std::size_t m, std::size_t k,
+    const std::vector<std::complex<T>>& b, std::size_t n, bool fused = true) {
+  std::vector<std::complex<T>> c(m * n);
+  for (std::size_t t = 0; t < m; ++t) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::complex<T> acc{};
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const std::complex<T> x = a[t * k + kk];
+        const std::complex<T> y = b[kk * n + j];
+        if (fused) {
+          acc = numeric::fused_mac(acc, x, y);
+        } else {
+          acc = {acc.real() + (x.real() * y.real() - x.imag() * y.imag()),
+                 acc.imag() + (x.real() * y.imag() + x.imag() * y.real())};
+        }
+      }
+      c[t * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+TEST(MatrixOps, MultiplyBlockMatchesFusedLoopAndNaiveProduct) {
   const CMatrix a = random_matrix(200, 17, 31);
   const CMatrix b = random_matrix(17, 9, 32);
-  const CMatrix naive = numeric::multiply(a, b);
   const CMatrix blocked = numeric::multiply_block(a, b);
-  EXPECT_EQ(naive, blocked);
+  const std::vector<cdouble> a_values(a.data(), a.data() + a.size());
+  const std::vector<cdouble> b_values(b.data(), b.data() + b.size());
+  const auto expected = reference_gemm(a_values, 200, 17, b_values, 9);
+  EXPECT_EQ(std::memcmp(blocked.data(), expected.data(),
+                        expected.size() * sizeof(cdouble)),
+            0);
+  // The unfused naive product differs only by rounding.
+  EXPECT_LT(numeric::max_abs_diff(blocked, numeric::multiply(a, b)), 1e-13);
 }
 
 /// GEMM operand entries: unit Gaussians with signed zeros and subnormals
@@ -388,27 +426,6 @@ std::vector<std::complex<T>> gemm_operand(std::size_t count,
   return v;
 }
 
-/// Scalar reference: c(t, j) = sum over ascending kk of a(t, kk) * b(kk, j)
-/// with std::complex arithmetic from a (+0, +0) start — the value
-/// sequence both blocked GEMMs promise (this TU is built with
-/// -ffp-contract=off, so the reference itself is never fused).
-template <typename T>
-std::vector<std::complex<T>> reference_gemm(
-    const std::vector<std::complex<T>>& a, std::size_t m, std::size_t k,
-    const std::vector<std::complex<T>>& b, std::size_t n) {
-  std::vector<std::complex<T>> c(m * n);
-  for (std::size_t t = 0; t < m; ++t) {
-    for (std::size_t j = 0; j < n; ++j) {
-      std::complex<T> acc{};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += a[t * k + kk] * b[kk * n + j];
-      }
-      c[t * n + j] = acc;
-    }
-  }
-  return c;
-}
-
 template <typename T>
 void split_planes(const std::vector<std::complex<T>>& v, std::vector<T>& re,
                   std::vector<T>& im) {
@@ -420,37 +437,73 @@ void split_planes(const std::vector<std::complex<T>>& v, std::vector<T>& re,
   }
 }
 
+/// Scalars of \p actual that differ from \p expected: bit patterns must
+/// match, except that any NaN matches any NaN (payload and sign of a NaN
+/// depend on the fma instruction form, not on the value sequence).
+template <typename T>
+std::size_t mismatches(const std::vector<std::complex<T>>& actual,
+                       const std::vector<std::complex<T>>& expected) {
+  const T* x = reinterpret_cast<const T*>(actual.data());
+  const T* y = reinterpret_cast<const T*>(expected.data());
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < 2 * expected.size(); ++i) {
+    const bool same = (std::isnan(x[i]) && std::isnan(y[i])) ||
+                      std::memcmp(&x[i], &y[i], sizeof(T)) == 0;
+    count += same ? 0 : 1;
+  }
+  return count;
+}
+
+/// Both GEMM entry points on one operand pair, against \p expected.
+template <typename T>
+void check_both_gemms(const std::vector<std::complex<T>>& a, std::size_t m,
+                      std::size_t k, const std::vector<std::complex<T>>& b,
+                      std::size_t n,
+                      const std::vector<std::complex<T>>& expected) {
+  std::vector<std::complex<T>> raw(m * n, std::complex<T>(T(7), T(7)));
+  numeric::multiply_block_raw(a.data(), m, k, b.data(), n, raw.data());
+  EXPECT_EQ(mismatches(raw, expected), 0u)
+      << "multiply_block_raw k=" << k << " n=" << n;
+
+  std::vector<T> a_re, a_im, b_re, b_im;
+  split_planes(a, a_re, a_im);
+  split_planes(b, b_re, b_im);
+  std::vector<std::complex<T>> planar(m * n, std::complex<T>(T(7), T(7)));
+  numeric::multiply_block_planar(a_re.data(), a_im.data(), m, k, b_re.data(),
+                                 b_im.data(), n, planar.data());
+  EXPECT_EQ(mismatches(planar, expected), 0u)
+      << "multiply_block_planar k=" << k << " n=" << n;
+}
+
+/// Rows: a multiple of no tile height (4 or 8), so every version runs full
+/// row tiles and single-row tails.
+constexpr std::size_t kGemmRows = 8 * 2 + 7;
+
+/// Output widths: every column tail of every tile (n = 1..17) and whole
+/// tiles at the production shapes.
+constexpr std::size_t kGemmWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
+                                       11, 12, 13, 14, 15, 16, 17, 24, 32, 64};
+
 /// Both GEMM entry points, bit for bit against the scalar reference, over
-/// every column tail width of the register tile (n), single and long
-/// inner loops (k), and a row count that leaves a partial row tile.
+/// every column width above, single and long inner loops (k), and a row
+/// count that leaves a partial row tile.  The k = 16 operands also carry
+/// +-Inf and NaN entries: one row of a and two columns of b go non-finite.
 template <typename T>
 void check_gemm_matrix() {
-  const std::size_t m = 4 * 3 + 3;
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const std::size_t m = kGemmRows;
   std::uint64_t seed = 100;
   for (const std::size_t k : {1u, 16u, 64u}) {
-    for (const std::size_t n :
-         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 64u,
-          65u}) {
-      const auto a = gemm_operand<T>(m * k, ++seed);
-      const auto b = gemm_operand<T>(k * n, ++seed);
-      const auto expected = reference_gemm(a, m, k, b, n);
-      const std::size_t bytes = expected.size() * sizeof(std::complex<T>);
-
-      std::vector<std::complex<T>> raw(m * n, std::complex<T>(T(7), T(7)));
-      numeric::multiply_block_raw(a.data(), m, k, b.data(), n, raw.data());
-      EXPECT_EQ(std::memcmp(raw.data(), expected.data(), bytes), 0)
-          << "multiply_block_raw k=" << k << " n=" << n;
-
-      std::vector<T> a_re, a_im, b_re, b_im;
-      split_planes(a, a_re, a_im);
-      split_planes(b, b_re, b_im);
-      std::vector<std::complex<T>> planar(m * n,
-                                          std::complex<T>(T(7), T(7)));
-      numeric::multiply_block_planar(a_re.data(), a_im.data(), m, k,
-                                     b_re.data(), b_im.data(), n,
-                                     planar.data());
-      EXPECT_EQ(std::memcmp(planar.data(), expected.data(), bytes), 0)
-          << "multiply_block_planar k=" << k << " n=" << n;
+    for (const std::size_t n : kGemmWidths) {
+      auto a = gemm_operand<T>(m * k, ++seed);
+      auto b = gemm_operand<T>(k * n, ++seed);
+      if (k == 16) {
+        a[5 * k + 3] = std::complex<T>(inf, T(0.5));
+        b[0] = std::complex<T>(-inf, T(-0.0));
+        b[(k - 1) * n + (n - 1)] = std::complex<T>(T(1), nan);
+      }
+      check_both_gemms(a, m, k, b, n, reference_gemm(a, m, k, b, n));
     }
   }
 }
@@ -461,6 +514,43 @@ TEST(MatrixOps, BlockedGemmsBitIdenticalToScalarReferenceF64) {
 
 TEST(MatrixOps, BlockedGemmsBitIdenticalToScalarReferenceF32) {
   check_gemm_matrix<float>();
+}
+
+/// Guard: operands on which fused and unfused accumulation disagree in
+/// every output element, so a kernel version (or tile, or tail) that
+/// silently falls back to separate multiplies and adds fails.  With
+/// x = 1 + 2^-(p/2 + 1) (p mantissa digits), x^2 is inexact; a = (x, x)
+/// and b = (x, x) give a real part fma(x, -x, round(x^2)) = -(x^2 error)
+/// against 0 unfused, and b = (x, -x) does the same on the imaginary part.
+template <typename T>
+void check_gemm_is_fused() {
+  const int p = std::numeric_limits<T>::digits;
+  const T x = T(1) + std::ldexp(T(1), -(p / 2 + 1));
+  const std::size_t m = kGemmRows;
+  const std::size_t k = 1;
+  for (const std::size_t n : kGemmWidths) {
+    const std::vector<std::complex<T>> a(m * k, std::complex<T>(x, x));
+    std::vector<std::complex<T>> b(k * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      b[j] = std::complex<T>(x, j % 2 == 0 ? x : -x);
+    }
+    const auto fused = reference_gemm(a, m, k, b, n);
+    const auto unfused = reference_gemm(a, m, k, b, n, false);
+    for (std::size_t i = 0; i < fused.size(); ++i) {
+      const bool real_lane = (i % n) % 2 == 0;
+      ASSERT_NE(real_lane ? fused[i].real() : fused[i].imag(), T(0));
+      ASSERT_EQ(real_lane ? unfused[i].real() : unfused[i].imag(), T(0));
+    }
+    check_both_gemms(a, m, k, b, n, fused);
+  }
+}
+
+TEST(MatrixOps, BlockedGemmsFuseEveryLaneF64) {
+  check_gemm_is_fused<double>();
+}
+
+TEST(MatrixOps, BlockedGemmsFuseEveryLaneF32) {
+  check_gemm_is_fused<float>();
 }
 
 /// Philox counter block \p index of the bulk substream (seed, stream).

@@ -134,6 +134,41 @@ TEST(ChannelSpec, CanonicalizationCollapsesDegenerateSpecs) {
   EXPECT_TRUE(instant_a == instant_b);
 }
 
+TEST(ChannelService, InstantSpecsDifferingOnlyInParallelCompileOnce) {
+  // An instant block never fans out, so parallel(false) is inert under
+  // instant emission: the specs must hash and compare equal, share one
+  // PlanCache entry and emit the same bits.
+  const CMatrix k = paper_covariance();
+  const ChannelSpec fanned =
+      ChannelSpec::Builder().rician(k, 2.0).instant().block_size(64).build();
+  const ChannelSpec serial = ChannelSpec::Builder()
+                                 .rician(k, 2.0)
+                                 .instant()
+                                 .block_size(64)
+                                 .parallel(false)
+                                 .build();
+  EXPECT_TRUE(serial.parallel());
+  EXPECT_EQ(fanned.content_hash(), serial.content_hash());
+  EXPECT_TRUE(fanned == serial);
+
+  ChannelService svc;
+  const Session a = svc.open_session(fanned, 0x9A7);
+  const Session b = svc.open_session(serial, 0x9A7);
+  EXPECT_EQ(svc.cache_stats().misses, 1u);
+  EXPECT_EQ(svc.cache_stats().hits, 1u);
+  for (const std::uint64_t block : {0u, 1u, 1000u}) {
+    EXPECT_TRUE(bit_equal(a.generate_block(block), b.generate_block(block)))
+        << "block " << block;
+  }
+
+  // In stream mode the knob is live and keeps the specs apart.
+  const ChannelSpec stream_serial =
+      ChannelSpec::Builder().rayleigh(k).parallel(false).build();
+  EXPECT_FALSE(stream_serial.parallel());
+  EXPECT_NE(stream_serial.content_hash(),
+            ChannelSpec::Builder().rayleigh(k).build().content_hash());
+}
+
 TEST(ChannelSpec, HashSeparatesDistinctScenarios) {
   const CMatrix k = paper_covariance();
   const auto base = ChannelSpec::Builder().rayleigh(k).build();
