@@ -12,9 +12,11 @@
 # (coloring_gemm_kernel in matrix_ops.cpp), where they are written
 # explicitly, per lane, in a fixed order: its avx512f versions
 # ("avx512f,fma") must hold FMA on zmm and its avx2 versions ("avx2,fma")
-# FMA on ymm, or the kernel fell back to a narrower or unfused form.  Every
-# other function of matrix_ops.cpp.o, and all of fft.cpp.o, must hold no
-# fused multiply-add.  Both objects must contain zmm instructions (the
+# FMA on ymm, or the kernel fell back to a narrower or unfused form.  The
+# per-draw matvec's column step beside it (fused_mac_column_kernel, the
+# same explicit order) must hold FMA in its "fma" version, or that version
+# calls libm per op.  Every other function of matrix_ops.cpp.o, and all of
+# fft.cpp.o, must hold no fused multiply-add.  Both objects must contain zmm instructions (the
 # avx512f clones and versions still vectorise at full width).
 #
 # metrics/accumulators.cpp and support/exact_sum.cpp are compiled with
@@ -80,16 +82,17 @@ version_count() {
 }
 
 # Lines matching the extended regex $3 in the object $1 outside every
-# function whose symbol contains $2 (an empty $2 exempts nothing).
+# function whose symbol matches the extended regex $2 (an empty $2
+# exempts nothing).
 count_outside() {
   objdump -d "$1" | awk -v k="$2" -v re="$3" '
-    />:$/ { inside = k != "" && index($0, k) }
+    />:$/ { inside = k != "" && $0 ~ k }
     !inside && $0 ~ re { n++ }
     END { print n + 0 }'
 }
 
 # Checks that the object named $1 holds no fused multiply-add outside the
-# functions whose symbol contains $2, and no vfmaddsub / vfmsubadd at all;
+# functions whose symbol matches $2, and no vfmaddsub / vfmsubadd at all;
 # with $3 = zmm, that it holds zmm code too.
 check_unfused() {
   obj=$(find_object "$1") || { status=1; return; }
@@ -112,7 +115,7 @@ check_unfused() {
 }
 
 check_unfused fft.cpp.o "" zmm
-check_unfused matrix_ops.cpp.o coloring_gemm_kernel zmm
+check_unfused matrix_ops.cpp.o "coloring_gemm_kernel|fused_mac_column_kernel" zmm
 check_unfused metrics/accumulators.cpp.o ""
 check_unfused support/exact_sum.cpp.o ""
 
@@ -132,6 +135,12 @@ if obj=$(find_object matrix_ops.cpp.o); then
       status=1
     fi
   done
+  column=$(version_count "$obj" fused_mac_column_kernel "$fma" fma)
+  echo "matrix_ops.cpp.o: fused_mac_column_kernel fma version fma=$column"
+  if [ "$column" -eq 0 ]; then
+    echo "matrix_ops.cpp.o: no FMA in the fma fused_mac_column_kernel — the version is gone or calls libm per op" >&2
+    status=1
+  fi
 else
   status=1
 fi

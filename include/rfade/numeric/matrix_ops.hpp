@@ -88,6 +88,14 @@ template <typename T>
   return {std::fma(a.imag(), -b.imag(), re), std::fma(a.imag(), b.real(), im)};
 }
 
+/// out[i] = fused_mac(out[i], w, b[i]) for i < n: one column step of a
+/// matvec in the blocked GEMMs' fused order (the per-draw Z = L W walks
+/// the columns of L through it).  Versioned beside the GEMM: std::fma per
+/// op by default, inline vfmadd where the CPU has FMA; both are correctly
+/// rounded, so both give the same bits.  \p out must not alias \p b.
+void fused_mac_column(cdouble w, const cdouble* b, std::size_t n,
+                      cdouble* out);
+
 /// Raw kernel behind multiply_block: c = a * b with a (m x k), b (k x n) and
 /// c (m x n), all dense row-major.  Every output element is accumulated as
 /// acc = fused_mac(acc, a(t, kk), b(kk, j)) over strictly ascending kk from

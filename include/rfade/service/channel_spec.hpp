@@ -287,9 +287,12 @@ class ChannelSpec::Builder {
   Builder& wave_dopplers(double first, double second);
   /// Instant mode: rows per block (Philox substream granularity).
   Builder& block_size(std::size_t block_size);
-  /// Stream mode: fill the branches across the thread pool.  Inert under
-  /// instant emission (an instant block never fans out), where build()
-  /// collapses it to the default, true.
+  /// Stream mode: fill the branches across the thread pool.  Under
+  /// instant emission no output bit depends on it (an instant block never
+  /// fans out, and sample_stream's bits are the same for any thread
+  /// count), so build() collapses it to the default, true: the
+  /// sample_stream accessors of a compiled instant channel (pipeline(),
+  /// suzuki_generator(), copula_transform()) always fan out over the pool.
   Builder& parallel(bool parallel);
   Builder& coloring(core::ColoringOptions options);
   Builder& laguerre_terms(std::size_t terms);

@@ -30,8 +30,8 @@
 /// op is correctly rounded wherever it runs, and the tile shape never
 /// changes an element's sequence of ops, so the GEMM's bits are the same
 /// at every ISA tier and equal the scalar numeric::fused_mac loop (which
-/// the per-draw matvec in core/plan.cpp runs, in a "default" and an
-/// "fma" version of its column step, fused_mac_column).  The
+/// the per-draw matvec runs through numeric::fused_mac_column, beside the
+/// GEMM in a "default" and an "fma" version).  The
 /// FFT butterflies, the crossfade, the strided scale and the metrics
 /// accumulators stay unfused (mul and add rounded separately).
 ///

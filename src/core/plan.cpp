@@ -11,44 +11,8 @@
 #include "rfade/random/bulk_gaussian.hpp"
 #include "rfade/support/contracts.hpp"
 #include "rfade/support/parallel.hpp"
-#include "rfade/support/simd.hpp"
 
 namespace rfade::core {
-
-namespace {
-
-/// out[i] = fused_mac(out[i], w, lt[i]) for i < n: one column of the
-/// per-draw matvec Z = L W (lt is row j of L^T, i.e. column j of L).
-template <typename T>
-RFADE_CLONE_BODY void fused_mac_column_body(std::complex<T> w,
-                                            const std::complex<T>* lt,
-                                            std::size_t n,
-                                            std::complex<T>* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = numeric::fused_mac(out[i], w, lt[i]);
-  }
-}
-
-// Versioned so the fused ops are inline vfmadd where the CPU has FMA
-// rather than a libm call per op; correctly rounded either way, so both
-// versions give the same bits.  The body holds only explicit fma calls,
-// so the TU's default contraction mode has no mul+add to fuse in the
-// "fma" version.
-RFADE_TARGET_VERSION("default")
-void fused_mac_column(numeric::cdouble w, const numeric::cdouble* lt,
-                      std::size_t n, numeric::cdouble* out) {
-  fused_mac_column_body(w, lt, n, out);
-}
-
-#if RFADE_HAS_TARGET_VERSIONS
-RFADE_TARGET_VERSION("fma")
-void fused_mac_column(numeric::cdouble w, const numeric::cdouble* lt,
-                      std::size_t n, numeric::cdouble* out) {
-  fused_mac_column_body(w, lt, n, out);
-}
-#endif
-
-}  // namespace
 
 std::uint64_t checked_first_instant(std::uint64_t block_index,
                                     std::uint64_t period,
@@ -189,7 +153,8 @@ void SamplePipeline::sample_into(random::Rng& rng,
   const numeric::CMatrix& lt = plan_->coloring_matrix_transposed();
   for (std::size_t j = 0; j < n; ++j) {
     const numeric::cdouble w = rng.complex_gaussian(options_.sample_variance);
-    fused_mac_column(w * inv_sigma_w_, lt.data() + j * n, n, out.data());
+    numeric::fused_mac_column(w * inv_sigma_w_, lt.data() + j * n, n,
+                              out.data());
   }
   finish_rows(instant, 1, out.data());
 }

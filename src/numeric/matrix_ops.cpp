@@ -219,6 +219,29 @@ RFADE_GEMM_KERNELS("avx512f,fma", 64, X86Fma)
 #endif
 #undef RFADE_GEMM_KERNELS
 
+/// The per-draw matvec's column step (fused_mac_column): its body holds
+/// only explicit std::fma calls, so the "fma" version differs from the
+/// default one only in running them as inline vfmadd instead of libm calls.
+RFADE_CLONE_BODY void fused_mac_column_body(cdouble w, const cdouble* b,
+                                            std::size_t n, cdouble* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = fused_mac(out[i], w, b[i]);
+  }
+}
+
+RFADE_TARGET_VERSION("default")
+void fused_mac_column_kernel(cdouble w, const cdouble* b, std::size_t n,
+                             cdouble* out) {
+  fused_mac_column_body(w, b, n, out);
+}
+#if RFADE_HAS_TARGET_VERSIONS
+RFADE_TARGET_VERSION("fma")
+void fused_mac_column_kernel(cdouble w, const cdouble* b, std::size_t n,
+                             cdouble* out) {
+  fused_mac_column_body(w, b, n, out);
+}
+#endif
+
 /// Both public GEMMs: pack b (read like a, through b_re/b_im/b_stride)
 /// into the kernel's (re, im) / (-im, re) rows — O(k n) against the
 /// O(m k n) product — in a per-thread buffer that only ever grows, so
@@ -400,6 +423,11 @@ CVector multiply(const CMatrix& a, const CVector& x) {
 }
 RVector multiply(const RMatrix& a, const RVector& x) {
   return matvec_impl(a, x);
+}
+
+void fused_mac_column(cdouble w, const cdouble* b, std::size_t n,
+                      cdouble* out) {
+  fused_mac_column_kernel(w, b, n, out);
 }
 
 void multiply_block_raw(const cdouble* a, std::size_t m, std::size_t k,

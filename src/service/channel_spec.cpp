@@ -596,9 +596,10 @@ ChannelSpec ChannelSpec::Builder::build() const {
   if (spec.mode_ == EmissionMode::Instant) {
     // Instant pipelines have no float32 path, and an instant block never
     // fans out (parallel only splits sample_stream, whose bits are the
-    // same for any thread count): both knobs are inert there, so collapse
-    // them to their defaults to keep equal specs hashing (and caching)
-    // equal.
+    // same for any thread count): no output bit depends on either knob
+    // there, so collapse them to their defaults to keep equal specs
+    // hashing (and caching) equal.  The compiled channel's sample_stream
+    // accessors then always use the pool.
     spec.precision_ = core::Precision::Float64;
     spec.parallel_ = true;
   }

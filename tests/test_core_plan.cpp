@@ -479,10 +479,13 @@ void check_both_gemms(const std::vector<std::complex<T>>& a, std::size_t m,
 /// row tiles and single-row tails.
 constexpr std::size_t kGemmRows = 8 * 2 + 7;
 
-/// Output widths: every column tail of every tile (n = 1..17) and whole
-/// tiles at the production shapes.
-constexpr std::size_t kGemmWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
-                                       11, 12, 13, 14, 15, 16, 17, 24, 32, 64};
+/// Output widths: every column tail of every tile (n = 1..17), whole
+/// tiles at the production shapes (24, 32, 64), and whole tiles followed
+/// by tails at a nonzero column offset (31, 33, 65; n = 31 in f32 is one
+/// full 3-vector zmm tile, then the 32/16/8-byte tails).
+constexpr std::size_t kGemmWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,
+                                       9,  10, 11, 12, 13, 14, 15, 16,
+                                       17, 24, 31, 32, 33, 64, 65};
 
 /// Both GEMM entry points, bit for bit against the scalar reference, over
 /// every column width above, single and long inner loops (k), and a row
