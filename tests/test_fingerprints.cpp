@@ -356,6 +356,70 @@ std::vector<Fingerprint> compute_fingerprints() {
   out.push_back({"instant/copula/0x5EED/b1000",
                  fnv1a(copula.generate_envelope_block(1000),
                        fnv1a(copula_cursor))});
+
+  // Stream sessions through the mean/gain tail (recorded before the tail
+  // kernels were rewritten): TWDP with both waves moving, TWDP with the
+  // waves at f = +-0.25 (every cycle count an exact quarter, so the mod-1
+  // reduction meets +-0), Rician with a LOS Doppler, Suzuki unmixed and
+  // Suzuki with a branch correlation, each in both precisions.  Block
+  // 2^24 + 5 of a 256-row block puts the instants past 2^32, where the
+  // phasor's high-word partial product is nonzero.
+  std::vector<scenario::TwdpBranch> wave_branches;
+  for (std::size_t j = 0; j < 6; ++j) {
+    wave_branches.push_back({1.5 + 0.75 * double(j % 3),
+                             0.4 + 0.1 * double(j % 4), 0.3 * double(j),
+                             -0.7 + 0.2 * double(j)});
+  }
+  scenario::composite::ShadowingSpec mixed_shadowing = shadowing;
+  mixed_shadowing.branch_correlation = numeric::RMatrix(8, 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      mixed_shadowing.branch_correlation(i, j) =
+          std::pow(0.6, std::abs(double(i) - double(j)));
+    }
+  }
+  const CMatrix k6 = kms_covariance(6, 0.6, 0.25);
+  const CMatrix k8 = kms_covariance(8, 0.7, -0.35);
+  const std::pair<const char*, ChannelSpec::Builder> tail_streams[] = {
+      {"stream/twdp-moving/independent",
+       ChannelSpec::Builder()
+           .twdp(k6, wave_branches)
+           .wave_dopplers(0.013, -0.037)
+           .backend(StreamBackend::IndependentBlock)},
+      {"stream/twdp-quarter/ols",
+       ChannelSpec::Builder()
+           .twdp(k6, wave_branches)
+           .wave_dopplers(0.25, -0.25)
+           .backend(StreamBackend::OverlapSaveFir)},
+      {"stream/rician-los/ols",
+       ChannelSpec::Builder()
+           .rician(kms_covariance(5, 0.5, -0.2), 4.0, 0.6)
+           .los_doppler(0.02)
+           .backend(StreamBackend::OverlapSaveFir)},
+      {"stream/suzuki/wola",
+       ChannelSpec::Builder()
+           .suzuki(k8, shadowing)
+           .backend(StreamBackend::WindowedOverlapAdd)
+           .overlap(32)},
+      {"stream/suzuki-mixed/independent",
+       ChannelSpec::Builder()
+           .suzuki(k8, mixed_shadowing)
+           .backend(StreamBackend::IndependentBlock)},
+  };
+  for (const auto& [family, builder] : tail_streams) {
+    for (const Precision precision : {Precision::Float64, Precision::Float32}) {
+      ChannelSpec::Builder b = builder;
+      const ChannelSpec spec =
+          b.idft_size(256).doppler(0.05).precision(precision).build();
+      for (const std::uint64_t block : {0ull, 1000ull, (1ull << 24) + 5}) {
+        char name[96];
+        std::snprintf(name, sizeof(name), "%s/%s/0x5EED/b%llu", family,
+                      core::precision_name(precision),
+                      static_cast<unsigned long long>(block));
+        out.push_back({name, session_fingerprint(spec, 0x5EED, block)});
+      }
+    }
+  }
   return out;
 }
 
@@ -367,9 +431,10 @@ struct TierTable {
 
 // Recorded before the float/double kernel fold; later cases are appended
 // — the cascaded f64 sessions recorded before the cascade moved onto the
-// FadingStream product stage, the cascaded f32 stream after, and the
-// instant sessions of every family before they became keyed pipeline
-// stages of CompiledChannel.  Re-recorded once, on purpose, when the
+// FadingStream product stage, the cascaded f32 stream after, the instant
+// sessions of every family before they became keyed pipeline stages of
+// CompiledChannel, and the mean/gain-tail stream sessions before the
+// tail kernels were rewritten.  Re-recorded once, on purpose, when the
 // coloring GEMM became an explicit fused multiply-add chain (every
 // colored output bit changed; the old -> new list is in CHANGES.md).
 // Otherwise never re-recorded: a mismatch means output bits changed.
@@ -432,6 +497,36 @@ const std::vector<TierTable>& recorded_tables() {
            0xEF429E549DE673C5ULL,  // instant/rayleigh-mean/0x5EED/b1000
            0x3556CB3A62DB18A5ULL,  // instant/twdp-delta0/0x5EED/b1000
            0xD604296238218B45ULL,  // instant/copula/0x5EED/b1000
+           0x731A31CB6B715B15ULL,  // stream/twdp-moving/independent/f64/0x5EED/b0
+           0xAE7E923C9C458CF1ULL,  // stream/twdp-moving/independent/f64/0x5EED/b1000
+           0xC680788A9E4139BDULL,  // stream/twdp-moving/independent/f64/0x5EED/b16777221
+           0xB66525FEDBE32301ULL,  // stream/twdp-moving/independent/f32/0x5EED/b0
+           0xFD4AAC49BCC26B95ULL,  // stream/twdp-moving/independent/f32/0x5EED/b1000
+           0x496AF335B961F075ULL,  // stream/twdp-moving/independent/f32/0x5EED/b16777221
+           0xDB13A72CA38107DDULL,  // stream/twdp-quarter/ols/f64/0x5EED/b0
+           0x47FA737B211B0865ULL,  // stream/twdp-quarter/ols/f64/0x5EED/b1000
+           0x09B93056ED96FD39ULL,  // stream/twdp-quarter/ols/f64/0x5EED/b16777221
+           0x310A8F9EFF930ED1ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b0
+           0x1D9F3987B121B319ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b1000
+           0xBF00774298AD3665ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b16777221
+           0x99C29AE23CC32465ULL,  // stream/rician-los/ols/f64/0x5EED/b0
+           0x7888D1A7196CDC89ULL,  // stream/rician-los/ols/f64/0x5EED/b1000
+           0x60B7B551819AAC0DULL,  // stream/rician-los/ols/f64/0x5EED/b16777221
+           0xEB3483F60045B7A5ULL,  // stream/rician-los/ols/f32/0x5EED/b0
+           0x7265E586DBF67C31ULL,  // stream/rician-los/ols/f32/0x5EED/b1000
+           0xCBABC4713113CF9DULL,  // stream/rician-los/ols/f32/0x5EED/b16777221
+           0x22693184C0CB15DDULL,  // stream/suzuki/wola/f64/0x5EED/b0
+           0xC8D0ACE439604C65ULL,  // stream/suzuki/wola/f64/0x5EED/b1000
+           0xDCD9B30E90F6B74DULL,  // stream/suzuki/wola/f64/0x5EED/b16777221
+           0x7910E63C1D820A29ULL,  // stream/suzuki/wola/f32/0x5EED/b0
+           0x6DB34DD0DBD30D65ULL,  // stream/suzuki/wola/f32/0x5EED/b1000
+           0xAB9CF858D1EE4419ULL,  // stream/suzuki/wola/f32/0x5EED/b16777221
+           0x9CF32334AD9F07C5ULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b0
+           0x6C1AE7E0641FB69DULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b1000
+           0x9215965A3A58F195ULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b16777221
+           0x05E3A4798EC4BE2DULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b0
+           0x94E03495EBAD5401ULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b1000
+           0x0B0E133E7FA13E29ULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b16777221
        }},
       {"gcc-12/glibc-2.36", "sanitized",
        {
@@ -490,6 +585,36 @@ const std::vector<TierTable>& recorded_tables() {
            0x6CAFC5ED689DB82DULL,  // instant/rayleigh-mean/0x5EED/b1000
            0xC28901AD5E2ECDA9ULL,  // instant/twdp-delta0/0x5EED/b1000
            0xE78548157C6CC029ULL,  // instant/copula/0x5EED/b1000
+           0x731A31CB6B715B15ULL,  // stream/twdp-moving/independent/f64/0x5EED/b0
+           0xAE7E923C9C458CF1ULL,  // stream/twdp-moving/independent/f64/0x5EED/b1000
+           0xC680788A9E4139BDULL,  // stream/twdp-moving/independent/f64/0x5EED/b16777221
+           0xB66525FEDBE32301ULL,  // stream/twdp-moving/independent/f32/0x5EED/b0
+           0xFD4AAC49BCC26B95ULL,  // stream/twdp-moving/independent/f32/0x5EED/b1000
+           0x496AF335B961F075ULL,  // stream/twdp-moving/independent/f32/0x5EED/b16777221
+           0xAEE1D26A32915725ULL,  // stream/twdp-quarter/ols/f64/0x5EED/b0
+           0x6D76E1AD6AFAF1C5ULL,  // stream/twdp-quarter/ols/f64/0x5EED/b1000
+           0x6C6E878EEA6EBF35ULL,  // stream/twdp-quarter/ols/f64/0x5EED/b16777221
+           0x7494AA0816A2DB91ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b0
+           0x5C15F3ABF6B91B25ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b1000
+           0xE54F86B9376B93E9ULL,  // stream/twdp-quarter/ols/f32/0x5EED/b16777221
+           0xC59CA045248AEF59ULL,  // stream/rician-los/ols/f64/0x5EED/b0
+           0x42363490F2CD8075ULL,  // stream/rician-los/ols/f64/0x5EED/b1000
+           0x8BB095AD4EC8C431ULL,  // stream/rician-los/ols/f64/0x5EED/b16777221
+           0x6C976122E5757B29ULL,  // stream/rician-los/ols/f32/0x5EED/b0
+           0xD8B8102C9E5713ADULL,  // stream/rician-los/ols/f32/0x5EED/b1000
+           0x390094DCB128DD89ULL,  // stream/rician-los/ols/f32/0x5EED/b16777221
+           0xEE00F8F75C567AE5ULL,  // stream/suzuki/wola/f64/0x5EED/b0
+           0x9D0D27EEAA405DE5ULL,  // stream/suzuki/wola/f64/0x5EED/b1000
+           0xB0B98FCD10D2E4E5ULL,  // stream/suzuki/wola/f64/0x5EED/b16777221
+           0x7910E63C1D820A29ULL,  // stream/suzuki/wola/f32/0x5EED/b0
+           0x6DB34DD0DBD30D65ULL,  // stream/suzuki/wola/f32/0x5EED/b1000
+           0xAB9CF858D1EE4419ULL,  // stream/suzuki/wola/f32/0x5EED/b16777221
+           0xB120EA881933DBB5ULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b0
+           0x36AF5818DF866A25ULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b1000
+           0x7664E34D5CFFAFA5ULL,  // stream/suzuki-mixed/independent/f64/0x5EED/b16777221
+           0x05E3A4798EC4BE2DULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b0
+           0x94E03495EBAD5401ULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b1000
+           0x0B0E133E7FA13E29ULL,  // stream/suzuki-mixed/independent/f32/0x5EED/b16777221
        }},
   };
   return tables;
