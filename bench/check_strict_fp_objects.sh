@@ -26,7 +26,13 @@
 # shard merges re-form.  accumulators.cpp carries no versions, so no zmm
 # is required there.
 #
-# None of the four objects may hold vfmaddsub / vfmsubadd: GCC's SLP
+# The mean/gain tail after the coloring (core/mean_source.cpp,
+# core/gain_source.cpp, scenario/composite/shadowing.cpp) must hold no
+# fused multiply-add either: the phasor row update, the gain multiply and
+# the shadowing FIR are mul+add sequences whose bits the fingerprints
+# pin, so a later ISA version of any of them must not contract them.
+#
+# None of these objects may hold vfmaddsub / vfmsubadd: GCC's SLP
 # complex-multiply pattern emits it for scalar arrays of interleaved
 # accumulators, fused with an ISA-dependent rounding.
 #
@@ -118,6 +124,9 @@ check_unfused fft.cpp.o "" zmm
 check_unfused matrix_ops.cpp.o "coloring_gemm_kernel|fused_mac_column_kernel" zmm
 check_unfused metrics/accumulators.cpp.o ""
 check_unfused support/exact_sum.cpp.o ""
+check_unfused core/mean_source.cpp.o ""
+check_unfused core/gain_source.cpp.o ""
+check_unfused composite/shadowing.cpp.o ""
 
 # The coloring GEMM's explicit FMAs: on zmm in the avx512f versions and on
 # ymm in the avx2 versions, double (EPKd) and float (EPKf) each.

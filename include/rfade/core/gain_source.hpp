@@ -36,6 +36,7 @@
 /// constant) takes exactly the code paths the pipeline took before this
 /// class existed — pure-Rayleigh/Rician output is bit-identical.
 
+#include <complex>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -105,11 +106,20 @@ class GainSource {
   /// the caller's N and writes ones).
   void gains_at(std::uint64_t instant, std::span<double> out) const;
 
+  /// Block form of gains_at: row t of \p out (row-major, \p rows x \p n)
+  /// is g(\p first_instant + t), equal bit for bit to gains_at of that
+  /// instant.  The dynamic form evaluates its process once for the whole
+  /// range.  \pre n == dimension() unless the unit gain.
+  void gains_for_rows(std::uint64_t first_instant, std::size_t rows,
+                      std::size_t n, double* out) const;
+
   /// Hot-path multiply pass: row t of \p out (row-major, \p rows x \p n)
   /// is scaled entrywise by g(\p first_instant + t).  No-op for the unit
-  /// gain.
+  /// gain.  The float overload narrows each double gain at the multiply.
   void multiply_rows(std::uint64_t first_instant, std::size_t rows,
                      std::size_t n, numeric::cdouble* out) const;
+  void multiply_rows(std::uint64_t first_instant, std::size_t rows,
+                     std::size_t n, numeric::cfloat* out) const;
 
   /// Constant gain vector (empty unless the constant form).
   [[nodiscard]] const numeric::RVector& constant_gains() const noexcept {
@@ -124,6 +134,10 @@ class GainSource {
 
  private:
   enum class Kind { Unit, Constant, Dynamic };
+
+  template <typename T>
+  void multiply_rows_impl(std::uint64_t first_instant, std::size_t rows,
+                          std::size_t n, std::complex<T>* out) const;
 
   Kind kind_ = Kind::Unit;
   numeric::RVector constant_;

@@ -71,8 +71,11 @@ class MeanSource {
                                                  double normalized_frequency);
 
   /// General phasor sum m(l) = sum_t a_t e^{i 2 pi f_t l} (e.g. the two
-  /// specular waves of real-time TWDP).  \pre all terms share one
-  /// dimension; every frequency finite with |f| <= 0.5.
+  /// specular waves of real-time TWDP).  Each stored term costs, per
+  /// generated row, one libm sincos (the floor of the mean pass) plus N
+  /// complex multiply-adds; all-zero terms are dropped here.
+  /// \pre all terms share one dimension; every frequency finite with
+  /// |f| <= 0.5.
   [[nodiscard]] static MeanSource phasor_sum(std::vector<MeanPhasorTerm> terms);
 
   /// Precomputed M x N mean block, extended periodically: m(l) = row
@@ -110,6 +113,12 @@ class MeanSource {
   /// is the exact per-row add loop the constant-vector mean used.
   void add_to_rows(std::uint64_t first_instant, std::size_t rows,
                    std::size_t n, numeric::cdouble* out) const;
+
+  /// Float add pass: row t of \p out gains m(\p first_instant + t)
+  /// evaluated in double (exactly mean_at's value) and narrowed to float
+  /// at the add.
+  void add_to_rows(std::uint64_t first_instant, std::size_t rows,
+                   std::size_t n, numeric::cfloat* out) const;
 
   /// Phasor terms (empty unless a phasor-sum/constant/doppler form).
   [[nodiscard]] const std::vector<MeanPhasorTerm>& terms() const noexcept {

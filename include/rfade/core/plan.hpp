@@ -333,13 +333,11 @@ class SamplePipeline {
   /// colored N-vectors in `out`: row t gains m(first_instant + t) and is
   /// then scaled by g(first_instant + t).  No-op for the default
   /// zero-mean/unit-gain pipeline.  The trajectories are double by
-  /// design, so the float overload evaluates each row's m / g in double
-  /// and applies them narrowed, while the double one applies them in
-  /// place.
+  /// design, so for T = float each block's m / g are evaluated in double
+  /// and applied narrowed, while for T = double they apply in place.
+  template <typename T>
   void finish_rows(std::uint64_t first_instant, std::size_t rows,
-                   numeric::cdouble* out) const;
-  void finish_rows(std::uint64_t first_instant, std::size_t rows,
-                   numeric::cfloat* out) const;
+                   std::complex<T>* out) const;
 
   std::shared_ptr<const ColoringPlan> plan_;
   PipelineOptions options_;

@@ -1,6 +1,8 @@
 #include "rfade/core/gain_source.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <utility>
 #include <vector>
 
@@ -63,27 +65,33 @@ std::size_t GainSource::dimension() const noexcept {
 
 void GainSource::gains_at(std::uint64_t instant,
                           std::span<double> out) const {
-  RFADE_EXPECTS(dimension() == 0 || out.size() == dimension(),
-                "GainSource: output size must equal dimension");
+  gains_for_rows(instant, 1, out.size(), out.data());
+}
+
+void GainSource::gains_for_rows(std::uint64_t first_instant, std::size_t rows,
+                                std::size_t n, double* out) const {
+  RFADE_EXPECTS(kind_ == Kind::Unit || n == dimension(),
+                "GainSource: row width must equal the gain dimension");
   switch (kind_) {
     case Kind::Unit:
-      for (double& g : out) {
-        g = 1.0;
-      }
+      std::fill(out, out + rows * n, 1.0);
       return;
     case Kind::Constant:
-      for (std::size_t j = 0; j < out.size(); ++j) {
-        out[j] = constant_[j];
+      for (std::size_t t = 0; t < rows; ++t) {
+        std::copy(constant_.begin(), constant_.end(), out + t * n);
       }
       return;
     case Kind::Dynamic:
-      process_->gains_for_rows(instant, 1, out);
+      process_->gains_for_rows(first_instant, rows,
+                               std::span<double>(out, rows * n));
       return;
   }
 }
 
-void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
-                               std::size_t n, numeric::cdouble* out) const {
+template <typename T>
+void GainSource::multiply_rows_impl(std::uint64_t first_instant,
+                                    std::size_t rows, std::size_t n,
+                                    std::complex<T>* out) const {
   RFADE_EXPECTS(kind_ == Kind::Unit || n == dimension(),
                 "GainSource: row width must equal the gain dimension");
   switch (kind_) {
@@ -92,33 +100,44 @@ void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
     case Kind::Constant: {
       const double* g = constant_.data();
       for (std::size_t t = 0; t < rows; ++t) {
-        numeric::cdouble* row = out + t * n;
+        std::complex<T>* row = out + t * n;
         for (std::size_t j = 0; j < n; ++j) {
-          row[j] *= g[j];
+          row[j] *= static_cast<T>(g[j]);
         }
       }
       return;
     }
     case Kind::Dynamic: {
-      // The gains are materialised per call (thread-local scratch: the
-      // pipeline calls this from pool workers, and the buffers are large
-      // enough to be mmap-threshold allocations worth reusing).
+      // The gains of the whole block are materialised per call, in double
+      // for either emission precision (one FIR pass per block, not per
+      // row), into thread-local scratch: the pipeline calls this from
+      // pool workers, and the buffers are large enough to be
+      // mmap-threshold allocations worth reusing.
       thread_local std::vector<double> gains;
       if (gains.size() < rows * n) {
         gains.resize(rows * n);
       }
-      process_->gains_for_rows(first_instant, rows,
-                               std::span<double>(gains.data(), rows * n));
+      gains_for_rows(first_instant, rows, n, gains.data());
       for (std::size_t t = 0; t < rows; ++t) {
-        numeric::cdouble* row = out + t * n;
+        std::complex<T>* row = out + t * n;
         const double* g = gains.data() + t * n;
         for (std::size_t j = 0; j < n; ++j) {
-          row[j] *= g[j];
+          row[j] *= static_cast<T>(g[j]);
         }
       }
       return;
     }
   }
+}
+
+void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
+                               std::size_t n, numeric::cdouble* out) const {
+  multiply_rows_impl(first_instant, rows, n, out);
+}
+
+void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
+                               std::size_t n, numeric::cfloat* out) const {
+  multiply_rows_impl(first_instant, rows, n, out);
 }
 
 }  // namespace rfade::core

@@ -1,8 +1,10 @@
 #include "rfade/core/mean_source.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <utility>
+#include <vector>
 
 #include "rfade/support/contracts.hpp"
 
@@ -43,18 +45,33 @@ void validate_amplitudes(const numeric::CVector& amplitudes) {
   }
 }
 
-/// e^{i 2 pi f l}, evaluated from the absolute instant.  Reducing
-/// f * l mod 1 only after the full product rounds would cost ~ulp(f*l)
-/// cycles of phase (noticeable past l ~ 2^40), so the instant is split
-/// into 32-bit halves and each partial product reduced separately —
-/// phase error stays ~2^-20 cycles at any l, and for l < 2^32 the result
-/// is bit-identical to fmod(f * l, 1).
-numeric::cdouble unit_phasor(double frequency, std::uint64_t instant) {
-  const double hi = static_cast<double>(instant >> 32);
-  const double lo = static_cast<double>(instant & 0xFFFFFFFFULL);
-  const double cycles = std::fmod(
-      std::fmod(frequency * hi, 1.0) * 4294967296.0 + frequency * lo, 1.0);
-  return std::polar(1.0, kTwoPi * cycles);
+/// x mod 1 with the sign of x, exactly: x - trunc(x) is representable
+/// for every finite x, so it equals std::fmod(x, 1.0) bit for bit, and
+/// copysign restores the sign fmod gives an integral x (-3 - -3 is +0,
+/// fmod(-3, 1) is -0).  An inline trunc instead of glibc's fmod call.
+double mod_one(double x) { return std::copysign(x - std::trunc(x), x); }
+
+/// Rows [0, rows) of e^{i 2 pi f l}, l = first_instant + t, as cosine
+/// (\p re) and sine (\p im) planes, each evaluated from its absolute
+/// instant.  Reducing f * l mod 1 only after the full product rounds
+/// would cost ~ulp(f*l) cycles of phase (noticeable past l ~ 2^40), so
+/// the instant is split into 32-bit halves and each partial product
+/// reduced separately — phase error stays ~2^-20 cycles at any l, and
+/// for l < 2^32 the result is bit-identical to fmod(f * l, 1).  One
+/// libm sincos of the same angle per row: the bits std::polar(1, angle)
+/// gives.
+void unit_phasors(double frequency, std::uint64_t first_instant,
+                  std::size_t rows, double* re, double* im) {
+  for (std::size_t t = 0; t < rows; ++t) {
+    const std::uint64_t instant = first_instant + t;
+    const double hi = static_cast<double>(instant >> 32);
+    const double lo = static_cast<double>(instant & 0xFFFFFFFFULL);
+    const double cycles =
+        mod_one(mod_one(frequency * hi) * 4294967296.0 + frequency * lo);
+    const double angle = kTwoPi * cycles;
+    re[t] = std::cos(angle);
+    im[t] = std::sin(angle);
+  }
 }
 
 }  // namespace
@@ -200,14 +217,29 @@ void MeanSource::add_to_rows(std::uint64_t first_instant, std::size_t rows,
       return;
     }
     case Kind::Phasor: {
+      // Per term: the rotors of every row first (one sincos each), then
+      // row += a * rot in explicit real arithmetic — for finite operands
+      // exactly the bits of the std::complex product, in a j loop that
+      // vectorises.  Terms are applied in their stored order.
+      thread_local std::vector<double> rot_re;
+      thread_local std::vector<double> rot_im;
+      if (rot_re.size() < rows) {
+        rot_re.resize(rows);
+        rot_im.resize(rows);
+      }
       for (const MeanPhasorTerm& term : terms_) {
+        unit_phasors(term.normalized_frequency, first_instant, rows,
+                     rot_re.data(), rot_im.data());
         const numeric::cdouble* a = term.amplitudes.data();
         for (std::size_t t = 0; t < rows; ++t) {
-          const numeric::cdouble rot =
-              unit_phasor(term.normalized_frequency, first_instant + t);
-          numeric::cdouble* row = out + t * n;
+          const double c = rot_re[t];
+          const double s = rot_im[t];
+          double* row = reinterpret_cast<double*>(out + t * n);
           for (std::size_t j = 0; j < n; ++j) {
-            row[j] += a[j] * rot;
+            const double ar = a[j].real();
+            const double ai = a[j].imag();
+            row[2 * j] += ar * c - ai * s;
+            row[2 * j + 1] += ar * s + ai * c;
           }
         }
       }
@@ -225,6 +257,29 @@ void MeanSource::add_to_rows(std::uint64_t first_instant, std::size_t rows,
         }
       }
       return;
+    }
+  }
+}
+
+void MeanSource::add_to_rows(std::uint64_t first_instant, std::size_t rows,
+                             std::size_t n, numeric::cfloat* out) const {
+  if (kind_ == Kind::Zero) {
+    return;
+  }
+  // The trajectory is double by design: each tile of rows is evaluated
+  // by the double pass into zeroed scratch (so a row holds exactly
+  // m(l) = mean_at(l)) and added narrowed.  The tile bounds the scratch
+  // to a few cache-resident rows whatever the block length.
+  constexpr std::size_t kTileRows = 128;
+  thread_local std::vector<numeric::cdouble> tile;
+  for (std::size_t t0 = 0; t0 < rows; t0 += kTileRows) {
+    const std::size_t count = std::min(kTileRows, rows - t0);
+    tile.assign(count * n, numeric::cdouble{});
+    add_to_rows(first_instant + t0, count, n, tile.data());
+    numeric::cfloat* dst = out + t0 * n;
+    for (std::size_t i = 0; i < count * n; ++i) {
+      dst[i] += numeric::cfloat(static_cast<float>(tile[i].real()),
+                                static_cast<float>(tile[i].imag()));
     }
   }
 }

@@ -96,46 +96,18 @@ SamplePipeline::SamplePipeline(std::shared_ptr<const ColoringPlan> plan,
   has_gain_ = !options_.gain.is_unit();
 }
 
+template <typename T>
 void SamplePipeline::finish_rows(std::uint64_t first_instant, std::size_t rows,
-                                 numeric::cdouble* out) const {
+                                 std::complex<T>* out) const {
+  // Whole-block passes, mean first: each element still sees its mean add
+  // and then its gain multiply, so the order per element is the per-row
+  // order.
   if (has_mean_) {
     options_.mean_offset.add_to_rows(first_instant, rows, plan_->dimension(),
                                      out);
   }
   if (has_gain_) {
     options_.gain.multiply_rows(first_instant, rows, plan_->dimension(), out);
-  }
-}
-
-void SamplePipeline::finish_rows(std::uint64_t first_instant,
-                                 std::size_t rows,
-                                 numeric::cfloat* out) const {
-  if (!has_mean_ && !has_gain_) {
-    return;
-  }
-  // The mean/gain trajectories are double by design (Doppler phasors,
-  // lognormal shadowing); evaluate each row in double and narrow at the
-  // apply point so the float stream sees the same trajectory the double
-  // stream does, to float rounding.
-  const std::size_t n = plan_->dimension();
-  numeric::CVector mean(has_mean_ ? n : 0);
-  numeric::RVector gains(has_gain_ ? n : 0);
-  for (std::size_t t = 0; t < rows; ++t) {
-    numeric::cfloat* row = out + t * n;
-    const std::uint64_t instant = first_instant + t;
-    if (has_mean_) {
-      options_.mean_offset.mean_at(instant, mean);
-      for (std::size_t j = 0; j < n; ++j) {
-        row[j] += numeric::cfloat(static_cast<float>(mean[j].real()),
-                                  static_cast<float>(mean[j].imag()));
-      }
-    }
-    if (has_gain_) {
-      options_.gain.gains_at(instant, gains);
-      for (std::size_t j = 0; j < n; ++j) {
-        row[j] *= static_cast<float>(gains[j]);
-      }
-    }
   }
 }
 

@@ -74,21 +74,28 @@ void node_field(const ShadowingDesign& design, std::uint64_t tape,
     // indexed by absolute node position.
     random::fill_complex_gaussians_planar(tape, i + 1, 2.0, first_node, white,
                                           w_re.data(), w_im.data());
-    for (std::size_t t = 0; t < count; ++t) {
-      double acc_re = 0.0;
-      double acc_im = 0.0;
-      // S_i(t) = sum_k h[k] w[t + K - 1 - k]: the truncated moving
-      // average whose ACF is a^{|d|} up to the truncation tolerance.
-      const double* wr = w_re.data() + t;
-      const double* wi = w_im.data() + t;
-      for (std::size_t j = 0; j < k; ++j) {
-        acc_re += taps[j] * wr[k - 1 - j];
-        if (mixed) {
-          acc_im += taps[j] * wi[k - 1 - j];
+    // S_i(t) = sum_k h[k] w[t + K - 1 - k]: the truncated moving average
+    // whose ACF is a^{|d|} up to the truncation tolerance.  Taps outer,
+    // nodes inner: each node still sums its taps in ascending k from +0,
+    // and the node loop vectorises.
+    double* acc_re = f_re.data() + i * count;
+    double* acc_im = f_im.data() + i * count;
+    std::fill(acc_re, acc_re + count, 0.0);
+    if (mixed) {
+      std::fill(acc_im, acc_im + count, 0.0);
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      const double h = taps[j];
+      const double* wr = w_re.data() + (k - 1 - j);
+      for (std::size_t t = 0; t < count; ++t) {
+        acc_re[t] += h * wr[t];
+      }
+      if (mixed) {
+        const double* wi = w_im.data() + (k - 1 - j);
+        for (std::size_t t = 0; t < count; ++t) {
+          acc_im[t] += h * wi[t];
         }
       }
-      f_re[i * count + t] = acc_re;
-      f_im[i * count + t] = acc_im;
     }
   }
   if (!mixed) {

@@ -24,11 +24,14 @@
 #include "rfade/metrics/accumulators.hpp"
 #include "rfade/metrics/health.hpp"
 #include "rfade/numeric/matrix_ops.hpp"
+#include "rfade/random/bulk_gaussian.hpp"
 #include "rfade/random/rng.hpp"
+#include "rfade/random/xoshiro.hpp"
 #include "rfade/special/bessel.hpp"
 #include "rfade/scenario/composite/copula.hpp"
 #include "rfade/scenario/composite/shadowing.hpp"
 #include "rfade/scenario/composite/suzuki.hpp"
+#include "rfade/stats/distributions.hpp"
 #include "rfade/stats/moments.hpp"
 #include "rfade/support/error.hpp"
 
@@ -124,6 +127,42 @@ TEST(GainSource, GainsAtAndMultiplyRows) {
   GainSource::unit().gains_at(3, unit_gains);
   for (double v : unit_gains) {
     EXPECT_EQ(v, 1.0);
+  }
+}
+
+TEST(GainSource, GainsForRowsEqualsPerRowGainsAt) {
+  constexpr std::size_t kN = 3;
+  constexpr std::size_t kRows = 70;
+  ShadowingSpec spec;
+  spec.sigma_db = 5.0;
+  spec.decorrelation_samples = 64.0;
+  spec.spacing = 8;
+  const GainSource forms[] = {
+      GainSource::unit(),
+      GainSource::constant({2.0, 0.5, 1.25}),
+      GainSource::dynamic(
+          std::make_shared<const ShadowingProcess>(kN, spec, 0xBEEF)),
+  };
+  for (const GainSource& g : forms) {
+    for (const std::uint64_t first : {0ULL, 1003ULL, (1ULL << 33) + 5}) {
+      std::vector<double> block(kRows * kN);
+      g.gains_for_rows(first, kRows, kN, block.data());
+      // The float multiply pass scales by each gain narrowed.
+      std::vector<numeric::cfloat> narrow(kRows * kN,
+                                          numeric::cfloat(1.5f, -0.25f));
+      g.multiply_rows(first, kRows, kN, narrow.data());
+      std::vector<double> row(kN);
+      for (std::size_t t = 0; t < kRows; ++t) {
+        g.gains_at(first + t, row);
+        for (std::size_t j = 0; j < kN; ++j) {
+          EXPECT_EQ(block[t * kN + j], row[j])
+              << "first=" << first << " row " << t << " branch " << j;
+          EXPECT_EQ(narrow[t * kN + j],
+                    numeric::cfloat(1.5f, -0.25f) * static_cast<float>(row[j]))
+              << "first=" << first << " row " << t << " branch " << j;
+        }
+      }
+    }
   }
 }
 
@@ -304,6 +343,124 @@ TEST(Shadowing, GainsArePureFunctionsOfSeedAndInstant) {
     differing += other_gains[i] != whole[i] ? 1 : 0;
   }
   EXPECT_GT(differing, whole.size() / 2);
+}
+
+/// ShadowingProcess::gains_for_rows as first written: the same tape
+/// seed (salt + splitmix64), per-branch bulk-Philox tapes and mixing,
+/// but the FIR with nodes outer and taps inner — one running sum per
+/// node, taps in ascending k from +0.
+std::vector<double> node_order_reference_gains(const ShadowingDesign& design,
+                                               std::uint64_t seed,
+                                               std::uint64_t first_instant,
+                                               std::size_t rows) {
+  std::uint64_t state = seed ^ 0x5AD0516A11C0FFEEULL;
+  const std::uint64_t tape = random::splitmix64(state);
+  const std::size_t n = design.dimension();
+  const std::size_t k = design.taps();
+  const RVector& taps = design.taps_vector();
+  const std::size_t spacing = design.spec().spacing;
+  const std::uint64_t first_node = first_instant / spacing;
+  const std::size_t count = static_cast<std::size_t>(
+      (first_instant + rows - 1) / spacing + 1 - first_node + 1);
+  const std::size_t white = count + k - 1;
+  std::vector<double> w_re(white);
+  std::vector<double> w_im(white);
+  std::vector<double> f_re(count * n);
+  std::vector<double> f_im(count * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    random::fill_complex_gaussians_planar(tape, i + 1, 2.0, first_node, white,
+                                          w_re.data(), w_im.data());
+    for (std::size_t t = 0; t < count; ++t) {
+      double acc_re = 0.0;
+      double acc_im = 0.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        acc_re += taps[j] * w_re[t + k - 1 - j];
+        acc_im += taps[j] * w_im[t + k - 1 - j];
+      }
+      f_re[i * count + t] = acc_re;
+      f_im[i * count + t] = acc_im;
+    }
+  }
+  const double scale = design.spec().sigma_db *
+                       stats::LognormalDistribution::kDbToNaturalLog;
+  const double offset =
+      design.spec().mean_db * stats::LognormalDistribution::kDbToNaturalLog;
+  std::vector<double> nodes(count * n);
+  for (std::size_t t = 0; t < count; ++t) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = f_re[j * count + t];
+      if (design.has_mixing()) {
+        s = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          s += design.mixing_matrix()(j, i).real() * f_re[i * count + t] -
+               design.mixing_matrix()(j, i).imag() * f_im[i * count + t];
+        }
+      }
+      nodes[t * n + j] = std::exp(offset + scale * s);
+    }
+  }
+  std::vector<double> out(rows * n);
+  const double inv_spacing = 1.0 / static_cast<double>(spacing);
+  for (std::size_t t = 0; t < rows; ++t) {
+    const std::uint64_t l = first_instant + t;
+    const std::size_t node = static_cast<std::size_t>(l / spacing - first_node);
+    const double frac = static_cast<double>(l % spacing) * inv_spacing;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double a = nodes[node * n + j];
+      const double b = nodes[(node + 1) * n + j];
+      out[t * n + j] = a + frac * (b - a);
+    }
+  }
+  return out;
+}
+
+TEST(Shadowing, TapOuterFirBitIdenticalToNodeOrderReference) {
+  constexpr std::size_t kN = 3;
+  RMatrix correlation(kN, kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; j < kN; ++j) {
+      correlation(i, j) = i == j ? 1.0 : 0.55;
+    }
+  }
+  for (const bool mixed : {false, true}) {
+    for (const std::size_t spacing : {std::size_t{1}, std::size_t{64}}) {
+      ShadowingSpec spec;
+      spec.sigma_db = 7.0;
+      spec.mean_db = -2.0;
+      spec.spacing = spacing;
+      spec.decorrelation_samples = spacing == 1 ? 64.0 : 2048.0;
+      if (mixed) {
+        spec.branch_correlation = correlation;
+      }
+      const auto design = std::make_shared<const ShadowingDesign>(kN, spec);
+      ASSERT_EQ(design->has_mixing(), mixed);
+      const ShadowingProcess process(design, 0x5EED);
+      const std::uint64_t a = 12345;
+      const std::size_t rows = 300;
+      std::vector<double> whole(rows * kN);
+      process.gains_for_rows(a, rows, whole);
+      const std::vector<double> want =
+          node_order_reference_gains(*design, 0x5EED, a, rows);
+      for (std::size_t i = 0; i < whole.size(); ++i) {
+        ASSERT_EQ(whole[i], want[i])
+            << "mixed=" << mixed << " spacing=" << spacing << " entry " << i;
+      }
+      // [a, b) is [a, m) followed by [m, b).
+      const std::size_t head_rows = 131;
+      std::vector<double> head(head_rows * kN);
+      std::vector<double> tail((rows - head_rows) * kN);
+      process.gains_for_rows(a, head_rows, head);
+      process.gains_for_rows(a + head_rows, rows - head_rows, tail);
+      for (std::size_t i = 0; i < head.size(); ++i) {
+        ASSERT_EQ(head[i], whole[i]) << "mixed=" << mixed
+                                     << " spacing=" << spacing;
+      }
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        ASSERT_EQ(tail[i], whole[head.size() + i])
+            << "mixed=" << mixed << " spacing=" << spacing;
+      }
+    }
+  }
 }
 
 TEST(Shadowing, NodeMarginalAndGudmundsonAcf) {

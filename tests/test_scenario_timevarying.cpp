@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -112,6 +115,104 @@ TEST(MeanSource, PhasorEvaluationMatchesClosedForm) {
     for (std::size_t j = 0; j < 2; ++j) {
       EXPECT_NEAR(std::abs(m[j] - amplitude[j] * rot), 0.0, 1e-12)
           << "l=" << l << " j=" << j;
+    }
+  }
+}
+
+/// The phasor mean as first written: e^{i 2 pi f l} from the two 32-bit
+/// halves of l, each partial product reduced by std::fmod, std::polar,
+/// and one std::complex multiply-add per entry, terms in stored order.
+void reference_phasor_rows(const std::vector<core::MeanPhasorTerm>& terms,
+                           std::uint64_t first, std::size_t rows,
+                           std::size_t n, cdouble* out) {
+  for (const core::MeanPhasorTerm& term : terms) {
+    for (std::size_t t = 0; t < rows; ++t) {
+      const std::uint64_t l = first + t;
+      const double hi = static_cast<double>(l >> 32);
+      const double lo = static_cast<double>(l & 0xFFFFFFFFULL);
+      const double f = term.normalized_frequency;
+      const double cycles =
+          std::fmod(std::fmod(f * hi, 1.0) * 4294967296.0 + f * lo, 1.0);
+      const cdouble rot = std::polar(1.0, kTwoPi * cycles);
+      for (std::size_t j = 0; j < n; ++j) {
+        out[t * n + j] += term.amplitudes[j] * rot;
+      }
+    }
+  }
+}
+
+/// Bit equality of both parts (tells +0 from -0).
+bool same_bits(cdouble a, cdouble b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+TEST(MeanSource, PhasorRowsBitIdenticalToFmodPolarReference) {
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kRows = 9;
+  const double frequencies[] = {0.013, -0.013, 0.25, -0.25,
+                                0.5,   -0.5,   1e-9};
+  const std::uint64_t firsts[] = {0,
+                                  (1ULL << 32) - 3,
+                                  (1ULL << 32) + 3,
+                                  (1ULL << 40) + 12345,
+                                  1ULL << 62};
+  // Amplitudes with +-0 parts, a different vector per term.
+  const CVector amplitudes[] = {
+      {cdouble(0.8, -0.3), cdouble(0.0, 1.2), cdouble(-0.0, -0.5),
+       cdouble(1.1, -0.0), cdouble(-0.0, 0.0)},
+      {cdouble(-0.4, 0.0), cdouble(0.7, 0.2), cdouble(0.0, -0.0),
+       cdouble(-1.3, 0.9), cdouble(0.25, -0.75)},
+      {cdouble(0.0, 0.6), cdouble(-0.0, -0.0), cdouble(2.0, 1.0),
+       cdouble(-0.5, -0.0), cdouble(0.1, 0.3)},
+  };
+  const std::size_t nf = std::size(frequencies);
+  for (std::size_t terms_count = 1; terms_count <= 3; ++terms_count) {
+    for (std::size_t s = 0; s < nf; ++s) {
+      std::vector<core::MeanPhasorTerm> terms;
+      for (std::size_t q = 0; q < terms_count; ++q) {
+        terms.push_back({amplitudes[q], frequencies[(s + q) % nf]});
+      }
+      const MeanSource mean = MeanSource::phasor_sum(terms);
+      ASSERT_TRUE(mean.is_time_varying());
+      for (const std::uint64_t first : firsts) {
+        // Onto zeros and onto a prefilled block (the += of the pass).
+        for (const double prefill : {0.0, -0.375}) {
+          std::vector<cdouble> got(kRows * kN, cdouble(prefill, -prefill));
+          std::vector<cdouble> want = got;
+          mean.add_to_rows(first, kRows, kN, got.data());
+          reference_phasor_rows(terms, first, kRows, kN, want.data());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_TRUE(same_bits(got[i], want[i]))
+                << terms_count << " terms from f=" << frequencies[s]
+                << " first=" << first << " prefill=" << prefill
+                << " entry " << i << ": " << got[i] << " vs " << want[i];
+          }
+        }
+        // mean_at of each instant is the matching row of the block pass,
+        // and the float pass adds that row narrowed.
+        std::vector<cdouble> block(kRows * kN);
+        mean.add_to_rows(first, kRows, kN, block.data());
+        std::vector<numeric::cfloat> narrow(kRows * kN,
+                                            numeric::cfloat(0.5f, -0.0f));
+        mean.add_to_rows(first, kRows, kN, narrow.data());
+        for (std::size_t t = 0; t < kRows; ++t) {
+          const CVector m = mean.mean_at_instant(first + t, kN);
+          for (std::size_t j = 0; j < kN; ++j) {
+            EXPECT_TRUE(same_bits(m[j], block[t * kN + j]))
+                << "mean_at(" << first + t << ")[" << j << "]";
+            const numeric::cfloat expected =
+                numeric::cfloat(0.5f, -0.0f) +
+                numeric::cfloat(static_cast<float>(m[j].real()),
+                                static_cast<float>(m[j].imag()));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(narrow[t * kN + j]),
+                      std::bit_cast<std::uint64_t>(expected))
+                << "float row " << first + t << "[" << j << "]";
+          }
+        }
+      }
     }
   }
 }
