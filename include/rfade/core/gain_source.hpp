@@ -115,11 +115,10 @@ class GainSource {
 
   /// Hot-path multiply pass: row t of \p out (row-major, \p rows x \p n)
   /// is scaled entrywise by g(\p first_instant + t).  No-op for the unit
-  /// gain.  The float overload narrows each double gain at the multiply.
+  /// gain.  For T = float each double gain is narrowed at the multiply.
+  template <typename T>
   void multiply_rows(std::uint64_t first_instant, std::size_t rows,
-                     std::size_t n, numeric::cdouble* out) const;
-  void multiply_rows(std::uint64_t first_instant, std::size_t rows,
-                     std::size_t n, numeric::cfloat* out) const;
+                     std::size_t n, std::complex<T>* out) const;
 
   /// Constant gain vector (empty unless the constant form).
   [[nodiscard]] const numeric::RVector& constant_gains() const noexcept {
@@ -134,10 +133,6 @@ class GainSource {
 
  private:
   enum class Kind { Unit, Constant, Dynamic };
-
-  template <typename T>
-  void multiply_rows_impl(std::uint64_t first_instant, std::size_t rows,
-                          std::size_t n, std::complex<T>* out) const;
 
   Kind kind_ = Kind::Unit;
   numeric::RVector constant_;

@@ -89,9 +89,8 @@ void GainSource::gains_for_rows(std::uint64_t first_instant, std::size_t rows,
 }
 
 template <typename T>
-void GainSource::multiply_rows_impl(std::uint64_t first_instant,
-                                    std::size_t rows, std::size_t n,
-                                    std::complex<T>* out) const {
+void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
+                               std::size_t n, std::complex<T>* out) const {
   RFADE_EXPECTS(kind_ == Kind::Unit || n == dimension(),
                 "GainSource: row width must equal the gain dimension");
   switch (kind_) {
@@ -130,14 +129,9 @@ void GainSource::multiply_rows_impl(std::uint64_t first_instant,
   }
 }
 
-void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
-                               std::size_t n, numeric::cdouble* out) const {
-  multiply_rows_impl(first_instant, rows, n, out);
-}
-
-void GainSource::multiply_rows(std::uint64_t first_instant, std::size_t rows,
-                               std::size_t n, numeric::cfloat* out) const {
-  multiply_rows_impl(first_instant, rows, n, out);
-}
+template void GainSource::multiply_rows(std::uint64_t, std::size_t,
+                                        std::size_t, numeric::cdouble*) const;
+template void GainSource::multiply_rows(std::uint64_t, std::size_t,
+                                        std::size_t, numeric::cfloat*) const;
 
 }  // namespace rfade::core

@@ -234,12 +234,12 @@ void MeanSource::add_to_rows(std::uint64_t first_instant, std::size_t rows,
         for (std::size_t t = 0; t < rows; ++t) {
           const double c = rot_re[t];
           const double s = rot_im[t];
-          double* row = reinterpret_cast<double*>(out + t * n);
+          numeric::cdouble* row = out + t * n;
           for (std::size_t j = 0; j < n; ++j) {
             const double ar = a[j].real();
             const double ai = a[j].imag();
-            row[2 * j] += ar * c - ai * s;
-            row[2 * j + 1] += ar * s + ai * c;
+            row[j] = numeric::cdouble(row[j].real() + (ar * c - ai * s),
+                                      row[j].imag() + (ar * s + ai * c));
           }
         }
       }
